@@ -39,7 +39,7 @@ from .profiles import (BivariateKernel, KernelProfile, MetricProfile,
                        kernel_from_metric, lift_metric, metric_from_kernel,
                        probe_grid, profile_from_samples, zoo, zoo_names)
 from .spectral import (InversionConfig, InversionResult, atom_at_zero,
-                       bochner_inversion, bochner_synthesis,
+                       bochner_inversion, bochner_synthesis, bound_report,
                        gamma_from_spectral, int_bound_integral,
                        screw_synthesis, spectral_from_gamma)
 
@@ -59,7 +59,7 @@ __all__ = [
     "SpectralMeasure", "GammaMeasure", "gaussian_measure", "laplacian_measure",
     "cauchy_measure", "cosine_measure", "constant_measure",
     "bochner_synthesis", "screw_synthesis", "gamma_from_spectral",
-    "spectral_from_gamma", "int_bound_integral", "atom_at_zero",
+    "spectral_from_gamma", "int_bound_integral", "bound_report", "atom_at_zero",
     "bochner_inversion", "InversionConfig", "InversionResult",
     "SeparableKernel", "ProductSpectralMeasure", "separable_eval",
     "product_synthesis",

@@ -24,7 +24,7 @@ from .measures import GammaMeasure, SpectralMeasure
 from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import metric_from_kernel, profile_from_samples, zoo, zoo_names
 from .spectral import (InversionConfig, atom_at_zero, bochner_inversion,
-                       bochner_synthesis, gamma_from_spectral,
+                       bochner_synthesis, bound_report, gamma_from_spectral,
                        int_bound_integral, screw_synthesis, spectral_from_gamma)
 
 DEFAULT_GRID = (-10.0, 10.0, 201)
@@ -165,8 +165,7 @@ def cmd_screw(args) -> int:
 def cmd_gamma(args) -> int:
     data = io.read_json(args.measure)
     if args.k0 is None:
-        gamma, atom0 = gamma_from_spectral(SpectralMeasure.from_dict(data),
-                                           max_bin_width=args.max_bin_width)
+        gamma, atom0 = gamma_from_spectral(SpectralMeasure.from_dict(data))
         io.write_json(args.output, gamma.to_dict())
         _emit({"written": args.output, "atom0": atom0})
     else:
@@ -178,12 +177,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_bound_check(args) -> int:
     gamma = GammaMeasure.from_dict(io.read_json(args.gamma))
-    integral = int_bound_integral(gamma)
-    bound = 4.0 * args.k0
-    ok = bool(integral <= bound * (1.0 + 1e-12))
-    tight = bool(ok and np.isfinite(integral)
-                 and abs(integral - bound) <= 1e-12 * max(bound, 1.0))
-    _emit({"integral": integral, "bound": bound, "ok": ok, "tight": tight})
+    _emit(bound_report(int_bound_integral(gamma), args.k0))
     return 0
 
 
@@ -197,9 +191,9 @@ def cmd_atom0(args) -> int:
 def cmd_rff(args) -> int:
     data = io.read_json(args.measure)
     if "factors" in data:
-        sample = sample_product_frequencies(ProductSpectralMeasure.from_dict(data),
-                                            m=args.m, seed=args.seed)
-        synth = lambda dx: product_synthesis(ProductSpectralMeasure.from_dict(data), dx)
+        product = ProductSpectralMeasure.from_dict(data)
+        sample = sample_product_frequencies(product, m=args.m, seed=args.seed)
+        synth = lambda dx: product_synthesis(product, dx)
     else:
         measure = SpectralMeasure.from_dict(data)
         sample = sample_frequencies(measure, m=args.m, seed=args.seed)
@@ -295,15 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_to_metric)
 
+    inversion = InversionConfig()
     p = sub.add_parser("invert", help="kernel profile -> spectral measure JSON")
     _add_kernel_source(p)
-    p.add_argument("--t-max", type=float, default=40.0)
-    p.add_argument("--n-samples", type=int, default=16001)
-    p.add_argument("--bins", type=int, default=2048)
-    p.add_argument("--freq-max", type=float, default=8.0)
-    p.add_argument("--window", type=float, default=200.0,
+    p.add_argument("--t-max", type=float, default=inversion.t_max)
+    p.add_argument("--n-samples", type=int, default=inversion.n_samples)
+    p.add_argument("--bins", type=int, default=inversion.n_bins)
+    p.add_argument("--freq-max", type=float, default=inversion.freq_max)
+    p.add_argument("--window", type=float, default=inversion.atom_window,
                    help="zero-atom estimation window T")
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=float, default=inversion.atom_step)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_invert)
 
@@ -324,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure")
     p.add_argument("--k0", type=float, default=None,
                    help="invert: treat input as gamma, produce a measure with k(0)=K0")
-    p.add_argument("--max-bin-width", type=float, default=2.0 ** -13)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gamma)
 
@@ -335,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atom0", help="kernel profile -> zero-frequency mass estimate")
     _add_kernel_source(p)
-    p.add_argument("--window", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--window", type=float, default=inversion.atom_window)
+    p.add_argument("--step", type=float, default=inversion.atom_step)
     p.set_defaults(func=cmd_atom0)
 
     p = sub.add_parser("rff", help="measure JSON -> frequency sample JSON")

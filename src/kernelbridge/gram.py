@@ -42,6 +42,8 @@ def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"{what} must be square, got shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError(f"{what} has non-finite entries")
     scale = float(np.max(np.abs(entries))) if entries.size else 0.0
     asym = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):

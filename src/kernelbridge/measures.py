@@ -11,10 +11,13 @@ pair at +-tau, so the synthesized kernel is
 and k(0) equals the two-sided total mass exactly.
 
 :class:`GammaMeasure` stores a non-decreasing weight on (0, inf) the same
-way (atoms strictly above 0 plus binned density values, read as the
-derivative d(gamma)/d(tau) held constant per bin).  It may be unbounded
-under the quadratic-decay integral; that is what separates metrics with
-and without a bounded kernel.
+way (atoms strictly above 0 plus binned density values).  Its ``law``
+says how a bin value v reads as the derivative d(gamma)/ds: ``"constant"``
+holds v on the bin, ``"s2"`` means v s^2.  The s^2 law is what a constant
+spectral bin becomes under the change of variables s = tau/2, so converted
+measures are stored exactly.  A gamma measure may be unbounded under the
+quadratic-decay integral; that is what separates metrics with and without
+a bounded kernel.
 """
 
 from __future__ import annotations
@@ -80,11 +83,17 @@ class _BinnedMeasure:
 
     _what = "measure"
     _allow_zero_atom = True
+    #: density laws this kind of measure may carry; the first is the default
+    _laws = ("constant",)
 
-    def __init__(self, atoms=(), edges=(), values=()):
+    def __init__(self, atoms=(), edges=(), values=(), law="constant"):
+        if law not in self._laws:
+            raise ValueError(f"{self._what} density law must be one of "
+                             f"{self._laws}, got {law!r}")
         self.atom_locations, self.atom_masses = _normalize_atoms(
             atoms, self._allow_zero_atom, self._what)
         self.bin_edges, self.bin_values = _normalize_density(edges, values, self._what)
+        self.law = law
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -97,22 +106,23 @@ class _BinnedMeasure:
         return np.diff(self.bin_edges)
 
     def density_at(self, tau: float) -> float:
-        """Piecewise-constant density value at tau (0 outside all bins)."""
+        """Density at tau under the measure's law (0 outside all bins)."""
         tau = float(tau)
         if self.bin_edges.size == 0 or tau < self.bin_edges[0] or tau > self.bin_edges[-1]:
             return 0.0
         idx = int(np.searchsorted(self.bin_edges, tau, side="right")) - 1
         idx = min(max(idx, 0), self.bin_values.size - 1)
-        return float(self.bin_values[idx])
+        value = float(self.bin_values[idx])
+        return value * tau ** 2 if self.law == "s2" else value
 
     def to_dict(self) -> dict:
+        density = {"edges": self.bin_edges.tolist(), "values": self.bin_values.tolist()}
+        if self.law != "constant":
+            density["law"] = self.law
         return {
             "atoms": [{"loc": float(l), "mass": float(m)}
                       for l, m in zip(self.atom_locations, self.atom_masses)],
-            "density": {
-                "edges": self.bin_edges.tolist(),
-                "values": self.bin_values.tolist(),
-            },
+            "density": density,
         }
 
     @classmethod
@@ -121,12 +131,14 @@ class _BinnedMeasure:
         density = data.get("density", {}) or {}
         return cls(atoms=atoms,
                    edges=density.get("edges", ()),
-                   values=density.get("values", ()))
+                   values=density.get("values", ()),
+                   law=density.get("law", "constant"))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (np.array_equal(self.atom_locations, other.atom_locations)
+        return (self.law == other.law
+                and np.array_equal(self.atom_locations, other.atom_locations)
                 and np.array_equal(self.atom_masses, other.atom_masses)
                 and np.array_equal(self.bin_edges, other.bin_edges)
                 and np.array_equal(self.bin_values, other.bin_values))
@@ -213,15 +225,21 @@ class SpectralMeasure(_BinnedMeasure):
 
 
 class GammaMeasure(_BinnedMeasure):
-    """Non-decreasing weight on (0, inf) as atoms plus binned density."""
+    """Non-decreasing weight on (0, inf) as atoms plus binned density.
+
+    ``law="s2"`` reads a bin value v as the density v s^2 (see the module
+    docstring); the default ``"constant"`` reads it as v.
+    """
 
     _what = "gamma measure"
     _allow_zero_atom = False
+    _laws = ("constant", "s2")
 
     def alpha(self, tau: float) -> float:
-        """Partial quadratic-decay integral over (0, tau].
+        """Partial quadratic-decay integral of s^-2 d(gamma) over (0, tau].
 
-        Returns inf when a density bin with positive value touches 0.
+        Exact for both laws.  Returns inf when a constant-law bin with
+        positive value touches 0; an s^2-law bin integrates to v (d - c).
         """
         tau = float(tau)
         pos = (self.atom_locations > 0.0) & (self.atom_locations <= tau)
@@ -231,6 +249,8 @@ class GammaMeasure(_BinnedMeasure):
             hi = np.minimum(self.bin_edges[1:], tau)
             active = hi > lo
             lo, hi, vals = lo[active], hi[active], self.bin_values[active]
+            if self.law == "s2":
+                return total + float(np.sum(vals * (hi - lo)))
             touches_zero = (lo == 0.0) & (vals > 0)
             if np.any(touches_zero):
                 return float("inf")

@@ -5,8 +5,9 @@ The pipeline implemented here:
 * ``bochner_synthesis``  -- measure -> kernel profile values (exact for the
   atoms + piecewise-constant representation: each bin integrates cosines
   in closed form).
-* ``screw_synthesis``    -- gamma measure -> squared-metric values, using
-  the closed-form antiderivative of sin^2(ts)/s^2.
+* ``screw_synthesis``    -- gamma measure -> squared-metric values, each
+  bin integrated in closed form: elementary for s^2-law bins, through the
+  Si-based antiderivative of sin^2(ts)/s^2 for constant-law bins.
 * ``gamma_from_spectral`` / ``spectral_from_gamma`` -- the change of
   variables linking the two representations: a component of the measure
   at frequency tau > 0 with one-sided mass m corresponds to a gamma
@@ -14,11 +15,9 @@ The pipeline implemented here:
 
       screw_synthesis(gamma, t) == 2 k(0) - 2 k(t)   for all t.
 
-  Density bins are subdivided and carry the weight 16 v c d on a sub-bin
-  [c, d] (v the one-sided density value).  The geometric-mean weight is
-  chosen so that the quadratic-decay integral of the converted gamma
-  equals 4 * (k(0) - zero atom) to machine precision; the subdivision
-  keeps the defining identity above within ~1e-7 at default width.
+  A density bin [a, b] with value v becomes the s^2-law gamma bin
+  [a/2, b/2] with value 16 v, i.e. density 16 v s^2; the map is exact and,
+  its factors being powers of two, inverts bit for bit.
 * ``int_bound_integral`` -- the quadratic-decay integral of a gamma
   measure; a bounded translation-invariant kernel with value k0 at the
   origin exists iff it is <= 4 k0.
@@ -35,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
 from .measures import GammaMeasure, SpectralMeasure
@@ -47,16 +45,15 @@ __all__ = [
     "gamma_from_spectral",
     "spectral_from_gamma",
     "int_bound_integral",
+    "bound_report",
     "atom_at_zero",
     "bochner_inversion",
     "InversionConfig",
     "InversionResult",
 ]
 
-#: default maximum gamma sub-bin width for gamma_from_spectral
-DEFAULT_GAMMA_BIN_WIDTH = 2.0 ** -13
-#: halving depth of the geometric ladder replacing a sub-bin touching 0
-_LADDER_DEPTH = 48
+#: relative slack of the boundedness test: integral <= 4 k0 (1 + BOUND_RTOL)
+BOUND_RTOL = 1e-12
 #: chunk size (in t-points x bins) for the dense trig evaluations
 _CHUNK = 2 ** 22
 
@@ -64,6 +61,15 @@ _CHUNK = 2 ** 22
 def _as_t_array(t):
     t = np.asarray(t, dtype=float)
     return t, t.ndim == 0
+
+
+def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
+    """``rows(ts)``, evaluated on chunks of ts holding <= _CHUNK t x column cells."""
+    out = np.empty(ts.shape)
+    step = max(1, _CHUNK // n_cols)
+    for lo in range(0, ts.size, step):
+        out[lo:lo + step] = rows(ts[lo:lo + step])
+    return out
 
 
 def bochner_synthesis(mu: SpectralMeasure, t):
@@ -78,37 +84,27 @@ def bochner_synthesis(mu: SpectralMeasure, t):
 
     locs, masses, edges, values = mu.positive_part()
     if locs.size:
-        step = max(1, _CHUNK // locs.size)
-        for lo in range(0, tt.size, step):
-            sl = slice(lo, lo + step)
-            out[sl] += 2.0 * np.cos(np.outer(tt[sl], locs)) @ masses
+        out += _row_sums(tt, locs.size,
+                         lambda ts: 2.0 * np.cos(np.outer(ts, locs)) @ masses)
     if values.size:
         a, b = edges[:-1], edges[1:]
         center = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        width = b - a
-        flat = float(2.0 * np.sum(values * width))
-        step = max(1, _CHUNK // values.size)
-        for lo in range(0, tt.size, step):
-            sl = slice(lo, lo + step)
-            ts = tt[sl]
-            nz = ts != 0.0
-            if np.any(~nz):
-                out[sl][~nz] += flat
-            if np.any(nz):
-                tnz = ts[nz]
-                # (sin(t b) - sin(t a))/t = 2 cos(t c) sin(t h) / t, stable near 0
-                block = (2.0 * np.cos(np.outer(tnz, center))
-                         * np.sin(np.outer(tnz, half))) / tnz[:, None]
-                contrib = 2.0 * block @ values
-                chunk_out = out[sl]
-                chunk_out[nz] += contrib
-                out[sl] = chunk_out
+        nz = tt != 0.0
+        out[~nz] += float(2.0 * np.sum(values * (b - a)))
+        # (sin(t b) - sin(t a))/t = 2 cos(t c) sin(t h) / t, stable near 0
+        out[nz] += _row_sums(tt[nz], values.size, lambda ts: 2.0 * (
+            2.0 * np.cos(np.outer(ts, center)) * np.sin(np.outer(ts, half))
+            / ts[:, None]) @ values)
     return float(out[0]) if scalar else out.reshape(t.shape)
 
 
 def _screw_antiderivative(u: np.ndarray) -> np.ndarray:
     """F(u) = int_0^u sin^2(x)/x^2 dx = Si(2u) - sin^2(u)/u, with F(0) = 0."""
+    # imported here: only constant-law gamma bins need Si, and importing
+    # scipy.special takes longer than most commands
+    from scipy.special import sici
+
     u = np.asarray(u, dtype=float)
     si, _ = sici(2.0 * u)
     ratio = np.divide(np.sin(u) ** 2, u, out=np.zeros_like(u), where=u > 0)
@@ -118,8 +114,9 @@ def _screw_antiderivative(u: np.ndarray) -> np.ndarray:
 def screw_synthesis(gamma: GammaMeasure, t):
     """Evaluate the squared metric synthesized from a gamma measure.
 
-    d2(t) = sum m sin^2(t s)/s^2 + binned density integrated in closed
-    form via the Si-based antiderivative.  Even in t; d2(0) = 0.
+    d2(t) = sum m sin^2(t s)/s^2 + the binned density integrated in closed
+    form: elementary for s^2-law bins, through the Si-based antiderivative
+    for constant-law bins.  Even in t; d2(0) = 0.
     """
     t, scalar = _as_t_array(t)
     tt = np.abs(np.atleast_1d(t).ravel())
@@ -128,102 +125,81 @@ def screw_synthesis(gamma: GammaMeasure, t):
     locs, masses = gamma.atom_locations, gamma.atom_masses
     if locs.size:
         weights = masses / locs ** 2
-        step = max(1, _CHUNK // locs.size)
-        for lo in range(0, tt.size, step):
-            sl = slice(lo, lo + step)
-            out[sl] += np.sin(np.outer(tt[sl], locs)) ** 2 @ weights
+        out += _row_sums(tt, locs.size,
+                         lambda ts: np.sin(np.outer(ts, locs)) ** 2 @ weights)
     edges, values = gamma.bin_edges, gamma.bin_values
     if values.size:
-        a, b = edges[:-1], edges[1:]
-        step = max(1, _CHUNK // values.size)
-        for lo in range(0, tt.size, step):
-            sl = slice(lo, lo + step)
-            ts = tt[sl]
-            nz = ts != 0.0
-            if np.any(nz):
-                tnz = ts[nz]
-                block = (_screw_antiderivative(np.outer(tnz, b))
-                         - _screw_antiderivative(np.outer(tnz, a)))
-                contrib = tnz * (block @ values)
-                chunk_out = out[sl]
-                chunk_out[nz] += contrib
-                out[sl] = chunk_out
+        c, d = edges[:-1], edges[1:]
+        if gamma.law == "s2":
+            # int_c^d sin^2(ts) ds = (d - c)/2 - cos(t(c + d)) sin(t(d - c)) / (2t)
+            width, ends = d - c, c + d
+            half = 0.5 * width
+
+            def rows(ts):
+                return (half - np.cos(np.outer(ts, ends)) * np.sin(np.outer(ts, width))
+                        / (2.0 * ts[:, None])) @ values
+        else:
+            def rows(ts):
+                return ts * ((_screw_antiderivative(np.outer(ts, d))
+                              - _screw_antiderivative(np.outer(ts, c))) @ values)
+        nz = tt != 0.0
+        out[nz] += _row_sums(tt[nz], values.size, rows)
     return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)
 
 
-def _subdivide(c0: float, d0: float, max_width: float) -> np.ndarray:
-    """Edges subdividing [c0, d0]; a leading edge at 0 gets a geometric ladder."""
-    n_sub = max(1, int(np.ceil((d0 - c0) / max_width)))
-    edges = np.linspace(c0, d0, n_sub + 1)
-    if edges[0] == 0.0:
-        first = edges[1]
-        ladder = first * 2.0 ** (-np.arange(_LADDER_DEPTH, 0, -1.0))
-        edges = np.concatenate([ladder, edges[1:]])
-    return edges
-
-
-def gamma_from_spectral(mu: SpectralMeasure,
-                        max_bin_width: float = DEFAULT_GAMMA_BIN_WIDTH
-                        ) -> tuple[GammaMeasure, float]:
+def gamma_from_spectral(mu: SpectralMeasure) -> tuple[GammaMeasure, float]:
     """Convert a spectral measure to its gamma representation.
 
     Returns ``(gamma, zero_atom)``: the atom at frequency 0 does not enter
     gamma (a constant kernel offset produces no metric) and is handed back
-    separately.  Atoms convert exactly; density bins are subdivided (see
-    module docstring) so both defining identities hold numerically.
+    separately.  Atoms and density bins both convert exactly; the bins
+    become s^2-law bins (see module docstring).
     """
-    if max_bin_width <= 0:
-        raise ValueError("max_bin_width must be > 0")
     locs, masses, edges, values = mu.positive_part()
-
     atoms = [(0.5 * loc, 8.0 * (0.5 * loc) ** 2 * mass)
              for loc, mass in zip(locs, masses)]
-
-    gamma_edges = np.zeros(0)
-    gamma_values = np.zeros(0)
-    if values.size:
-        edge_runs = []
-        value_runs = []
-        for a, b, v in zip(edges[:-1], edges[1:], values):
-            sub = _subdivide(0.5 * a, 0.5 * b, max_bin_width)
-            edge_runs.append(sub)
-            value_runs.append(16.0 * v * sub[:-1] * sub[1:])
-        # consecutive spans share their endpoint; drop the duplicate edge
-        gamma_edges = np.concatenate(
-            [edge_runs[0]] + [run[1:] for run in edge_runs[1:]])
-        gamma_values = np.concatenate(value_runs)
-
-    gamma = GammaMeasure(atoms=atoms, edges=gamma_edges, values=gamma_values)
+    gamma = GammaMeasure(atoms=atoms, edges=0.5 * edges, values=16.0 * values,
+                         law="s2")
     return gamma, mu.zero_atom
 
 
 def int_bound_integral(gamma: GammaMeasure) -> float:
-    """Quadratic-decay integral of gamma: sum m/s^2 + binned 1/s^2 mass.
+    """Quadratic-decay integral of gamma: sum m/s^2 + binned s^-2 mass.
 
-    Exact for the representation.  Returns inf when a density bin with
-    positive value touches 0; a bounded kernel with k(0) = k0 exists iff
-    the result is at most 4 k0.
+    Exact for the representation; equals ``gamma.alpha(inf)``.  Returns inf
+    when a constant-law density bin with positive value touches 0; a
+    bounded kernel with k(0) = k0 exists iff the result is at most 4 k0.
     """
-    total = float(np.sum(gamma.atom_masses / gamma.atom_locations ** 2)) \
-        if gamma.atom_locations.size else 0.0
-    edges, values = gamma.bin_edges, gamma.bin_values
-    if values.size:
-        lo, hi = edges[:-1], edges[1:]
-        positive = values > 0
-        if np.any(positive & (lo == 0.0)):
-            return float("inf")
-        keep = positive & (lo > 0.0)
-        total += float(np.sum(values[keep] * (1.0 / lo[keep] - 1.0 / hi[keep])))
-    return total
+    return gamma.alpha(np.inf)
+
+
+def bound_report(integral: float, k0: float) -> dict:
+    """Compare a quadratic-decay integral with the bound 4 k0.
+
+    ``ok`` says a bounded kernel with k(0) = k0 exists (integral <= 4 k0
+    up to ``BOUND_RTOL``); ``tight`` says the integral meets the bound, so
+    that kernel has no mass at frequency 0.  ``integral`` is the value of
+    :func:`int_bound_integral`, so the verdict compares two numbers only.
+    """
+    k0 = float(k0)
+    if not np.isfinite(k0) or k0 < 0:
+        raise ValueError("k0 must be finite and >= 0")
+    bound = 4.0 * k0
+    ok = bool(integral <= bound * (1.0 + BOUND_RTOL))
+    tight = bool(ok and np.isfinite(integral)
+                 and abs(integral - bound) <= BOUND_RTOL * max(bound, 1.0))
+    return {"integral": integral, "bound": bound, "ok": ok, "tight": tight}
 
 
 def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
     """Convert a gamma measure back to a spectral measure with k(0) = k0.
 
     Inverse of :func:`gamma_from_spectral`: gamma atoms at s map to
-    measure atoms at 2s with one-sided mass m/(8 s^2); density bins [c, d]
-    map to [2c, 2d] with value g/(16 c d).  The atom at frequency 0 is set
-    to k0 minus the converted two-sided mass, which the precondition
+    measure atoms at 2s with one-sided mass m/(8 s^2); an s^2-law bin
+    [c, d] with value g maps exactly to [2c, 2d] with value g/16.  A
+    constant-law bin takes the value g/(16 c d), its s^2 law read at the
+    geometric mean of the bin ends.  The atom at frequency 0 is set to k0
+    minus the converted two-sided mass, which the precondition
     (quadratic-decay integral <= 4 k0) keeps non-negative.
 
     Raises :class:`UnboundedMetricError` when the precondition fails; such
@@ -231,23 +207,20 @@ def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
     is the canonical example) but no bounded kernel.
     """
     k0 = float(k0)
-    if not np.isfinite(k0) or k0 < 0:
-        raise ValueError("k0 must be finite and >= 0")
-    integral = int_bound_integral(gamma)
-    bound = 4.0 * k0
-    if not integral <= bound * (1.0 + 1e-12):
-        raise UnboundedMetricError(integral=integral, bound=bound)
+    report = bound_report(int_bound_integral(gamma), k0)
+    if not report["ok"]:
+        raise UnboundedMetricError(integral=report["integral"], bound=report["bound"])
 
     atoms = [(2.0 * s, m / (8.0 * s ** 2))
              for s, m in zip(gamma.atom_locations, gamma.atom_masses)]
     edges = 2.0 * gamma.bin_edges
-    if gamma.bin_values.size:
+    if gamma.law == "s2":
+        values = gamma.bin_values / 16.0
+    else:
         lo, hi = gamma.bin_edges[:-1], gamma.bin_edges[1:]
         values = np.zeros_like(gamma.bin_values)
         nz = gamma.bin_values > 0  # zero-value bins stay zero even at lo == 0
         values[nz] = gamma.bin_values[nz] / (16.0 * lo[nz] * hi[nz])
-    else:
-        values = gamma.bin_values
 
     mass_without_zero_atom = float(
         2.0 * sum(m for _, m in atoms)
@@ -264,9 +237,9 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = 0.01) -> fl
     Converges to the mass at frequency zero as the window grows; the
     non-atomic part contributes O(1/T).
     """
-    window = float(window)
-    if window <= 0:
-        raise ValueError("window must be > 0")
+    window, step = float(window), float(step)
+    if not (0.0 < window < np.inf and 0.0 < step < np.inf):
+        raise ValueError("window and step must be finite and > 0")
     n = max(2, int(round(window / step)) + 1)
     t = np.linspace(0.0, window, n)
     values = kernel(t)

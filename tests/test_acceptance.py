@@ -105,8 +105,8 @@ def test_c4_screw_bochner_consistency():
     k0 = kb.bochner_synthesis(mu, 0.0)
     lhs = kb.screw_synthesis(gamma, grid)
     rhs = 2.0 * k0 - 2.0 * kb.bochner_synthesis(mu, grid)
-    assert float(np.max(np.abs(lhs - rhs))) <= 1e-6
-    _report(4, "screw/Bochner consistency (atomic 1e-10, binned 1e-6)", started)
+    assert float(np.max(np.abs(lhs - rhs))) <= 1e-12 * max(k0, 1.0)
+    _report(4, "screw/Bochner consistency (atomic 1e-10, binned 1e-12)", started)
 
 
 def test_c5_quadratic_decay_identity():

@@ -1,10 +1,15 @@
 """CLI: thin-adapter equality with library calls, exit codes, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.integrate import quad
 
 import kernelbridge as kb
 from kernelbridge import io
@@ -89,6 +94,16 @@ class TestMatrixCommands:
         assert payload["residual"] <= 1e-10
         assert io.read_matrix_csv(out).shape == (3, 1)
 
+    @pytest.mark.parametrize("command", ["check-psd", "check-nd", "embed"])
+    def test_nonfinite_matrix_is_validation_error(self, tmp_path, capsys, command):
+        m = tmp_path / "nan.csv"
+        m.write_text("0,nan\nnan,0\n")  # each command used to exit 0 on it
+        argv = [command, str(m)]
+        if command == "embed":
+            argv += ["-o", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_embed_rejects_with_exit_3(self, tmp_path, capsys):
         m = tmp_path / "d2.csv"
         io.write_matrix_csv(m, [[0, 1, 16], [1, 0, 1], [16, 1, 0]])
@@ -112,6 +127,11 @@ class TestProfileCommands:
                             "--window", "50")
         assert code == 0
         assert payload["atom0"] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [("--window", "inf"), ("--window", "nan"),
+                                       ("--step", "0")])
+    def test_atom0_rejects_bad_window(self, capsys, flags):
+        assert main(["atom0", "--kernel", "constant", *flags]) == 2
 
     def test_profile_descriptor_input(self, tmp_path, capsys):
         descriptor = tmp_path / "kernel.json"
@@ -189,6 +209,22 @@ class TestSpectralCommands:
         back = kb.SpectralMeasure.from_dict(io.read_json(back_path))
         assert_allclose(back.zero_atom, 0.3)
 
+    def test_gamma_writes_s2_law_bins(self, tmp_path, capsys):
+        mu = kb.gaussian_measure(n_bins=64)
+        measure_path = tmp_path / "mu.json"
+        io.write_json(measure_path, mu.to_dict())
+        gamma_path = tmp_path / "gamma.json"
+        assert run(capsys, "gamma", measure_path, "-o", gamma_path)[0] == 0
+        density = io.read_json(gamma_path)["density"]
+        assert density["law"] == "s2"
+        assert len(density["values"]) == 64
+        back_path = tmp_path / "back.json"
+        k0 = mu.total_mass()
+        assert run(capsys, "gamma", gamma_path, "--k0", k0, "-o", back_path)[0] == 0
+        back = kb.SpectralMeasure.from_dict(io.read_json(back_path))
+        assert_array_equal(back.bin_edges, mu.bin_edges)
+        assert_array_equal(back.bin_values, mu.bin_values)
+
     def test_gamma_inverse_rejects_unbounded(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.json"
         io.write_json(gamma_path, kb.GammaMeasure(edges=[0.0, 1e4],
@@ -208,6 +244,19 @@ class TestSpectralCommands:
         t, v = io.read_profile_csv(out)
         assert_allclose(v, 2.0 - 2.0 * np.cos(t), atol=1e-12)
 
+    def test_screw_reads_constant_law_file_without_law_key(self, tmp_path, capsys):
+        gamma_path = tmp_path / "gamma.json"
+        gamma_path.write_text(json.dumps(
+            {"atoms": [], "density": {"edges": [0.2, 1.0], "values": [0.3]}}))
+        out = tmp_path / "d2.csv"
+        code, _ = run(capsys, "screw", gamma_path, "--grid", "0.5", "3", "3",
+                      "-o", out)
+        assert code == 0
+        t, v = io.read_profile_csv(out)
+        oracle = [0.3 * quad(lambda s: np.sin(ti * s) ** 2 / s ** 2, 0.2, 1.0)[0]
+                  for ti in t]
+        assert_allclose(v, oracle, rtol=1e-10)
+
     def test_bound_check_tight(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.json"
         io.write_json(gamma_path, kb.GammaMeasure(atoms=[(0.5, 1.0)]).to_dict())
@@ -223,6 +272,11 @@ class TestSpectralCommands:
         assert code == 0
         assert payload["ok"] is False
         assert payload["integral"] == "inf"
+
+    def test_bound_check_rejects_nonfinite_k0(self, tmp_path, capsys):
+        gamma_path = tmp_path / "gamma.json"
+        io.write_json(gamma_path, kb.GammaMeasure(atoms=[(0.5, 1.0)]).to_dict())
+        assert main(["bound-check", str(gamma_path), "--k0", "nan"]) == 2
 
 
 class TestFeatureCommands:
@@ -291,3 +345,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special is only needed for constant-law screw synthesis; its
+    # import would dominate the start-up of every command
+    src = str(Path(kb.__file__).resolve().parents[1])
+    code = ("import sys, kernelbridge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

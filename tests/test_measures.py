@@ -36,6 +36,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             kb.GammaMeasure(edges=[-1.0, 1.0], values=[0.5])
 
+    def test_unknown_density_law_rejected(self):
+        with pytest.raises(ValueError, match="law"):
+            kb.GammaMeasure(edges=[0.0, 1.0], values=[0.5], law="s3")
+        # a spectral density is always held constant per bin
+        with pytest.raises(ValueError, match="law"):
+            kb.SpectralMeasure.from_dict(
+                {"density": {"edges": [0.0, 1.0], "values": [0.5], "law": "s2"}})
+
 
 class TestMassAccounting:
     def test_total_mass_matches_synthesis_at_zero(self):
@@ -62,6 +70,13 @@ class TestMassAccounting:
         assert mu.density_at(1.5) == 0.1
         assert mu.density_at(3.0) == 0.0
 
+    def test_s2_density_lookup(self):
+        gamma = kb.GammaMeasure(edges=[0.0, 1.0, 2.0], values=[0.7, 0.1], law="s2")
+        assert gamma.density_at(0.0) == 0.0
+        assert gamma.density_at(0.5) == 0.7 * 0.25
+        assert gamma.density_at(1.5) == 0.1 * 2.25
+        assert gamma.density_at(3.0) == 0.0
+
     def test_scaled(self):
         mu = kb.SpectralMeasure(atoms=[(1.0, 0.5)], edges=[0.0, 1.0], values=[0.2])
         assert_allclose(mu.scaled(3.0).total_mass(), 3.0 * mu.total_mass())
@@ -77,6 +92,16 @@ class TestSerialization:
     def test_gamma_round_trip(self):
         gamma = kb.GammaMeasure(atoms=[(0.5, 1.0)], edges=[0.1, 1.0], values=[0.2])
         assert kb.GammaMeasure.from_dict(gamma.to_dict()) == gamma
+
+    def test_gamma_law_serialization(self):
+        old = {"atoms": [], "density": {"edges": [0.1, 1.0], "values": [0.2]}}
+        gamma = kb.GammaMeasure.from_dict(old)
+        assert gamma.law == "constant"
+        assert gamma.to_dict() == old  # constant-law files keep their format
+        s2 = kb.GammaMeasure(edges=[0.1, 1.0], values=[0.2], law="s2")
+        assert s2.to_dict()["density"]["law"] == "s2"
+        assert kb.GammaMeasure.from_dict(s2.to_dict()) == s2
+        assert s2 != gamma
 
     def test_empty_measure(self):
         mu = kb.SpectralMeasure()

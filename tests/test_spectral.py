@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import kernelbridge as kb
@@ -66,10 +66,20 @@ class TestScrewSynthesis:
         assert_allclose(kb.screw_synthesis(gamma, GRID), 0.0)
 
     def test_even_and_zero_at_origin(self):
-        gamma = kb.GammaMeasure(atoms=[(0.7, 0.4)], edges=[0.2, 1.0], values=[0.3])
-        assert kb.screw_synthesis(gamma, 0.0) == 0.0
-        assert_allclose(kb.screw_synthesis(gamma, GRID),
-                        kb.screw_synthesis(gamma, -GRID), rtol=1e-14)
+        for law in ("constant", "s2"):
+            gamma = kb.GammaMeasure(atoms=[(0.7, 0.4)], edges=[0.2, 1.0], values=[0.3],
+                                    law=law)
+            assert kb.screw_synthesis(gamma, 0.0) == 0.0
+            assert_allclose(kb.screw_synthesis(gamma, GRID),
+                            kb.screw_synthesis(gamma, -GRID), rtol=1e-14)
+
+    def test_s2_law_bin_quadrature_oracle(self):
+        # density v s^2 on [c, d]: the integrand reduces to v sin^2(ts)
+        gamma = kb.GammaMeasure(edges=[0.0, 0.3, 1.7], values=[2.0, 0.5], law="s2")
+        for t in (0.01, 0.8, 3.0, 40.0):
+            oracle = sum(v * quad(lambda s: np.sin(t * s) ** 2, c, d, limit=200)[0]
+                         for c, d, v in ((0.0, 0.3, 2.0), (0.3, 1.7, 0.5)))
+            assert_allclose(kb.screw_synthesis(gamma, t), oracle, rtol=1e-12)
 
 
 class TestGammaFromSpectral:
@@ -92,10 +102,11 @@ class TestGammaFromSpectral:
         mu = kb.gaussian_measure()
         gamma, atom0 = kb.gamma_from_spectral(mu)
         k0 = kb.bochner_synthesis(mu, 0.0)
+        assert gamma.bin_values.size == mu.bin_values.size
         for t in (0.5, 1.0, 2.0):
             lhs = kb.screw_synthesis(gamma, t)
             rhs = 2.0 * k0 - 2.0 * kb.bochner_synthesis(mu, t)
-            assert abs(lhs - rhs) <= 1e-6
+            assert abs(lhs - rhs) <= 1e-12 * max(k0, 1.0)
 
     def test_defining_identity_atomic(self, measure_factory):
         rng = np.random.default_rng(12)
@@ -117,7 +128,7 @@ class TestGammaFromSpectral:
             k0 = kb.bochner_synthesis(mu, 0.0)
             lhs = kb.screw_synthesis(gamma, probes)
             rhs = 2.0 * k0 - 2.0 * kb.bochner_synthesis(mu, probes)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-6 * max(k0, 1.0)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(k0, 1.0)
 
     def test_no_atom_at_zero_ever(self, measure_factory):
         rng = np.random.default_rng(14)
@@ -125,7 +136,8 @@ class TestGammaFromSpectral:
             gamma, _ = kb.gamma_from_spectral(measure_factory(rng))
             assert np.all(gamma.atom_locations > 0)
             if gamma.bin_edges.size:
-                assert gamma.bin_edges[0] > 0
+                assert gamma.bin_edges[0] > 0 or gamma.law == "s2"
+                assert np.isfinite(kb.int_bound_integral(gamma))
 
 
 class TestIntBoundIntegral:
@@ -165,6 +177,23 @@ class TestIntBoundIntegral:
         assert gamma.alpha(0.4) == 0.0
         assert gamma.alpha(0.5) == 4.0
         assert_allclose(gamma.alpha(2.0), 4.0 + (1.0 / 1.0 - 1.0 / 2.0))
+
+    def test_s2_law_integral(self):
+        # s^-2 * v s^2 = v: each bin contributes v times its covered width,
+        # also when it touches 0
+        gamma = kb.GammaMeasure(atoms=[(0.5, 1.0)], edges=[0.0, 1.0, 2.0],
+                                values=[1.0, 3.0], law="s2")
+        assert gamma.alpha(1.5) == 4.0 + 1.0 + 1.5
+        assert kb.int_bound_integral(gamma) == gamma.alpha(np.inf) == 4.0 + 1.0 + 3.0
+
+    def test_bound_report(self):
+        assert kb.bound_report(4.0, 1.0) == {"integral": 4.0, "bound": 4.0,
+                                             "ok": True, "tight": True}
+        assert kb.bound_report(3.0, 1.0)["tight"] is False
+        assert kb.bound_report(np.inf, 1.0)["ok"] is False
+        for k0 in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                kb.bound_report(1.0, k0)
 
 
 class TestSpectralFromGamma:
@@ -221,6 +250,19 @@ class TestSpectralFromGamma:
             assert_allclose(back.total_mass(), mu.total_mass(),
                             rtol=1e-10)
 
+    def test_round_trip_is_bit_exact(self, measure_factory):
+        # the s^2-law map scales by powers of two, so bins come back unchanged
+        rng = np.random.default_rng(17)
+        for mu in [kb.gaussian_measure()] + [measure_factory(rng) for _ in range(50)]:
+            k0 = kb.bochner_synthesis(mu, 0.0)
+            gamma, _ = kb.gamma_from_spectral(mu)
+            back = kb.spectral_from_gamma(gamma, k0=k0)
+            assert_array_equal(back.bin_edges, mu.bin_edges)
+            assert_array_equal(back.bin_values, mu.bin_values)
+            scale = 1e-12 * max(k0, 1.0)
+            assert abs(back.zero_atom - mu.zero_atom) <= scale
+            assert abs(back.total_mass() - mu.total_mass()) <= scale
+
 
 class TestAtomAtZero:
     def test_constant_kernel(self):
@@ -241,8 +283,10 @@ class TestAtomAtZero:
         assert_allclose(estimate, 0.3 + 0.7 * np.sqrt(2 * np.pi) / 400.0, atol=1e-6)
 
     def test_bad_window(self):
-        with pytest.raises(ValueError):
-            kb.atom_at_zero(kb.zoo("constant"), window=0.0)
+        for window, step in ((0.0, 0.01), (np.inf, 0.01), (np.nan, 0.01),
+                             (10.0, 0.0), (10.0, np.nan)):
+            with pytest.raises(ValueError):
+                kb.atom_at_zero(kb.zoo("constant"), window=window, step=step)
 
 
 class TestBochnerInversion:
