@@ -36,10 +36,9 @@ def _emit(data: dict) -> None:
 
 def _grid(args) -> np.ndarray:
     lo, hi, n = args.grid
-    n = int(n)
-    if not (hi > lo and n >= 2):
-        raise ValueError("--grid needs MIN < MAX and N >= 2")
-    return np.linspace(lo, hi, n)
+    if not (np.isfinite([lo, hi, n]).all() and hi > lo and n >= 2 and n == int(n)):
+        raise ValueError("--grid needs finite MIN < MAX and an integer N >= 2")
+    return np.linspace(lo, hi, int(n))
 
 
 def _add_grid(parser) -> None:
@@ -141,7 +140,9 @@ def cmd_invert(args) -> int:
     io.write_json(args.output, result.measure.to_dict())
     _emit({"written": args.output, "atom0": result.atom0,
            "residual": result.residual, "clamped_mass": result.clamped_mass,
-           "min_density": result.min_density})
+           "min_density": result.min_density, "mass_gap": result.mass_gap,
+           "nyquist_margin": result.nyquist_margin,
+           "atom_window_gap": result.atom_window_gap})
     return 0
 
 

@@ -42,10 +42,12 @@ def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"{what} must be square, got shape {entries.shape}")
+    if entries.size == 0:
+        raise ValueError(f"{what} is empty (0 x 0)")
     if not np.all(np.isfinite(entries)):
         raise ValueError(f"{what} has non-finite entries")
-    scale = float(np.max(np.abs(entries))) if entries.size else 0.0
-    asym = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
+    scale = float(np.max(np.abs(entries)))
+    asym = float(np.max(np.abs(entries - entries.T)))
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{what} is not symmetric: max |A - A^T| = {asym!r}")
     return entries
@@ -121,7 +123,7 @@ def _eigh(entries: np.ndarray):
     try:
         return np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
-        scale = float(np.max(np.abs(entries))) if entries.size else 0.0
+        scale = float(np.max(np.abs(entries)))
         diagnostics = {
             "n": int(entries.shape[0]),
             "max_abs_entry": scale,
@@ -164,15 +166,18 @@ def is_negative_definite(matrix, tol: float = DEFAULT_TOL) -> DefinitenessVerdic
 
     The scale for the relative threshold is max|entries| rather than
     max|diag| because the canonical inputs (squared distances) have a zero
-    diagonal.
+    diagonal.  A 1 x 1 matrix is rejected: the complement of the all-ones
+    vector is then {0}, so there is no direction to test or witness.
     """
     entries = _entries(matrix)
     n = entries.shape[0]
+    if n < 2:
+        raise ValueError("negative definiteness needs a matrix of size >= 2")
     ones = np.full(n, 1.0 / np.sqrt(n))
     projected = entries - np.outer(ones, ones @ entries)
     projected = projected - np.outer(projected @ ones, ones)
     projected = 0.5 * (projected + projected.T)
-    scale = float(np.max(np.abs(entries))) if entries.size else 0.0
+    scale = float(np.max(np.abs(entries)))
     # sink the all-ones direction far below zero so the top eigenpair
     # always lives in the orthogonal complement
     beta = 1.0 + n * scale
@@ -220,10 +225,10 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     """
     entries = _entries(d2_matrix)
     n = entries.shape[0]
-    scale = float(np.max(np.abs(entries))) if entries.size else 0.0
+    scale = float(np.max(np.abs(entries)))
     if float(np.max(np.abs(np.diag(entries)))) > tol * max(scale, 1.0):
         raise ValueError("squared-distance matrix must have a zero diagonal")
-    if entries.size and float(np.min(entries)) < -tol * max(scale, 1.0):
+    if float(np.min(entries)) < -tol * max(scale, 1.0):
         raise ValueError("squared-distance matrix must be entrywise non-negative")
 
     gram = nd_to_psd(entries, base_index=0)
@@ -251,6 +256,6 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
 
     sq_norms = np.sum(coordinates ** 2, axis=1)
     reconstructed = sq_norms[:, None] + sq_norms[None, :] - 2.0 * coordinates @ coordinates.T
-    residual = float(np.max(np.abs(reconstructed - entries))) if entries.size else 0.0
+    residual = float(np.max(np.abs(reconstructed - entries)))
     return EmbeddingResult(coordinates=coordinates, rank=int(np.sum(keep)),
                            residual=residual)

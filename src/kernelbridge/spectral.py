@@ -27,10 +27,15 @@ The pipeline implemented here:
   cosine-transform quadrature, with a certificate path: a clearly
   negative zero-frequency mass or clearly negative density values raise
   :class:`NotPositiveDefiniteError` instead of being silently clamped.
+  The samples t_i = i dt and the bin midpoints (j + 1/2) df are both
+  uniform, so the trapezoid sum over all bins is one chirp-z transform
+  (Bluestein's algorithm on ``numpy.fft``), not a dense samples x bins
+  cosine table.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +65,8 @@ _CHUNK = 2 ** 22
 
 def _as_t_array(t):
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
     return t, t.ndim == 0
 
 
@@ -70,6 +77,42 @@ def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
     for lo in range(0, ts.size, step):
         out[lo:lo + step] = rows(ts[lo:lo + step])
     return out
+
+
+def _phases(half_theta: float, q: np.ndarray) -> np.ndarray:
+    """exp(-i half_theta q) for integer-valued q below 2**52.
+
+    half_theta splits into a head, short enough that head * q is exact for
+    every q, and a small tail.  The phases then carry no rounding of order
+    half_theta * q, which reaches 1e6 rad on long inversion grids.
+    """
+    mant, exp = np.frexp(half_theta)
+    bits = 53 - int(q.max()).bit_length()
+    head = float(np.ldexp(np.floor(np.ldexp(mant, bits)), exp - bits))
+    return np.exp(-1j * (head * q)) * np.exp(-1j * ((half_theta - head) * q))
+
+
+def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray:
+    """sum_i g_i cos(theta i (j + 1/2)) for j = 0 .. n_out - 1, as a chirp-z transform.
+
+    theta i (j + 1/2) = (theta/2) [i (i + 1) + j^2 - (j - i)^2], so each sum
+    is the real part of exp(-i theta j^2/2) times the convolution of
+    g_i exp(-i theta i (i + 1)/2) with the chirp exp(i theta k^2/2),
+    k = -(n - 1) .. n_out - 1 (Bluestein), done with one power-of-two
+    FFT pair.  The error stays within ~1e-14 sum |g_i|.
+    """
+    n = g.size
+    half = 0.5 * theta
+    i = np.arange(n, dtype=float)
+    k = np.arange(max(n, n_out), dtype=float)
+    chirp = _phases(half, k * k)
+    size = 1 << (n + n_out - 2).bit_length()  # >= n + n_out - 1: no wrap-around
+    filt = np.zeros(size, dtype=complex)
+    filt[:n_out] = chirp[:n_out].conj()
+    filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    conv = np.fft.ifft(np.fft.fft(g * _phases(half, i * (i + 1.0)), size)
+                       * np.fft.fft(filt))
+    return (conv[:n_out] * chirp[:n_out]).real
 
 
 def bochner_synthesis(mu: SpectralMeasure, t):
@@ -267,10 +310,23 @@ class InversionConfig:
     residual_points: int = 201
 
     def __post_init__(self):
+        for name in ("n_samples", "n_bins", "residual_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("t_max", "freq_max", "atom_window", "atom_step", "clamp_tol",
+                     "residual_span"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.t_max <= 0 or self.n_samples < 2 or self.n_bins < 1:
             raise ValueError("t_max, n_samples, n_bins must be positive")
         if self.freq_max <= 0 or self.atom_window <= 0 or self.atom_step <= 0:
             raise ValueError("freq_max, atom_window, atom_step must be positive")
+        if self.clamp_tol < 0 or self.residual_span < 0 or self.residual_points < 1:
+            raise ValueError("clamp_tol, residual_span must be >= 0 and "
+                             "residual_points >= 1")
 
 
 @dataclass(frozen=True)
@@ -280,6 +336,12 @@ class InversionResult:
     ``residual`` is the sup difference between the re-synthesized kernel
     and the input on the residual grid; ``clamped_mass`` is the total
     (two-sided) mass removed by clamping small negative density values.
+    Three health readings name what the measure leaves out:
+    ``mass_gap = k(0) - measure.total_mass()`` is the mass lost, mostly the
+    spectral tail above ``freq_max``; ``nyquist_margin = pi/dt - freq_max``
+    is negative when the bins reach past the sampling's Nyquist frequency;
+    ``atom_window_gap = |full - half|`` is the disagreement of the two
+    zero-atom windows the Richardson step combines.
     """
 
     measure: SpectralMeasure
@@ -288,15 +350,20 @@ class InversionResult:
     clamped_mass: float
     min_density: float
     config: InversionConfig
+    mass_gap: float
+    nyquist_margin: float
+    atom_window_gap: float
 
 
-def _estimate_zero_atom(kernel: KernelProfile, config: InversionConfig) -> float:
+def _estimate_zero_atom(kernel: KernelProfile,
+                        config: InversionConfig) -> tuple[float, float]:
+    """The zero-atom estimate and |full - half|, the two windows' disagreement."""
     # Richardson step: the long-run average carries an O(1/T) tail from the
     # non-atomic part; combining two windows cancels that term, which the
     # density tolerances of the slowly-decaying pairs require.
     full = atom_at_zero(kernel, config.atom_window, config.atom_step)
     half = atom_at_zero(kernel, 0.5 * config.atom_window, config.atom_step)
-    return 2.0 * full - half
+    return 2.0 * full - half, abs(full - half)
 
 
 def bochner_inversion(kernel: KernelProfile,
@@ -304,11 +371,15 @@ def bochner_inversion(kernel: KernelProfile,
     """Recover a spectral measure from a positive definite kernel profile.
 
     The zero-frequency atom is estimated first (long-run average with a
-    two-window tail correction); the remaining density is the trapezoid
-    cosine transform (1/pi) int_0^{t_max} (k(t) - atom0) cos(t tau) dt
-    evaluated at bin midpoints.  Negativity beyond ``clamp_tol * |k(0)|``
-    raises :class:`NotPositiveDefiniteError`; smaller negative values are
-    clamped to zero and the removed mass is reported.
+    two-window tail correction); the remaining density is the cosine
+    transform (1/pi) int_0^{t_max} (k(t) - atom0) cos(t tau) dt at the bin
+    midpoints, with trapezoid weights on the uniform samples.  All bins are
+    evaluated at once as a chirp-z transform, in O((n_samples + n_bins)
+    log) time; it agrees with the dense trapezoid sum to ~1e-14 times the
+    sum of |weighted samples|, far below the clamp threshold.  Negativity
+    beyond ``clamp_tol * |k(0)|`` raises :class:`NotPositiveDefiniteError`;
+    smaller negative values are clamped to zero and the removed mass is
+    reported.
 
     Kernels whose spectrum has atoms at nonzero frequencies (pure tones)
     are outside this density-only model and will be rejected by the
@@ -317,7 +388,7 @@ def bochner_inversion(kernel: KernelProfile,
     k0 = float(kernel(0.0))
     noise_floor = config.clamp_tol * max(abs(k0), 1e-300)
 
-    atom0 = _estimate_zero_atom(kernel, config)
+    atom0, atom_window_gap = _estimate_zero_atom(kernel, config)
     if atom0 < -noise_floor:
         raise NotPositiveDefiniteError(
             f"zero-frequency mass estimates to {atom0!r} < 0; "
@@ -327,24 +398,19 @@ def bochner_inversion(kernel: KernelProfile,
         atom0 = 0.0
 
     t = np.linspace(0.0, config.t_max, config.n_samples)
-    integrand = kernel(t) - atom0
-    weights = np.full(config.n_samples, config.t_max / (config.n_samples - 1))
+    dt = config.t_max / (config.n_samples - 1)
+    weights = np.full(config.n_samples, dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    g = integrand * weights
+    g = (kernel(t) - atom0) * weights
 
     edges = np.linspace(0.0, config.freq_max, config.n_bins + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    density = np.empty(config.n_bins)
-    step = max(1, _CHUNK // config.n_samples)
-    for lo in range(0, config.n_bins, step):
-        hi = min(lo + step, config.n_bins)
-        density[lo:hi] = g @ np.cos(np.outer(t, mid[lo:hi]))
-    density /= np.pi
+    df = config.freq_max / config.n_bins
+    density = _midpoint_cosine_sums(g, dt * df, config.n_bins) / np.pi
 
-    worst = float(np.min(density)) if density.size else 0.0
+    worst = float(np.min(density))
     if worst < -noise_floor:
-        where = float(mid[int(np.argmin(density))])
+        where = (int(np.argmin(density)) + 0.5) * df
         raise NotPositiveDefiniteError(
             f"recovered density reaches {worst!r} at frequency {where!r}; "
             "negativity beyond quadrature noise rules out positive definiteness",
@@ -360,4 +426,6 @@ def bochner_inversion(kernel: KernelProfile,
     residual = float(np.max(np.abs(bochner_synthesis(measure, grid) - kernel(grid))))
     return InversionResult(measure=measure, atom0=atom0, residual=residual,
                            clamped_mass=clamped_mass, min_density=worst,
-                           config=config)
+                           config=config, mass_gap=k0 - measure.total_mass(),
+                           nyquist_margin=np.pi / dt - config.freq_max,
+                           atom_window_gap=atom_window_gap)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
@@ -21,6 +22,14 @@ def run(capsys, *argv):
     out = capsys.readouterr().out.strip()
     payload = json.loads(out.splitlines()[-1]) if out else {}
     return code, payload
+
+
+def exit_code(argv):
+    """main's return value, or the code of argparse's SystemExit."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestZoo:
@@ -104,6 +113,22 @@ class TestMatrixCommands:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["check-psd", "check-nd", "embed"])
+    def test_empty_matrix_is_validation_error(self, tmp_path, capsys, command):
+        m = tmp_path / "empty.csv"
+        m.write_text("\n")
+        assert main([command, str(m), "-o", str(tmp_path / "c.csv")]
+                    if command == "embed" else [command, str(m)]) == 2
+
+    def test_one_by_one_matrix(self, tmp_path, capsys):
+        m = tmp_path / "one.csv"
+        io.write_matrix_csv(m, [[0.0]])
+        assert main(["check-nd", str(m)]) == 2  # no direction to test
+        code, payload = run(capsys, "check-psd", m)
+        assert code == 0 and payload["psd"] is True
+        code, payload = run(capsys, "embed", m, "-o", tmp_path / "c.csv")
+        assert code == 0 and payload["rank"] == 0
+
     def test_embed_rejects_with_exit_3(self, tmp_path, capsys):
         m = tmp_path / "d2.csv"
         io.write_matrix_csv(m, [[0, 1, 16], [1, 0, 1], [16, 1, 0]])
@@ -167,6 +192,57 @@ class TestSpectralCommands:
         assert code == 0
         t, v = io.read_profile_csv(synth_path)
         assert np.max(np.abs(v - np.exp(-t ** 2 / 2.0))) <= 1e-3
+
+    def test_invert_reports_health_readings(self, tmp_path, capsys):
+        code, payload = run(capsys, "invert", "--kernel", "laplacian",
+                            "-o", tmp_path / "m.json")
+        assert code == 0
+        # the residual is the spectral tail above freq_max = 8, now named
+        tail = 1.0 - (2.0 / np.pi) * np.arctan(8.0)
+        assert payload["mass_gap"] == pytest.approx(tail, abs=1e-4)
+        assert payload["residual"] == pytest.approx(payload["mass_gap"], rel=1e-12)
+        assert payload["nyquist_margin"] == pytest.approx(np.pi / (40.0 / 16000) - 8.0)
+        assert 0.0 < payload["atom_window_gap"] < 0.05
+        assert {"atom0", "clamped_mass", "min_density"} <= payload.keys()
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flags=st.dictionaries(
+        st.sampled_from(["--t-max", "--n-samples", "--bins", "--freq-max",
+                         "--window", "--step"]),
+        st.sampled_from(["nan", "inf", "-inf", "1e400", "2.5", "true", "0", "-1",
+                         "2", "3"]),
+        min_size=1))
+    @example(flags={"--t-max": "nan"})  # accepted before InversionConfig checked it
+    @example(flags={"--freq-max": "inf"})
+    @example(flags={"--window": "1e400"})
+    @example(flags={"--bins": "2.5"})
+    @example(flags={"--n-samples": "1e3"})
+    def test_invert_fuzzed_flags(self, tmp_path, capsys, flags):
+        # sizes stay at most 3 (or the defaults), so nothing large is allocated
+        out = tmp_path / "m.json"
+        out.unlink(missing_ok=True)
+        argv = ["invert", "--kernel", "gaussian", "-o", out]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        code = exit_code(argv)
+        capsys.readouterr()
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
+        integer_flags = {"--n-samples", "--bins"}
+        if any(value in ("nan", "inf", "-inf", "1e400")
+               or (flag in integer_flags and not value.lstrip("-").isdigit())
+               for flag, value in flags.items()):
+            assert code == 2
+
+    @pytest.mark.parametrize("grid", [("0", "inf", "5"), ("nan", "1", "5"),
+                                      ("0", "1", "inf"), ("0", "1", "2.5")])
+    def test_synth_rejects_bad_grid(self, tmp_path, capsys, grid):
+        # N = inf used to escape as an OverflowError traceback
+        mu = tmp_path / "mu.json"
+        io.write_json(mu, kb.gaussian_measure(n_bins=8).to_dict())
+        assert main(["synth", str(mu), "--grid", *grid,
+                     "-o", str(tmp_path / "k.csv")]) == 2
 
     def test_invert_rejects_shifted_cosine_from_samples(self, tmp_path, capsys):
         t = np.arange(0.0, 200.0 + 1e-9, 0.005)

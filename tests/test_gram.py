@@ -1,5 +1,7 @@
 """Finite-sample definiteness: Gram construction, verdicts, centering, embedding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -237,3 +239,25 @@ class TestValidation:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             kb.SymmetricKernelMatrix(entries=np.ones((2, 3)))
+
+    @pytest.mark.parametrize("check", [kb.is_positive_definite, kb.is_negative_definite,
+                                       kb.nd_to_psd, kb.euclidean_embedding,
+                                       kb.SymmetricKernelMatrix])
+    def test_empty_matrix_rejected(self, check):
+        # used to surface a raw IndexError and a divide-by-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                check(np.zeros((0, 0)))
+
+    def test_one_by_one_nd_test_rejected(self):
+        # the complement of the all-ones vector is {0}: no witness exists,
+        # and the deflation eigenvalue -1 used to be reported as one
+        with pytest.raises(ValueError):
+            kb.is_negative_definite(np.zeros((1, 1)))
+
+    def test_one_by_one_elsewhere_is_defined(self):
+        assert kb.is_positive_definite(np.ones((1, 1))).verdict
+        assert not kb.is_positive_definite(-np.ones((1, 1))).verdict
+        assert kb.nd_to_psd(np.zeros((1, 1))).tolist() == [[0.0]]
+        assert kb.euclidean_embedding(np.zeros((1, 1))).rank == 0

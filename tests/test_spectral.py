@@ -2,13 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import kernelbridge as kb
 from conftest import random_spectral_measure
+from kernelbridge.spectral import _midpoint_cosine_sums
 
 GRID = kb.probe_grid()
+
+
+def dense_cosine_sums(g, t_max, freq_max, n_bins):
+    """Oracle: sum_i g_i cos(t_i tau_j) over a dense table, one bin at a time."""
+    t = np.linspace(0.0, t_max, g.size)
+    mid = (np.arange(n_bins) + 0.5) * (freq_max / n_bins)
+    return np.array([g @ np.cos(t * tau) for tau in mid])
+
+
+def chirp_z_cosine_sums(g, t_max, freq_max, n_bins):
+    return _midpoint_cosine_sums(g, (t_max / (g.size - 1)) * (freq_max / n_bins), n_bins)
 
 
 class TestBochnerSynthesis:
@@ -43,6 +56,12 @@ class TestBochnerSynthesis:
             assert_allclose(kb.bochner_synthesis(mu, 0.0), mu.total_mass(),
                             rtol=1e-10)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [np.nan, np.inf, 1.0], [[0.0, -np.inf]]])
+    def test_nonfinite_t_rejected(self, t):
+        # used to return NaN with only a RuntimeWarning
+        with pytest.raises(ValueError):
+            kb.bochner_synthesis(kb.gaussian_measure(n_bins=8), t)
+
 
 class TestScrewSynthesis:
     def test_atom_closed_form(self):
@@ -64,6 +83,14 @@ class TestScrewSynthesis:
     def test_empty_measure_is_zero(self):
         gamma = kb.GammaMeasure()
         assert_allclose(kb.screw_synthesis(gamma, GRID), 0.0)
+
+    @pytest.mark.parametrize("law", ["constant", "s2"])
+    def test_nonfinite_t_rejected(self, law):
+        gamma = kb.GammaMeasure(atoms=[(0.7, 0.4)], edges=[0.2, 1.0], values=[0.3],
+                                law=law)
+        for t in (np.nan, -np.inf, [np.nan, np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                kb.screw_synthesis(gamma, t)
 
     def test_even_and_zero_at_origin(self):
         for law in ("constant", "s2"):
@@ -289,6 +316,37 @@ class TestAtomAtZero:
                 kb.atom_at_zero(kb.zoo("constant"), window=window, step=step)
 
 
+class TestChirpZCosineSums:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 400), n_bins=st.integers(1, 64),
+           t_max=st.floats(1e-2, 200.0), freq_max=st.floats(1e-2, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_sum(self, n, n_bins, t_max, freq_max, seed):
+        g = np.random.default_rng(seed).standard_normal(n)
+        fast = chirp_z_cosine_sums(g, t_max, freq_max, n_bins)
+        dense = dense_cosine_sums(g, t_max, freq_max, n_bins)
+        assert fast.shape == (n_bins,)
+        assert np.max(np.abs(fast - dense)) <= 1e-11 * np.sum(np.abs(g))
+
+    def test_long_grid_matches_dense_sum(self):
+        # the chirp phases reach ~1e6 rad here; round-off must not grow with them
+        g = np.random.default_rng(400001).standard_normal(400001)
+        fast = chirp_z_cosine_sums(g, 40.0, 8.0, 64)
+        dense = dense_cosine_sums(g, 40.0, 8.0, 64)
+        assert np.max(np.abs(fast - dense)) <= 1e-11 * np.sum(np.abs(g))
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_inversion_density_is_the_trapezoid_sum(self, name):
+        config = kb.InversionConfig(t_max=30.0, n_samples=3001, n_bins=256)
+        kernel = kb.zoo(name)
+        result = kb.bochner_inversion(kernel, config)
+        t = np.linspace(0.0, config.t_max, config.n_samples)
+        g = (kernel(t) - result.atom0) * (config.t_max / (config.n_samples - 1))
+        g[[0, -1]] *= 0.5
+        dense = dense_cosine_sums(g, config.t_max, config.freq_max, config.n_bins) / np.pi
+        assert np.max(np.abs(result.measure.bin_values - np.clip(dense, 0.0, None))) <= 1e-12
+
+
 class TestBochnerInversion:
     def test_laplacian_recovers_cauchy_density(self):
         result = kb.bochner_inversion(kb.zoo("laplacian"))
@@ -345,6 +403,46 @@ class TestBochnerInversion:
             kb.InversionConfig(t_max=-1.0)
         with pytest.raises(ValueError):
             kb.InversionConfig(atom_step=0.0)
+
+    @pytest.mark.parametrize("field", ["n_samples", "n_bins", "residual_points"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", np.nan])
+    def test_config_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(ValueError):
+            kb.InversionConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["t_max", "freq_max", "atom_window", "atom_step",
+                                       "clamp_tol", "residual_span"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None, True, 1j])
+    def test_config_rejects_non_finite_reals(self, field, value):
+        with pytest.raises(ValueError):
+            kb.InversionConfig(**{field: value})
+
+    def test_config_accepts_numpy_scalars(self):
+        config = kb.InversionConfig(t_max=np.float64(20.0), n_samples=np.int64(101),
+                                    n_bins=np.int32(16), residual_points=7)
+        assert config.n_samples == 101
+
+    def test_health_readings_name_the_missing_tail(self):
+        # the laplacian's spectral density 1/(pi (1 + tau^2)) has mass
+        # (2/pi) atan 8 below freq_max = 8; the rest is the residual at t = 0
+        result = kb.bochner_inversion(kb.zoo("laplacian"))
+        tail = 1.0 - (2.0 / np.pi) * np.arctan(8.0)
+        assert abs(result.mass_gap - tail) <= 1e-4
+        assert_allclose(result.mass_gap, 1.0 - result.measure.total_mass(), rtol=1e-15)
+        config = result.config
+        assert result.nyquist_margin == np.pi / (config.t_max / (config.n_samples - 1)) \
+            - config.freq_max
+        assert 0.0 < result.atom_window_gap < 0.05
+
+    def test_health_readings_of_a_pure_atom(self):
+        result = kb.bochner_inversion(kb.zoo("constant"))
+        assert abs(result.mass_gap) <= 1e-10
+        assert result.atom_window_gap <= 1e-12
+
+    def test_nyquist_margin_goes_negative_on_coarse_sampling(self):
+        config = kb.InversionConfig(t_max=40.0, n_samples=11, n_bins=64)
+        result = kb.bochner_inversion(kb.zoo("gaussian"), config)
+        assert result.nyquist_margin == pytest.approx(np.pi / 4.0 - 8.0)
 
 
 class TestSynthesizedKernelsArePositiveDefinite:
