@@ -25,7 +25,8 @@ from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import metric_from_kernel, profile_from_samples, zoo, zoo_names
 from .spectral import (InversionConfig, atom_at_zero, bochner_inversion,
                        bochner_synthesis, bound_report, gamma_from_spectral,
-                       int_bound_integral, screw_synthesis, spectral_from_gamma)
+                       check_elements, int_bound_integral, screw_synthesis,
+                       spectral_from_gamma)
 
 DEFAULT_GRID = (-10.0, 10.0, 201)
 
@@ -38,6 +39,7 @@ def _grid(args) -> np.ndarray:
     lo, hi, n = args.grid
     if not (np.isfinite([lo, hi, n]).all() and hi > lo and n >= 2 and n == int(n)):
         raise ValueError("--grid needs finite MIN < MAX and an integer N >= 2")
+    check_elements(n, "--grid N")
     return np.linspace(lo, hi, int(n))
 
 
@@ -142,7 +144,7 @@ def cmd_invert(args) -> int:
            "residual": result.residual, "clamped_mass": result.clamped_mass,
            "min_density": result.min_density, "mass_gap": result.mass_gap,
            "nyquist_margin": result.nyquist_margin,
-           "atom_window_gap": result.atom_window_gap})
+           "atom_window_gap": result.atom_window_gap, "tail_gap": result.tail_gap})
     return 0
 
 
@@ -189,31 +191,37 @@ def cmd_atom0(args) -> int:
     return 0
 
 
+def _read_pairs(path, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y halves of a --pairs CSV of finite rows x_1..x_d,y_1..y_d."""
+    pairs = io.read_matrix_csv(path)
+    if pairs.shape[1] != 2 * d:
+        raise ValueError(f"--pairs rows must have {2 * d} columns (x then y)")
+    if not np.isfinite(pairs).all():
+        raise ValueError("--pairs entries must be finite")
+    return pairs[:, :d], pairs[:, d:]
+
+
 def cmd_rff(args) -> int:
     data = io.read_json(args.measure)
     if "factors" in data:
         product = ProductSpectralMeasure.from_dict(data)
         sample = sample_product_frequencies(product, m=args.m, seed=args.seed)
-        synth = lambda dx: product_synthesis(product, dx)
     else:
         measure = SpectralMeasure.from_dict(data)
         sample = sample_frequencies(measure, m=args.m, seed=args.seed)
-        synth = lambda dx: bochner_synthesis(measure, float(dx))
+        product = ProductSpectralMeasure(factors=(measure,))
     io.write_json(args.output, sample.to_dict())
     summary = {"written": args.output, "m": sample.m, "seed": sample.seed,
                "total_mass": sample.total_mass}
     if args.pairs:
-        pairs = io.read_matrix_csv(args.pairs)
-        d = sample.dim
-        if pairs.shape[1] != 2 * d:
-            raise ValueError(f"--pairs rows must have {2 * d} columns (x then y)")
+        xs, ys = _read_pairs(args.pairs, sample.dim)
+        exacts = product_synthesis(product, xs - ys).tolist()
+        if sample.dim == 1:
+            xs, ys = xs[:, 0], ys[:, 0]
         lines = ["exact,approx,abs_error"]
         worst = 0.0
-        for row in pairs:
-            x, y = row[:d], row[d:]
-            exact = synth(x - y) if d > 1 else synth(float(x[0] - y[0]))
-            approx = approximate_kernel(sample, x if d > 1 else float(x[0]),
-                                        y if d > 1 else float(y[0]))
+        for x, y, exact in zip(xs, ys, exacts):
+            approx = approximate_kernel(sample, x, y)
             err = abs(approx - exact)
             worst = max(worst, err)
             lines.append(f"{io.FLOAT_FMT % exact},{io.FLOAT_FMT % approx},"
@@ -228,11 +236,8 @@ def cmd_rff(args) -> int:
 
 def cmd_product_synth(args) -> int:
     measure = ProductSpectralMeasure.from_dict(io.read_json(args.measure))
-    pairs = io.read_matrix_csv(args.pairs)
-    d = measure.dim
-    if pairs.shape[1] != 2 * d:
-        raise ValueError(f"--pairs rows must have {2 * d} columns (x then y)")
-    values = [product_synthesis(measure, row[:d] - row[d:]) for row in pairs]
+    xs, ys = _read_pairs(args.pairs, measure.dim)
+    values = product_synthesis(measure, xs - ys)
     io.write_points_csv(args.output, values)
     _emit({"written": args.output, "n": len(values)})
     return 0

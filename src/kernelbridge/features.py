@@ -24,6 +24,7 @@ import numpy as np
 
 from .measures import SpectralMeasure
 from .product import ProductSpectralMeasure
+from .spectral import check_elements
 
 __all__ = ["FrequencySample", "sample_frequencies",
            "sample_product_frequencies", "feature_matrix", "approximate_kernel"]
@@ -113,6 +114,7 @@ def sample_frequencies(mu: SpectralMeasure, m: int, seed: int) -> FrequencySampl
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_elements(m, "m")
     rng = np.random.default_rng(seed)
     u_component = rng.random(m)
     u_position = rng.random(m)
@@ -135,6 +137,7 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_elements(m * measure.dim, "m x d")
     rng = np.random.default_rng(seed)
     columns = []
     total = 1.0

@@ -114,12 +114,31 @@ def _sanitize(obj):
     return obj
 
 
+def _strict_first(encode, data):
+    """``encode(data, allow_nan=False)``; sanitized and re-encoded only if that raises.
+
+    Only data holding a non-finite float pays for the _sanitize walk, and
+    the output is the same either way.
+    """
+    try:
+        return encode(data, allow_nan=False)
+    except ValueError:
+        return encode(_sanitize(data), allow_nan=True)
+
+
 def dumps_json(data: dict) -> str:
-    return json.dumps(_sanitize(data), default=_json_default)
+    return _strict_first(
+        lambda obj, **kwargs: json.dumps(obj, default=_json_default, **kwargs), data)
 
 
 def write_json(path, data: dict) -> None:
-    Path(path).write_text(json.dumps(_sanitize(data), default=_json_default, indent=2) + "\n")
+    def dump(obj, **kwargs):
+        # streamed to the file: the whole text is never held in memory
+        with open(path, "w") as fh:
+            json.dump(obj, fh, default=_json_default, indent=2, **kwargs)
+            fh.write("\n")
+
+    _strict_first(dump, data)
 
 
 def read_json(path) -> dict:

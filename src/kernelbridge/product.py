@@ -85,10 +85,21 @@ def separable_eval(kernel: SeparableKernel, x, y) -> float:
     return out
 
 
-def product_synthesis(measure: ProductSpectralMeasure, t) -> float:
-    """Kernel value synthesized from a factored measure at lag vector t."""
-    t = _check_dim(measure.dim, t, "t")
-    out = 1.0
-    for factor, ti in zip(measure.factors, t):
-        out *= bochner_synthesis(factor, float(ti))
-    return out
+def product_synthesis(measure: ProductSpectralMeasure, t):
+    """Kernel value synthesized from a factored measure at lag vector t.
+
+    t is one lag vector of length d, giving a float, or an (n, d) array of
+    lag vectors, giving n values from one :func:`bochner_synthesis` call
+    per factor.
+    """
+    lags = np.asarray(t, dtype=float)
+    one = lags.ndim < 2
+    if one:
+        lags = _check_dim(measure.dim, lags, "t")[None]
+    elif lags.ndim > 2 or lags.shape[1] != measure.dim:
+        raise ValueError(f"t must be a lag vector of length {measure.dim} or an "
+                         f"(n, {measure.dim}) array, got shape {lags.shape}")
+    out = np.ones(lags.shape[0])
+    for factor, column in zip(measure.factors, lags.T):
+        out *= bochner_synthesis(factor, column)
+    return float(out[0]) if one else out

@@ -55,12 +55,25 @@ __all__ = [
     "bochner_inversion",
     "InversionConfig",
     "InversionResult",
+    "MAX_ELEMENTS",
+    "check_elements",
 ]
 
 #: relative slack of the boundedness test: integral <= 4 k0 (1 + BOUND_RTOL)
 BOUND_RTOL = 1e-12
-#: chunk size (in t-points x bins) for the dense trig evaluations
-_CHUNK = 2 ** 22
+#: chunk size (in t-points x bins) for the dense trig evaluations: small
+#: enough that a chunk's temporaries stay in cache
+_CHUNK = 2 ** 14
+#: most float64 values one array may hold (2**24: 128 MiB); a size that
+#: would need more is rejected before anything is allocated
+MAX_ELEMENTS = 2 ** 24
+
+
+def check_elements(count, what: str) -> None:
+    """Raise ValueError when ``what`` needs more than MAX_ELEMENTS array elements."""
+    if not count <= MAX_ELEMENTS:
+        raise ValueError(f"{what} needs {float(count):.4g} array elements, "
+                         f"over the budget of {MAX_ELEMENTS}")
 
 
 def _as_t_array(t):
@@ -79,6 +92,26 @@ def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
     return out
 
 
+def _shared(widths: np.ndarray) -> np.ndarray:
+    """``widths[:1]`` when every bin has the same width, else ``widths``.
+
+    The syntheses use a width w only through sin(t w).  Every inverted
+    measure has one bin width, so one sine per t then serves all bins by
+    broadcasting, with the same bits as one sine per bin.
+    """
+    return widths[:1] if (widths == widths[0]).all() else widths
+
+
+def _resolved(ts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Mask of the t whose products with every bin width are normal floats.
+
+    Below that, sin(t w) / t loses its digits to underflow (5e-324 gave 0
+    for k(0) = 1.2).  Such t lie far below every scale of the measure, so
+    the syntheses give them their t = 0 value.
+    """
+    return np.abs(ts) * np.min(widths) >= np.finfo(float).tiny
+
+
 def _phases(half_theta: float, q: np.ndarray) -> np.ndarray:
     """exp(-i half_theta q) for integer-valued q below 2**52.
 
@@ -90,6 +123,11 @@ def _phases(half_theta: float, q: np.ndarray) -> np.ndarray:
     bits = 53 - int(q.max()).bit_length()
     head = float(np.ldexp(np.floor(np.ldexp(mant, bits)), exp - bits))
     return np.exp(-1j * (head * q)) * np.exp(-1j * ((half_theta - head) * q))
+
+
+def _chirp_size(n: int, n_out: int) -> int:
+    """FFT length of the chirp-z transform: a power of two >= n + n_out - 1."""
+    return 1 << (int(n) + int(n_out) - 2).bit_length()
 
 
 def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray:
@@ -106,7 +144,7 @@ def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray
     i = np.arange(n, dtype=float)
     k = np.arange(max(n, n_out), dtype=float)
     chirp = _phases(half, k * k)
-    size = 1 << (n + n_out - 2).bit_length()  # >= n + n_out - 1: no wrap-around
+    size = _chirp_size(n, n_out)  # no wrap-around
     filt = np.zeros(size, dtype=complex)
     filt[:n_out] = chirp[:n_out].conj()
     filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
@@ -132,8 +170,8 @@ def bochner_synthesis(mu: SpectralMeasure, t):
     if values.size:
         a, b = edges[:-1], edges[1:]
         center = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nz = tt != 0.0
+        half = _shared(0.5 * (b - a))
+        nz = _resolved(tt, half)
         out[~nz] += float(2.0 * np.sum(values * (b - a)))
         # (sin(t b) - sin(t a))/t = 2 cos(t c) sin(t h) / t, stable near 0
         out[nz] += _row_sums(tt[nz], values.size, lambda ts: 2.0 * (
@@ -177,6 +215,7 @@ def screw_synthesis(gamma: GammaMeasure, t):
             # int_c^d sin^2(ts) ds = (d - c)/2 - cos(t(c + d)) sin(t(d - c)) / (2t)
             width, ends = d - c, c + d
             half = 0.5 * width
+            width = _shared(width)
 
             def rows(ts):
                 return (half - np.cos(np.outer(ts, ends)) * np.sin(np.outer(ts, width))
@@ -185,7 +224,7 @@ def screw_synthesis(gamma: GammaMeasure, t):
             def rows(ts):
                 return ts * ((_screw_antiderivative(np.outer(ts, d))
                               - _screw_antiderivative(np.outer(ts, c))) @ values)
-        nz = tt != 0.0
+        nz = _resolved(tt, d - c)
         out[nz] += _row_sums(tt[nz], values.size, rows)
     return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)
 
@@ -283,6 +322,7 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = 0.01) -> fl
     window, step = float(window), float(step)
     if not (0.0 < window < np.inf and 0.0 < step < np.inf):
         raise ValueError("window and step must be finite and > 0")
+    check_elements(window / step + 1.0, "the zero-atom window / step")
     n = max(2, int(round(window / step)) + 1)
     t = np.linspace(0.0, window, n)
     values = kernel(t)
@@ -327,6 +367,10 @@ class InversionConfig:
         if self.clamp_tol < 0 or self.residual_span < 0 or self.residual_points < 1:
             raise ValueError("clamp_tol, residual_span must be >= 0 and "
                              "residual_points >= 1")
+        # the chirp-z transform holds complex arrays of the FFT length
+        check_elements(2 * _chirp_size(self.n_samples, self.n_bins),
+                       "the inversion (n_samples, n_bins)")
+        check_elements(self.residual_points, "residual_points")
 
 
 @dataclass(frozen=True)
@@ -341,7 +385,9 @@ class InversionResult:
     spectral tail above ``freq_max``; ``nyquist_margin = pi/dt - freq_max``
     is negative when the bins reach past the sampling's Nyquist frequency;
     ``atom_window_gap = |full - half|`` is the disagreement of the two
-    zero-atom windows the Richardson step combines.
+    zero-atom windows the Richardson step combines; ``tail_gap =
+    |k(t_max) - atom0|`` is the kernel left at the end of the samples,
+    which the cosine transform truncates.
     """
 
     measure: SpectralMeasure
@@ -353,6 +399,7 @@ class InversionResult:
     mass_gap: float
     nyquist_margin: float
     atom_window_gap: float
+    tail_gap: float
 
 
 def _estimate_zero_atom(kernel: KernelProfile,
@@ -402,7 +449,8 @@ def bochner_inversion(kernel: KernelProfile,
     weights = np.full(config.n_samples, dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    g = (kernel(t) - atom0) * weights
+    centered = kernel(t) - atom0
+    g = centered * weights
 
     edges = np.linspace(0.0, config.freq_max, config.n_bins + 1)
     df = config.freq_max / config.n_bins
@@ -428,4 +476,5 @@ def bochner_inversion(kernel: KernelProfile,
                            clamped_mass=clamped_mass, min_density=worst,
                            config=config, mass_gap=k0 - measure.total_mass(),
                            nyquist_margin=np.pi / dt - config.freq_max,
-                           atom_window_gap=atom_window_gap)
+                           atom_window_gap=atom_window_gap,
+                           tail_gap=abs(float(centered[-1])))

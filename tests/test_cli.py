@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +160,21 @@ class TestProfileCommands:
     def test_atom0_rejects_bad_window(self, capsys, flags):
         assert main(["atom0", "--kernel", "constant", *flags]) == 2
 
+    def test_atom0_over_the_element_budget(self, capsys):
+        # 1e10 samples (80 GB) must be refused from the estimate alone
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["atom0", "--kernel", "gaussian", "--window", "1e7",
+                         "--step", "1e-3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 ** 20
+        assert time.perf_counter() - start < 5.0
+        assert "budget" in capsys.readouterr().err
+
     def test_profile_descriptor_input(self, tmp_path, capsys):
         descriptor = tmp_path / "kernel.json"
         io.write_json(descriptor, kb.zoo("gaussian", scale=2.0).descriptor())
@@ -204,6 +221,8 @@ class TestSpectralCommands:
         assert payload["nyquist_margin"] == pytest.approx(np.pi / (40.0 / 16000) - 8.0)
         assert 0.0 < payload["atom_window_gap"] < 0.05
         assert {"atom0", "clamped_mass", "min_density"} <= payload.keys()
+        assert list(payload)[-1] == "tail_gap"
+        assert payload["tail_gap"] == pytest.approx(np.exp(-40.0), rel=1e-12)
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -400,6 +419,69 @@ class TestFeatureCommands:
         assert code == 0
         sample = kb.FrequencySample.from_dict(io.read_json(tmp_path / "s.json"))
         assert sample.frequencies.shape == (64, 2)
+
+
+    def test_rff_exact_column_is_product_synth_output(self, tmp_path, capsys):
+        factor = kb.bochner_inversion(kb.zoo("cauchy")).measure
+        measure_path = tmp_path / "prod.json"
+        io.write_json(measure_path, kb.ProductSpectralMeasure(factors=(factor,) * 3).to_dict())
+        pairs_path = tmp_path / "pairs.csv"
+        io.write_matrix_csv(pairs_path, np.random.default_rng(4).uniform(-3, 3, (200, 6)))
+        errors_path, values_path = tmp_path / "errors.csv", tmp_path / "values.csv"
+        assert main(["rff", str(measure_path), "-m", "256", "--seed", "3", "--pairs",
+                     str(pairs_path), "--errors-out", str(errors_path),
+                     "-o", str(tmp_path / "s.json")]) == 0
+        assert main(["product-synth", str(measure_path), "--pairs", str(pairs_path),
+                     "-o", str(values_path)]) == 0
+        exact = [row.split(",")[0] for row in errors_path.read_text().splitlines()[1:]]
+        assert len(exact) == 200
+        assert exact == values_path.read_text().splitlines()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_pairs_are_validation_errors(self, tmp_path, capsys, bad):
+        measure_path = tmp_path / "prod.json"
+        io.write_json(measure_path, kb.ProductSpectralMeasure(
+            factors=(kb.cosine_measure(),) * 2).to_dict())
+        pairs_path = tmp_path / "pairs.csv"
+        io.write_matrix_csv(pairs_path, [[0.0, 1.0, 2.0, 3.0], [0.5, bad, 0.0, 0.0]])
+        assert main(["product-synth", str(measure_path), "--pairs", str(pairs_path),
+                     "-o", str(tmp_path / "values.csv")]) == 2
+        assert main(["rff", str(measure_path), "-m", "16", "--seed", "1", "--pairs",
+                     str(pairs_path), "--errors-out", str(tmp_path / "errors.csv"),
+                     "-o", str(tmp_path / "s.json")]) == 2
+        assert not (tmp_path / "values.csv").exists()
+        assert not (tmp_path / "errors.csv").exists()
+
+
+class TestElementBudget:
+    """Every size flag is checked against MAX_ELEMENTS before allocating."""
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--kernel", "gaussian", "--n-samples", "100000000"],
+        ["invert", "--kernel", "gaussian", "--bins", "100000000"],
+        ["invert", "--kernel", "gaussian", "--window", "1e7", "--step", "1e-3"],
+        ["zoo", "sample", "--kernel", "gaussian", "--grid", "0", "1", "1e9"],
+        ["to-metric", "--kernel", "gaussian", "--grid", "0", "1", "1e12"],
+    ])
+    def test_oversized_flags_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(argv + ["-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 ** 20
+        assert not out.exists()
+        assert "budget" in capsys.readouterr().err
+
+    def test_oversized_m_exits_2(self, tmp_path, capsys):
+        measure_path = tmp_path / "mu.json"
+        io.write_json(measure_path, kb.cosine_measure().to_dict())
+        assert main(["rff", str(measure_path), "-m", str(kb.spectral.MAX_ELEMENTS + 1),
+                     "--seed", "1", "-o", str(tmp_path / "s.json")]) == 2
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestExitCodes:

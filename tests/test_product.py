@@ -64,6 +64,33 @@ class TestProductSynthesis:
             direct *= kb.bochner_synthesis(factor, float(ti))
         assert abs(kb.product_synthesis(m, t) - direct) <= 1e-14
 
+    def test_rows_match_per_row_calls(self):
+        factors = (kb.bochner_inversion(kb.zoo("cauchy")).measure, kb.cosine_measure(),
+                   kb.gaussian_measure(n_bins=128))
+        m = kb.ProductSpectralMeasure(factors=factors)
+        lags = np.random.default_rng(3).uniform(-6.0, 6.0, (300, 3))
+        lags[0] = 0.0
+        batched = kb.product_synthesis(m, lags)
+        assert batched.shape == (300,)
+        per_row = np.array([kb.product_synthesis(m, row) for row in lags])
+        assert np.max(np.abs(batched - per_row)) <= 1e-14 * max(m.total_mass(), 1.0)
+
+    def test_one_lag_vector_is_a_float(self):
+        m = kb.ProductSpectralMeasure(factors=(kb.cosine_measure(),))
+        for t in (0.5, [0.5], np.array([0.5])):
+            value = kb.product_synthesis(m, t)
+            assert type(value) is float
+            assert_allclose(value, np.cos(0.5), rtol=1e-14)
+        assert kb.product_synthesis(m, [[0.5]]).shape == (1,)
+
+    @pytest.mark.parametrize("lags", [np.zeros((4, 2)), np.zeros((4, 4)), np.zeros(2),
+                                      np.zeros((2, 4, 3)), [[0.0, np.nan, 1.0]],
+                                      [[0.0, 1.0, 2.0], [np.inf, 0.0, 0.0]]])
+    def test_rejects_bad_lags(self, lags):
+        m = kb.ProductSpectralMeasure(factors=(kb.cosine_measure(),) * 3)
+        with pytest.raises(ValueError):
+            kb.product_synthesis(m, lags)
+
     def test_total_mass_is_product(self):
         m = kb.ProductSpectralMeasure(factors=(kb.constant_measure(2.0),
                                                kb.cosine_measure()))

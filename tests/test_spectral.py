@@ -1,5 +1,8 @@
 """Spectral pipeline: synthesis both ways, conversions, bounds, inversion."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,8 @@ from scipy.integrate import quad
 
 import kernelbridge as kb
 from conftest import random_spectral_measure
-from kernelbridge.spectral import _midpoint_cosine_sums
+from kernelbridge import spectral
+from kernelbridge.spectral import MAX_ELEMENTS, _midpoint_cosine_sums
 
 GRID = kb.probe_grid()
 
@@ -22,6 +26,41 @@ def dense_cosine_sums(g, t_max, freq_max, n_bins):
 
 def chirp_z_cosine_sums(g, t_max, freq_max, n_bins):
     return _midpoint_cosine_sums(g, (t_max / (g.size - 1)) * (freq_max / n_bins), n_bins)
+
+
+def plain_bochner_synthesis(mu, t):
+    """Oracle: one t and one component at a time, 2 v 2 cos(t c) sin(t h) / t per bin.
+
+    sin(t h) / t is taken as h where |t h| < 1e-8, at which the two agree
+    to rounding and the quotient would lose its digits to underflow.
+    """
+    locs, masses, edges, values = mu.positive_part()
+    out = []
+    for ti in t:
+        terms = [mu.zero_atom] + [2.0 * m * math.cos(ti * loc) for loc, m in zip(locs, masses)]
+        for a, b, v in zip(edges[:-1], edges[1:], values):
+            h = 0.5 * (b - a)
+            ratio = h if abs(ti * h) < 1e-8 else math.sin(ti * h) / ti
+            terms.append(2.0 * v * 2.0 * math.cos(ti * 0.5 * (a + b)) * ratio)
+        out.append(math.fsum(terms))
+    return np.array(out)
+
+
+@st.composite
+def binned_measures(draw):
+    """Measures with uniform or non-uniform bins, optional atoms and zero atom."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        # power-of-two width from a multiple of it: every width is equal in float
+        width = 2.0 ** -draw(st.integers(0, 8))
+        edges = (draw(st.integers(0, 64)) + np.arange(n + 1)) * width
+    else:
+        gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=n, max_size=n))
+        edges = draw(st.floats(0.0, 4.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    atoms = draw(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1.0)),
+                          max_size=3))
+    return kb.SpectralMeasure(atoms=atoms, edges=edges, values=values)
 
 
 class TestBochnerSynthesis:
@@ -61,6 +100,62 @@ class TestBochnerSynthesis:
         # used to return NaN with only a RuntimeWarning
         with pytest.raises(ValueError):
             kb.bochner_synthesis(kb.gaussian_measure(n_bins=8), t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=binned_measures(),
+           t=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40).map(
+               lambda ts: np.array([0.0] + ts)))
+    def test_array_matches_plain_per_bin_formula(self, mu, t):
+        k0 = mu.total_mass()
+        assert np.max(np.abs(kb.bochner_synthesis(mu, t) - plain_bochner_synthesis(mu, t))) \
+            <= 1e-14 * max(k0, 1.0)
+
+    @pytest.mark.parametrize("t", [5e-324, -1e-320, 1e-310])
+    def test_subnormal_t_takes_the_zero_value(self, t):
+        # t h underflowed: 5e-324 gave 0.0 and 1e-320 gave 1.20158 for k(0) = 1.2
+        mu = kb.SpectralMeasure(edges=[0.0, 0.3, 0.6], values=[1.0, 1.0])
+        assert kb.bochner_synthesis(mu, t) == kb.bochner_synthesis(mu, 0.0) == 1.2
+        for law in ("constant", "s2"):
+            gamma = kb.GammaMeasure(edges=[0.0, 0.3, 0.6], values=[1.0, 1.0], law=law)
+            assert kb.screw_synthesis(gamma, t) == 0.0
+
+    def test_inverted_measure_matches_plain_per_bin_formula(self):
+        mu = kb.bochner_inversion(kb.zoo("cauchy")).measure
+        assert spectral._shared(np.diff(mu.bin_edges)).size == 1
+        t = np.concatenate([[0.0], np.random.default_rng(5).uniform(-6.0, 6.0, 300)])
+        assert np.max(np.abs(kb.bochner_synthesis(mu, t) - plain_bochner_synthesis(mu, t))) \
+            <= 1e-14 * max(mu.total_mass(), 1.0)
+
+
+class TestOneSinePerWidth:
+    """A shared bin width is evaluated once per t, with the per-bin bits."""
+
+    T = np.concatenate([[0.0], np.random.default_rng(9).uniform(-40.0, 40.0, 2000)])
+
+    @staticmethod
+    def per_bin(monkeypatch, synthesis, measure, t):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_shared", lambda widths: widths)
+            return synthesis(measure, t)
+
+    def test_inverted_measure_has_one_width(self):
+        widths = np.diff(kb.bochner_inversion(kb.zoo("gaussian")).measure.bin_edges)
+        assert_array_equal(spectral._shared(widths), widths[:1])
+        uneven = np.array([0.25, 0.25, 0.5])
+        assert spectral._shared(uneven) is uneven
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_bochner_rows_are_bit_identical(self, monkeypatch, name):
+        mu = kb.bochner_inversion(kb.zoo(name)).measure
+        assert_array_equal(kb.bochner_synthesis(mu, self.T),
+                           self.per_bin(monkeypatch, kb.bochner_synthesis, mu, self.T))
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_screw_rows_are_bit_identical(self, monkeypatch, name):
+        gamma, _ = kb.gamma_from_spectral(kb.bochner_inversion(kb.zoo(name)).measure)
+        assert gamma.law == "s2"
+        assert_array_equal(kb.screw_synthesis(gamma, self.T),
+                           self.per_bin(monkeypatch, kb.screw_synthesis, gamma, self.T))
 
 
 class TestScrewSynthesis:
@@ -439,10 +534,82 @@ class TestBochnerInversion:
         assert abs(result.mass_gap) <= 1e-10
         assert result.atom_window_gap <= 1e-12
 
+    def test_tail_gap_is_the_last_sample(self):
+        # cauchy 2/(1 + t^2) is still 2/1601 at t_max = 40
+        result = kb.bochner_inversion(kb.zoo("cauchy"))
+        assert result.atom0 == 0.0
+        assert result.tail_gap == 2.0 / 1601.0
+        assert 1.2e-3 < result.tail_gap < 1.3e-3
+
+    def test_tail_gap_grows_on_a_short_window(self):
+        kernel = kb.zoo("gaussian")
+        assert kb.bochner_inversion(kernel).tail_gap <= 1e-300
+        # cutting the samples at t = 2 rings the density below 0; let it clamp
+        config = kb.InversionConfig(t_max=2.0, n_samples=801, clamp_tol=0.1)
+        short = kb.bochner_inversion(kernel, config)
+        assert short.atom0 == 0.0 and short.clamped_mass > 0.0
+        assert short.tail_gap == float(kernel(2.0))
+        assert_allclose(short.tail_gap, np.exp(-2.0), rtol=1e-12)
+
     def test_nyquist_margin_goes_negative_on_coarse_sampling(self):
         config = kb.InversionConfig(t_max=40.0, n_samples=11, n_bins=64)
         result = kb.bochner_inversion(kb.zoo("gaussian"), config)
         assert result.nyquist_margin == pytest.approx(np.pi / 4.0 - 8.0)
+
+
+def _never_called(t):
+    raise AssertionError("an oversized request evaluated the kernel")
+
+
+class TestElementBudget:
+    """Sizes over MAX_ELEMENTS are rejected from their estimate, unallocated."""
+
+    @staticmethod
+    def assert_rejected_without_allocating(call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_budget_edge(self):
+        spectral.check_elements(MAX_ELEMENTS, "at the budget")
+        with pytest.raises(ValueError, match="budget"):
+            spectral.check_elements(MAX_ELEMENTS + 1, "over the budget")
+
+    def test_inversion_estimate_is_the_chirp_fft_length(self):
+        defaults = kb.InversionConfig()
+        size = spectral._chirp_size(defaults.n_samples, defaults.n_bins)
+        assert size >= defaults.n_samples + defaults.n_bins - 1
+        assert size < 2 * (defaults.n_samples + defaults.n_bins - 1)
+        assert 2 * spectral._chirp_size(MAX_ELEMENTS // 2, 2048) > MAX_ELEMENTS
+
+    @pytest.mark.parametrize("sizes", [{"n_samples": 10 ** 12}, {"n_bins": MAX_ELEMENTS},
+                                       {"n_samples": MAX_ELEMENTS // 2, "n_bins": 2},
+                                       {"residual_points": MAX_ELEMENTS + 1}])
+    def test_inversion_config(self, sizes):
+        self.assert_rejected_without_allocating(lambda: kb.InversionConfig(**sizes))
+
+    def test_largest_inversion_within_budget_is_accepted(self):
+        kb.InversionConfig(n_samples=MAX_ELEMENTS // 4 - 2048, n_bins=2048)
+
+    @pytest.mark.parametrize("window,step", [(1e7, 1e-3), (1e300, 1e-300),
+                                             (float(MAX_ELEMENTS), 1.0)])
+    def test_atom_at_zero(self, window, step):
+        kernel = kb.KernelProfile(fn=_never_called, name="unused")
+        self.assert_rejected_without_allocating(
+            lambda: kb.atom_at_zero(kernel, window=window, step=step))
+
+    def test_sample_sizes(self):
+        mu = kb.gaussian_measure(n_bins=8)
+        self.assert_rejected_without_allocating(
+            lambda: kb.sample_frequencies(mu, m=MAX_ELEMENTS + 1, seed=0))
+        product = kb.ProductSpectralMeasure(factors=(mu,) * 3)
+        self.assert_rejected_without_allocating(
+            lambda: kb.sample_product_frequencies(product, m=MAX_ELEMENTS // 3 + 1, seed=0))
 
 
 class TestSynthesizedKernelsArePositiveDefinite:
