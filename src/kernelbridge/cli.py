@@ -58,13 +58,31 @@ def _add_kernel_source(parser) -> None:
                         help="JSON object of parameters for --kernel")
 
 
+def _named_kernel(name, params):
+    """``zoo(name, **params)`` for a name and params read from JSON.
+
+    params must be an object of finite numbers; other shapes are a
+    ValueError, not a TypeError from inside ``zoo``.
+    """
+    if not isinstance(name, str):
+        raise ValueError(f"kernel name must be a string, got {name!r}")
+    # abs(v) <= max float rejects nan, inf and integers past float range
+    if not (isinstance(params, dict) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in params.values())):
+        raise ValueError(f"kernel params must be a JSON object of finite numbers, "
+                         f"got {params!r}")
+    return zoo(name, **params)
+
+
 def _load_kernel(args):
     if args.kernel is not None:
-        params = json.loads(args.params) if args.params else {}
-        return zoo(args.kernel, **params)
+        return _named_kernel(args.kernel, json.loads(args.params) if args.params else {})
     if args.profile is not None:
         descriptor = io.read_json(args.profile)
-        return zoo(descriptor["name"], **descriptor.get("params", {}))
+        if not isinstance(descriptor, dict):
+            raise ValueError("--profile must hold a JSON object {name, params}")
+        return _named_kernel(descriptor.get("name"), descriptor.get("params", {}))
     t, values = io.read_profile_csv(args.samples)
     return profile_from_samples(t, values)
 
@@ -111,6 +129,9 @@ def cmd_check_nd(args) -> int:
 
 def cmd_nd_to_psd(args) -> int:
     matrix = io.read_matrix_csv(args.matrix)
+    if not 0 <= args.base_index < matrix.shape[0]:
+        raise ValueError(f"--base-index {args.base_index} is out of range for "
+                         f"{matrix.shape[0]} rows")
     io.write_matrix_csv(args.output, nd_to_psd(matrix, base_index=args.base_index))
     _emit({"written": args.output, "base_index": args.base_index})
     return 0
@@ -203,7 +224,7 @@ def _read_pairs(path, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_rff(args) -> int:
     data = io.read_json(args.measure)
-    if "factors" in data:
+    if isinstance(data, dict) and "factors" in data:
         product = ProductSpectralMeasure.from_dict(data)
         sample = sample_product_frequencies(product, m=args.m, seed=args.seed)
     else:
@@ -215,21 +236,16 @@ def cmd_rff(args) -> int:
                "total_mass": sample.total_mass}
     if args.pairs:
         xs, ys = _read_pairs(args.pairs, sample.dim)
-        exacts = product_synthesis(product, xs - ys).tolist()
-        if sample.dim == 1:
-            xs, ys = xs[:, 0], ys[:, 0]
-        lines = ["exact,approx,abs_error"]
-        worst = 0.0
-        for x, y, exact in zip(xs, ys, exacts):
-            approx = approximate_kernel(sample, x, y)
-            err = abs(approx - exact)
-            worst = max(worst, err)
-            lines.append(f"{io.FLOAT_FMT % exact},{io.FLOAT_FMT % approx},"
-                         f"{io.FLOAT_FMT % err}")
+        exacts = product_synthesis(product, xs - ys)
+        approxs = approximate_kernel(sample, xs, ys)
+        errors = np.abs(approxs - exacts)
+        lines = ["exact,approx,abs_error"] + [
+            f"{io.FLOAT_FMT % exact},{io.FLOAT_FMT % approx},{io.FLOAT_FMT % err}"
+            for exact, approx, err in zip(exacts.tolist(), approxs.tolist(), errors.tolist())]
         with open(args.errors_out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         summary["errors_written"] = args.errors_out
-        summary["max_abs_error"] = worst
+        summary["max_abs_error"] = float(errors.max())
     _emit(summary)
     return 0
 

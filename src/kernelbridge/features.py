@@ -24,7 +24,7 @@ import numpy as np
 
 from .measures import SpectralMeasure
 from .product import ProductSpectralMeasure
-from .spectral import check_elements
+from .spectral import _row_sums, check_elements
 
 __all__ = ["FrequencySample", "sample_frequencies",
            "sample_product_frequencies", "feature_matrix", "approximate_kernel"]
@@ -154,24 +154,66 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
                            total_mass=total, seed=int(seed))
 
 
-def _projections(sample: FrequencySample, x) -> np.ndarray:
-    if sample.frequencies.ndim == 1:
-        x = float(np.asarray(x, dtype=float))
-        return sample.frequencies * x
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != sample.dim:
-        raise ValueError(f"point has dimension {x.size}, expected {sample.dim}")
-    return sample.frequencies @ x
+def _points(sample: FrequencySample, x) -> tuple[np.ndarray, bool]:
+    """x as an (n, d) array of points, and whether it was a single point.
+
+    A single point is a scalar (d = 1) or a length-d vector; a batch is an
+    (n,) array of points on the line or an (n, d) array.
+    """
+    x = np.asarray(x, dtype=float)
+    one = x.ndim == 0 or (x.ndim == 1 and sample.frequencies.ndim == 2)
+    if x.ndim > 2:
+        raise ValueError(f"points must be a scalar, a vector or an (n, d) array, "
+                         f"got shape {x.shape}")
+    points = x.reshape(1, -1) if one else x.reshape(x.shape[0], -1)
+    if points.shape[1] != sample.dim:
+        raise ValueError(f"point has dimension {points.shape[1]}, expected {sample.dim}")
+    return points, one
+
+
+def _projections(sample: FrequencySample, points: np.ndarray) -> np.ndarray:
+    """w_j . x for an (n, d) array of points: an (n, m) array."""
+    return points @ sample.frequencies.reshape(sample.m, -1).T
 
 
 def feature_matrix(sample: FrequencySample, x) -> np.ndarray:
-    """phi(x): the length-m randomized cosine feature vector."""
+    """phi(x): the length-m randomized cosine feature vector of one point.
+
+    A batch of n points (see :func:`approximate_kernel`) gives an (n, m)
+    matrix, one feature vector per row.
+    """
+    points, one = _points(sample, x)
     scale = np.sqrt(2.0 * sample.total_mass / sample.m)
-    return scale * np.cos(_projections(sample, x) + sample.phases)
+    phi = scale * np.cos(_projections(sample, points) + sample.phases)
+    return phi[0] if one else phi
 
 
-def approximate_kernel(sample: FrequencySample, x, y) -> float:
-    """<phi(x), phi(y)>: unbiased estimate of the synthesized kernel value."""
-    inner = np.cos(_projections(sample, x) + sample.phases) \
-        @ np.cos(_projections(sample, y) + sample.phases)
-    return float(2.0 * sample.total_mass / sample.m * inner)
+def approximate_kernel(sample: FrequencySample, x, y):
+    """<phi(x), phi(y)>: unbiased estimate of the synthesized kernel value.
+
+    x and y are one point each (a scalar or a length-d vector), giving a
+    float, or n points each (an (n,) array on the line or an (n, d)
+    array), giving the n values of the pairs (x_i, y_i).  A batch is
+    evaluated on chunks of pairs, in parallel (see ``spectral._row_sums``).
+    """
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"x and y must have the same shape, got {np.shape(x)} "
+                         f"and {np.shape(y)}")
+    xs, one = _points(sample, x)
+    ys, _ = _points(sample, y)
+    d, phases = sample.dim, sample.phases
+
+    def rows(pairs):
+        # in-place temporaries: two (rows, m) arrays per chunk
+        cx = _projections(sample, pairs[:, :d])
+        cx += phases
+        np.cos(cx, out=cx)
+        cy = _projections(sample, pairs[:, d:])
+        cy += phases
+        np.cos(cy, out=cy)
+        cx *= cy
+        return cx.sum(axis=1)
+
+    inner = _row_sums(np.hstack([xs, ys]), sample.m, rows)
+    values = 2.0 * sample.total_mass / sample.m * inner
+    return float(values[0]) if one else values

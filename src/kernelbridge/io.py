@@ -109,8 +109,10 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)  # 'inf', '-inf', 'nan'
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return str(float(obj))  # 'inf', '-inf', 'nan', also for numpy scalars
     return obj
 
 

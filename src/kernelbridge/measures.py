@@ -22,6 +22,8 @@ a bounded kernel.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -78,6 +80,33 @@ def _normalize_density(edges, values, what: str):
     return edges, values
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; ValueError for any other JSON value."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float range
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _json_numbers(values, what: str) -> np.ndarray:
+    """A JSON list of numbers as a 1-d float array; ValueError for anything else.
+
+    A list holding strings, nulls, objects or integers past 64 bits gets a
+    non-numeric dtype from numpy, and a nested list more than one dimension.
+    """
+    array = None
+    if isinstance(values, (list, tuple)):
+        try:
+            array = np.asarray(values)
+        except ValueError:  # ragged nesting
+            pass
+    if array is None or array.ndim != 1 or (array.size and array.dtype.kind not in "iuf"):
+        raise ValueError(f"{what} must be a list of numbers")
+    return array.astype(float)
+
+
 class _BinnedMeasure:
     """Shared storage/serialization for atoms + binned density."""
 
@@ -127,11 +156,22 @@ class _BinnedMeasure:
 
     @classmethod
     def from_dict(cls, data: dict):
-        atoms = [(a["loc"], a["mass"]) for a in data.get("atoms", [])]
-        density = data.get("density", {}) or {}
-        return cls(atoms=atoms,
-                   edges=density.get("edges", ()),
-                   values=density.get("values", ()),
+        """Read the layout :meth:`to_dict` writes; ValueError for any other."""
+        what = cls._what
+        if not isinstance(data, dict):
+            raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+        atoms = data.get("atoms", [])
+        density = data.get("density") or {}
+        if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+            raise ValueError(f'{what} atoms must be a list of {{"loc", "mass"}} objects')
+        if not isinstance(density, dict):
+            raise ValueError(f"{what} density must be a JSON object")
+        return cls(atoms=[(_json_number(a.get("loc"), f"{what} atom loc"),
+                           _json_number(a.get("mass"), f"{what} atom mass"))
+                          for a in atoms],
+                   edges=_json_numbers(density.get("edges", []), f"{what} density edges"),
+                   values=_json_numbers(density.get("values", []),
+                                        f"{what} density values"),
                    law=density.get("law", "constant"))
 
     def __eq__(self, other):

@@ -64,6 +64,10 @@ class ProductSpectralMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProductSpectralMeasure":
+        """Read the layout :meth:`to_dict` writes; ValueError for any other."""
+        if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
+            raise ValueError('a product measure must be a JSON object '
+                             '{"factors": [measure, ...]}')
         return cls(factors=tuple(SpectralMeasure.from_dict(f)
                                  for f in data["factors"]))
 

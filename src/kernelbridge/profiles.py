@@ -137,7 +137,7 @@ def zoo_names() -> list[str]:
     return sorted(_ZOO)
 
 
-def zoo(name: str, **params: float) -> KernelProfile:
+def zoo(name: str, /, **params: float) -> KernelProfile:
     """Construct a named kernel profile.
 
     Available: gaussian exp(-t^2/2), laplacian exp(-|t|), cauchy 2/(1+t^2),

@@ -36,7 +36,9 @@ The pipeline implemented here:
 from __future__ import annotations
 
 import numbers
+import os
 from dataclasses import dataclass
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -61,7 +63,7 @@ __all__ = [
 
 #: relative slack of the boundedness test: integral <= 4 k0 (1 + BOUND_RTOL)
 BOUND_RTOL = 1e-12
-#: chunk size (in t-points x bins) for the dense trig evaluations: small
+#: chunk size (in rows x columns) for the dense trig evaluations: small
 #: enough that a chunk's temporaries stay in cache
 _CHUNK = 2 ** 14
 #: most float64 values one array may hold (2**24: 128 MiB); a size that
@@ -83,12 +85,53 @@ def _as_t_array(t):
     return t, t.ndim == 0
 
 
+def _workers() -> int:
+    """Threads a sweep may use: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
-    """``rows(ts)``, evaluated on chunks of ts holding <= _CHUNK t x column cells."""
-    out = np.empty(ts.shape)
+    """``rows(ts)``, evaluated on chunks of ts's rows holding <= _CHUNK row x column cells.
+
+    ``rows`` maps a block of rows to one value per row.  The chunks are
+    fixed by the shapes alone; the calling thread and up to ``_workers() -
+    1`` helper threads claim them in turn, so the result has the same bits
+    for every worker count.  numpy releases the interpreter lock inside
+    its loops, so the threads overlap.  ``rows`` must be pure numpy: the
+    helpers run nothing else.  A one-chunk call starts no thread, and an
+    exception raised on any thread is re-raised here after every thread
+    has stopped.
+    """
+    n = len(ts)
+    out = np.empty(n)
     step = max(1, _CHUNK // n_cols)
-    for lo in range(0, ts.size, step):
-        out[lo:lo + step] = rows(ts[lo:lo + step])
+    starts = iter(range(0, n, step))
+    claim = Lock()
+    failures = []
+
+    def work():
+        try:
+            while not failures:
+                with claim:
+                    lo = next(starts, None)
+                if lo is None:
+                    return
+                out[lo:lo + step] = rows(ts[lo:lo + step])
+        except BaseException as exc:  # re-raised by the caller after the join
+            failures.append(exc)
+
+    helpers = [Thread(target=work)
+               for _ in range(min(_workers(), -(-n // step)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
     return out
 
 
@@ -180,12 +223,11 @@ def bochner_synthesis(mu: SpectralMeasure, t):
     return float(out[0]) if scalar else out.reshape(t.shape)
 
 
-def _screw_antiderivative(u: np.ndarray) -> np.ndarray:
-    """F(u) = int_0^u sin^2(x)/x^2 dx = Si(2u) - sin^2(u)/u, with F(0) = 0."""
-    # imported here: only constant-law gamma bins need Si, and importing
-    # scipy.special takes longer than most commands
-    from scipy.special import sici
+def _screw_antiderivative(u: np.ndarray, sici) -> np.ndarray:
+    """F(u) = int_0^u sin^2(x)/x^2 dx = Si(2u) - sin^2(u)/u, with F(0) = 0.
 
+    ``sici`` is ``scipy.special.sici``, imported by the caller.
+    """
     u = np.asarray(u, dtype=float)
     si, _ = sici(2.0 * u)
     ratio = np.divide(np.sin(u) ** 2, u, out=np.zeros_like(u), where=u > 0)
@@ -221,9 +263,14 @@ def screw_synthesis(gamma: GammaMeasure, t):
                 return (half - np.cos(np.outer(ts, ends)) * np.sin(np.outer(ts, width))
                         / (2.0 * ts[:, None])) @ values
         else:
+            # imported here, before any sweep thread starts: only constant-law
+            # bins need Si, and importing scipy.special takes longer than
+            # most commands
+            from scipy.special import sici
+
             def rows(ts):
-                return ts * ((_screw_antiderivative(np.outer(ts, d))
-                              - _screw_antiderivative(np.outer(ts, c))) @ values)
+                return ts * ((_screw_antiderivative(np.outer(ts, d), sici)
+                              - _screw_antiderivative(np.outer(ts, c), sici)) @ values)
         nz = _resolved(tt, d - c)
         out[nz] += _row_sums(tt[nz], values.size, rows)
     return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)

@@ -505,12 +505,136 @@ class TestExitCodes:
         assert err.value.code == 2
 
 
+FUZZ_SCALARS = (st.none() | st.booleans() | st.integers(-2, 3) | st.just(10 ** 400)
+                | st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, 1e300, float("nan"),
+                                   float("inf")])
+                | st.sampled_from(["", "x", "1.5", "s2", "constant", "gaussian"]))
+FUZZ_KEYS = st.sampled_from(["atoms", "density", "edges", "values", "law", "loc",
+                             "mass", "factors", "name", "params", "scale"])
+FUZZ_ANY = st.recursive(FUZZ_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(FUZZ_KEYS, inner, max_size=3), max_leaves=10)
+FUZZ_NUMBERS = st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e300]), max_size=4)
+#: measure files that are right in layout but for a few fields, so that the
+#: readers get past the top level and the computation runs
+FUZZ_MEASURE = st.fixed_dictionaries({}, optional={
+    "atoms": st.lists(st.fixed_dictionaries({}, optional={
+        "loc": FUZZ_SCALARS, "mass": FUZZ_SCALARS}) | FUZZ_SCALARS, max_size=3) | FUZZ_ANY,
+    "density": st.fixed_dictionaries({}, optional={
+        "edges": FUZZ_NUMBERS | FUZZ_ANY, "values": FUZZ_NUMBERS | FUZZ_ANY,
+        "law": st.sampled_from(["constant", "s2"]) | FUZZ_ANY}) | FUZZ_ANY})
+FUZZ_DESCRIPTOR = st.fixed_dictionaries({}, optional={
+    "name": st.sampled_from(kb.zoo_names()) | FUZZ_SCALARS,
+    "params": st.dictionaries(st.sampled_from(["scale", "omega", "value", "x"]),
+                              FUZZ_SCALARS, max_size=2) | FUZZ_ANY})
+#: tiny JSON documents, biased towards the layouts the readers look for
+FUZZ_JSON = (FUZZ_ANY | FUZZ_MEASURE | FUZZ_DESCRIPTOR
+             | st.fixed_dictionaries({"factors": st.lists(FUZZ_MEASURE, max_size=3)
+                                      | FUZZ_ANY}))
+FUZZ_CELLS = st.sampled_from(["0", "1", "-1", "0.5", "2", "1e300", "nan", "inf", "", "x", " "])
+FUZZ_CSV = st.lists(st.lists(FUZZ_CELLS, max_size=4).map(",".join),
+                    max_size=4).map(lambda rows: "\n".join(rows) + "\n")
+#: every subcommand that reads a file; J is the JSON file, C the CSV file
+FILE_COMMANDS = [
+    "zoo sample --profile J --grid 0 1 3 -o O",
+    "zoo sample --samples C --grid 0 1 3 -o O",
+    "gram --points C --kernel gaussian -o O",
+    "gram --points C --profile J -o O",
+    "check-psd C", "check-nd C", "nd-to-psd C -o O", "embed C -o O",
+    "to-metric --profile J --grid 0 1 3 -o O",
+    "to-metric --samples C --grid 0 1 3 -o O",
+    "invert --profile J --n-samples 65 --bins 8 --window 2 --step 0.1 -o O",
+    "invert --samples C --t-max 1 --n-samples 65 --bins 8 --window 2 --step 0.1 -o O",
+    "invert --kernel gaussian --params P --n-samples 65 --bins 8 --window 2 --step 0.1 "
+    "-o O",
+    "synth J --grid -1 1 5 -o O", "screw J --grid -1 1 5 -o O",
+    "gamma J -o O", "gamma J --k0 1 -o O", "bound-check J --k0 1",
+    "atom0 --profile J --window 2 --step 0.1",
+    "atom0 --samples C --window 2 --step 0.1",
+    "rff J -m 4 --seed 1 --pairs C --errors-out E -o O",
+    "product-synth J --pairs C -o O",
+]
+
+
+def exit_and_stderr(capsys, argv):
+    code = exit_code(argv)
+    return code, capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Every file and flag boundary exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("synth {} -o {}", "[1, 2]"),
+        ("gamma {} -o {}", "[1, 2]"),
+        ("bound-check {} --k0 1", "[1, 2]"),
+        ("synth {} -o {}", '{"atoms": [1, 2]}'),
+        ("screw {} -o {}", '{"atoms": [1, 2]}'),
+        ("rff {} -m 4 --seed 1 -o {}", '{"factors": 3}'),
+        ("product-synth {} --pairs PAIRS -o {}", '{"factors": 3}'),
+        ("rff {} -m 4 --seed 1 -o {}", "3"),
+        ("zoo sample --profile {} -o {}", '["gaussian"]'),
+        ("zoo sample --profile {} -o {}", '{"name": ["gaussian"]}'),
+        ("zoo sample --profile {} -o {}", '{"name": "gaussian", "params": [1]}'),
+    ])
+    def test_malformed_files_exit_2(self, tmp_path, capsys, command, text):
+        path, out = tmp_path / "in.json", tmp_path / "out"
+        path.write_text(text)
+        (tmp_path / "pairs.csv").write_text("0,0\n")
+        argv = command.format(path, out).replace("PAIRS", str(tmp_path / "pairs.csv"))
+        code, err = exit_and_stderr(capsys, argv.split())
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", ["[1]", '{"scale": null}', '{"scale": "2"}',
+                                        '{"scale": true}', '{"scale": 1e400}', '"x"',
+                                        '{"scale": 1' + "0" * 400 + "}"])
+    def test_params_must_be_an_object_of_finite_numbers(self, tmp_path, capsys, params):
+        out = tmp_path / "m.json"
+        code, err = exit_and_stderr(capsys, ["invert", "--kernel", "gaussian", "--params",
+                                             params, "-o", out])
+        assert code == 2
+        assert "finite numbers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", ["-1", "3", "-4"])
+    def test_nd_to_psd_base_index_out_of_range(self, tmp_path, capsys, index):
+        matrix, out = tmp_path / "d2.csv", tmp_path / "c.csv"
+        io.write_matrix_csv(matrix, [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+        code, err = exit_and_stderr(capsys, ["nd-to-psd", matrix, "--base-index", index,
+                                             "-o", out])
+        assert code == 2
+        assert "out of range" in err
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(FILE_COMMANDS), document=FUZZ_JSON, table=FUZZ_CSV)
+    @example(command="synth J -o O", document={"atoms": [1, 2]}, table="")
+    @example(command="rff J -m 4 --seed 1 -o O", document={"factors": 3}, table="")
+    @example(command="gamma J -o O", document=[1, 2], table="")
+    def test_fuzzed_files_keep_the_exit_code_contract(self, tmp_path, capsys, command,
+                                                     document, table):
+        # every size stays tiny: lists of at most three, m = 4, 65 samples
+        files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv",
+                 "O": tmp_path / "out", "E": tmp_path / "errors.csv"}
+        files["J"].write_text(json.dumps(document))
+        files["C"].write_text(table)
+        argv = [str(files.get(word, word)) for word in command.split()]
+        if "P" in argv:
+            argv[argv.index("P")] = json.dumps(document)
+        code, err = exit_and_stderr(capsys, argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special is only needed for constant-law screw synthesis; its
-    # import would dominate the start-up of every command
+    # import would dominate the start-up of every command.  The sweep
+    # threads use plain threading: concurrent.futures costs 5-8 ms to import.
     src = str(Path(kb.__file__).resolve().parents[1])
-    code = ("import sys, kernelbridge.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, kernelbridge.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout
     assert out.strip() == "[]"

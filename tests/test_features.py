@@ -110,6 +110,74 @@ class TestApproximateKernel:
         assert_allclose(direct, kb.approximate_kernel(sample, x, y), rtol=1e-12)
 
 
+def per_pair(sample, x, y):
+    """The per-pair formula 2 M/m * cos(w.x + b) @ cos(w.y + b), one pair at a time."""
+    freqs = sample.frequencies.reshape(sample.m, -1)
+    cx = np.cos(freqs @ np.atleast_1d(x) + sample.phases)
+    cy = np.cos(freqs @ np.atleast_1d(y) + sample.phases)
+    return 2.0 * sample.total_mass / sample.m * float(cx @ cy)
+
+
+class TestBatchedApproximateKernel:
+    CAUCHY = kb.bochner_inversion(kb.zoo("cauchy")).measure
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_the_per_pair_formula(self, d):
+        product = kb.ProductSpectralMeasure(factors=(self.CAUCHY,) * d)
+        k0 = product.total_mass()
+        sample = kb.sample_product_frequencies(product, m=4096, seed=8)
+        rng = np.random.default_rng(d)
+        xs, ys = rng.uniform(-3, 3, (300, d)), rng.uniform(-3, 3, (300, d))
+        batch = kb.approximate_kernel(sample, xs, ys)
+        assert batch.shape == (300,)
+        oracle = np.array([per_pair(sample, x, y) for x, y in zip(xs, ys)])
+        assert np.max(np.abs(batch - oracle)) <= 1e-14 * max(k0, 1.0)
+
+    def test_line_batches(self):
+        sample = kb.sample_frequencies(self.CAUCHY, m=2048, seed=4)
+        pairs = _pairs(n=200, seed=2)
+        batch = kb.approximate_kernel(sample, pairs[:, 0], pairs[:, 1])
+        oracle = np.array([per_pair(sample, x, y) for x, y in pairs])
+        assert np.max(np.abs(batch - oracle)) <= 1e-14 * max(sample.total_mass, 1.0)
+        # an (n, 1) array is the same batch
+        assert_array_equal(kb.approximate_kernel(sample, pairs[:, :1], pairs[:, 1:]), batch)
+
+    def test_single_points_give_floats(self):
+        line = kb.sample_frequencies(GAUSS, m=64, seed=1)
+        value = kb.approximate_kernel(line, 0.3, -0.2)
+        assert isinstance(value, float)
+        assert value == pytest.approx(per_pair(line, 0.3, -0.2), abs=1e-14)
+        product = kb.ProductSpectralMeasure(factors=(GAUSS,) * 3)
+        sample = kb.sample_product_frequencies(product, m=64, seed=1)
+        value = kb.approximate_kernel(sample, [0.1, 0.2, 0.3], np.zeros(3))
+        assert isinstance(value, float)
+        assert value == pytest.approx(per_pair(sample, [0.1, 0.2, 0.3], np.zeros(3)),
+                                      abs=1e-14)
+
+    def test_wrong_shapes_rejected(self):
+        product = kb.ProductSpectralMeasure(factors=(GAUSS,) * 2)
+        sample = kb.sample_product_frequencies(product, m=16, seed=0)
+        line = kb.sample_frequencies(GAUSS, m=16, seed=0)
+        for s, x, y in ((sample, np.zeros((4, 3)), np.zeros((4, 3))),
+                        (sample, np.zeros((4, 2)), np.zeros((5, 2))),
+                        (sample, np.zeros((4, 2)), np.zeros(2)),
+                        (sample, np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+                        (sample, 0.5, 0.5),
+                        (line, np.zeros((4, 2)), np.zeros((4, 2))),
+                        (line, np.zeros(4), np.zeros(3)),
+                        (line, np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))):
+            with pytest.raises(ValueError):
+                kb.approximate_kernel(s, x, y)
+
+    def test_feature_matrix_rows_are_feature_vectors(self):
+        sample = kb.sample_frequencies(GAUSS, m=128, seed=21)
+        points = np.array([1.1, -0.4, 2.0])
+        rows = kb.feature_matrix(sample, points)
+        assert rows.shape == (3, 128)
+        for row, x in zip(rows, points):
+            assert_array_equal(row, kb.feature_matrix(sample, x))
+
+
 class TestProductSampling:
     def test_separable_gaussian_approximation(self):
         measure = kb.ProductSpectralMeasure(factors=(GAUSS, GAUSS))

@@ -39,3 +39,13 @@ def test_finite_data_skips_the_walk(tmp_path, monkeypatch):
 def test_non_finite_floats_become_strings(tmp_path):
     io.write_json(tmp_path / "out.json", {"x": [1.0, float("inf")], "y": float("nan")})
     assert io.read_json(tmp_path / "out.json") == {"x": [1.0, "inf"], "y": "nan"}
+
+
+def test_numpy_non_finite_values_become_strings():
+    # numpy scalars once came out as their repr, "np.float64(inf)", and NaN
+    # inside an ndarray as a bare NaN token, which strict JSON rejects
+    data = {"a": np.float64("inf"), "b": np.float32("-inf"),
+            "d": np.array([np.nan, 1.5]), "e": [np.float64("nan")]}
+    text = io.dumps_json(data)
+    assert text == '{"a": "inf", "b": "-inf", "d": ["nan", 1.5], "e": ["nan"]}'
+    assert json.loads(text, parse_constant=pytest.fail) == json.loads(text)

@@ -45,6 +45,28 @@ class TestValidation:
                 {"density": {"edges": [0.0, 1.0], "values": [0.5], "law": "s2"}})
 
 
+@pytest.mark.parametrize("cls", [kb.SpectralMeasure, kb.GammaMeasure])
+@pytest.mark.parametrize("data", [
+    [1, 2], "measure", 3, None,
+    {"atoms": [1, 2]}, {"atoms": {"loc": 1.0}}, {"atoms": None},
+    {"atoms": [{"loc": "1", "mass": 0.5}]}, {"atoms": [{"loc": 1.0}]},
+    {"atoms": [{"loc": [1.0], "mass": 0.5}]}, {"atoms": [{"loc": True, "mass": 0.5}]},
+    {"atoms": [{"loc": 10 ** 400, "mass": 0.5}]},
+    {"density": {"edges": [0.0, 10 ** 400], "values": [0.5]}},
+    {"density": [0.0, 1.0]}, {"density": {"edges": 1.0, "values": []}},
+    {"density": {"edges": [0.0, 1.0], "values": [[0.5]]}},
+    {"density": {"edges": [0.0, [1.0]], "values": [0.5]}},
+    {"density": {"edges": [0.0, "1"], "values": [0.5]}},
+    {"density": {"edges": [0.0, None], "values": [0.5]}},
+    {"density": {"edges": [0.0, 1.0], "values": [True]}},
+    {"density": {"edges": {"a": 1}, "values": [0.5]}},
+    {"density": {"edges": [0.0, 1.0], "values": [0.5], "law": ["s2"]}},
+])
+def test_malformed_layouts_raise_value_error(cls, data):
+    with pytest.raises(ValueError):
+        cls.from_dict(data)
+
+
 class TestMassAccounting:
     def test_total_mass_matches_synthesis_at_zero(self):
         mu = kb.SpectralMeasure(atoms=[(0.0, 0.3), (2.0, 0.2)],

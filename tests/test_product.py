@@ -103,6 +103,13 @@ class TestProductSynthesis:
         assert again.factors[0] == m.factors[0]
         assert again.factors[1] == m.factors[1]
 
+    @pytest.mark.parametrize("data", [{"factors": 3}, {"factors": None}, {}, [1, 2],
+                                      {"factors": []}, {"factors": [[1, 2]]},
+                                      {"factors": [{"atoms": [1]}]}])
+    def test_malformed_layouts_raise_value_error(self, data):
+        with pytest.raises(ValueError):
+            kb.ProductSpectralMeasure.from_dict(data)
+
 
 class TestSeparableInversionConsistency:
     @pytest.mark.parametrize("name,dim", [("gaussian", 2), ("cauchy", 2),
