@@ -20,7 +20,7 @@ from .exceptions import KernelBridgeError, MathematicalRejection
 from .features import approximate_kernel, sample_frequencies, sample_product_frequencies
 from .gram import (build_gram, euclidean_embedding, is_negative_definite,
                    is_positive_definite, nd_to_psd)
-from .measures import GammaMeasure, SpectralMeasure
+from .measures import GammaMeasure, SpectralMeasure, _json_number
 from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import metric_from_kernel, profile_from_samples, zoo, zoo_names
 from .spectral import (InversionConfig, atom_at_zero, bochner_inversion,
@@ -66,12 +66,11 @@ def _named_kernel(name, params):
     """
     if not isinstance(name, str):
         raise ValueError(f"kernel name must be a string, got {name!r}")
-    # abs(v) <= max float rejects nan, inf and integers past float range
-    if not (isinstance(params, dict) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max for v in params.values())):
+    if not isinstance(params, dict):
         raise ValueError(f"kernel params must be a JSON object of finite numbers, "
                          f"got {params!r}")
+    for key, value in params.items():
+        _json_number(value, f"kernel param {key!r}", finite=True)
     return zoo(name, **params)
 
 

@@ -9,6 +9,8 @@ significant digits so a write/read round trip is bit stable.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,8 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.17g"
+#: list items formatted per piece handed to the file by write_json
+_ROWS_PER_PIECE = 512
 
 
 def _fmt(x: float) -> str:
@@ -133,11 +137,62 @@ def dumps_json(data: dict) -> str:
         lambda obj, **kwargs: json.dumps(obj, default=_json_default, **kwargs), data)
 
 
+def _float_rows(items, level: int):
+    """For a list at depth ``level`` holding finite floats, or equal-length
+    lists of finite floats: a function giving one item's ``indent=2`` text.
+    None for any other list.
+    """
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return float.__repr__ if math.isfinite(sum(items)) else None
+    if kinds != {list} or len(widths := set(map(len, items))) != 1 or 0 in widths:
+        return None
+    if set(map(type, chain.from_iterable(items))) != {float} \
+            or not math.isfinite(sum(map(sum, items))):
+        return None
+    pad = "\n" + "  " * (level + 1)
+    fmt = "[" + pad + ("," + pad).join(["%r"] * widths.pop()) + "\n" + "  " * level + "]"
+    return lambda row: fmt % tuple(row)
+
+
+def _indented(obj, allow_nan: bool, level: int = 0):
+    """Yield, in pieces, the text ``json.dump(obj, indent=2)`` writes.
+
+    The bytes are the same.  A list of finite floats, or of equal-length
+    lists of them, is joined from ``float.__repr__`` (what the encoder
+    writes for a finite float) in blocks, not built one element per step
+    by the pure-Python encoder that ``indent`` selects.
+    """
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        obj = _json_default(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield json.dumps(obj, default=_json_default, allow_nan=allow_nan)
+        return
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        for i, (key, value) in enumerate(obj.items()):
+            # the encoder's text for the key: '{"k": 0}' without '{' and ': 0}'
+            key = json.dumps({key: 0}, allow_nan=allow_nan)[1:-4]
+            yield ("," if i else "{") + pad + key + ": "
+            yield from _indented(value, allow_nan, level + 1)
+        yield "\n" + "  " * level + "}"
+        return
+    line = _float_rows(obj, level + 1)
+    for lo in range(0, len(obj), _ROWS_PER_PIECE if line else 1):
+        if line:
+            yield ("," if lo else "[") + pad + ("," + pad).join(
+                map(line, obj[lo:lo + _ROWS_PER_PIECE]))
+        else:
+            yield ("," if lo else "[") + pad
+            yield from _indented(obj[lo], allow_nan, level + 1)
+    yield "\n" + "  " * level + "]"
+
+
 def write_json(path, data: dict) -> None:
-    def dump(obj, **kwargs):
-        # streamed to the file: the whole text is never held in memory
+    """``json.dump(data, indent=2)`` plus a newline, written in pieces (see _indented)."""
+    def dump(obj, allow_nan):
         with open(path, "w") as fh:
-            json.dump(obj, fh, default=_json_default, indent=2, **kwargs)
+            fh.writelines(_indented(obj, allow_nan))
             fh.write("\n")
 
     _strict_first(dump, data)

@@ -22,6 +22,7 @@ a bounded kernel.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -80,14 +81,17 @@ def _normalize_density(edges, values, what: str):
     return edges, values
 
 
-def _json_number(value, what: str) -> float:
-    """A JSON number as a float; ValueError for any other JSON value."""
+def _json_number(value, what: str, finite: bool = False) -> float:
+    """A JSON number (a finite one if ``finite``) as a float; ValueError for any other value."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:  # an integer past float range
             pass
-    raise ValueError(f"{what} must be a number, got {value!r}")
+        else:
+            if not finite or math.isfinite(number):
+                return number
+    raise ValueError(f"{what} must be a {'finite ' if finite else ''}number, got {value!r}")
 
 
 def _json_numbers(values, what: str) -> np.ndarray:
@@ -161,7 +165,7 @@ class _BinnedMeasure:
         if not isinstance(data, dict):
             raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
         atoms = data.get("atoms", [])
-        density = data.get("density") or {}
+        density = data.get("density", {})
         if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
             raise ValueError(f'{what} atoms must be a list of {{"loc", "mass"}} objects')
         if not isinstance(density, dict):

@@ -36,9 +36,7 @@ The pipeline implemented here:
 from __future__ import annotations
 
 import numbers
-import os
 from dataclasses import dataclass
-from threading import Lock, Thread
 
 import numpy as np
 
@@ -85,53 +83,15 @@ def _as_t_array(t):
     return t, t.ndim == 0
 
 
-def _workers() -> int:
-    """Threads a sweep may use: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
     """``rows(ts)``, evaluated on chunks of ts's rows holding <= _CHUNK row x column cells.
 
-    ``rows`` maps a block of rows to one value per row.  The chunks are
-    fixed by the shapes alone; the calling thread and up to ``_workers() -
-    1`` helper threads claim them in turn, so the result has the same bits
-    for every worker count.  numpy releases the interpreter lock inside
-    its loops, so the threads overlap.  ``rows`` must be pure numpy: the
-    helpers run nothing else.  A one-chunk call starts no thread, and an
-    exception raised on any thread is re-raised here after every thread
-    has stopped.
+    ``rows`` maps a block of rows to one value per row.
     """
-    n = len(ts)
-    out = np.empty(n)
+    out = np.empty(len(ts))
     step = max(1, _CHUNK // n_cols)
-    starts = iter(range(0, n, step))
-    claim = Lock()
-    failures = []
-
-    def work():
-        try:
-            while not failures:
-                with claim:
-                    lo = next(starts, None)
-                if lo is None:
-                    return
-                out[lo:lo + step] = rows(ts[lo:lo + step])
-        except BaseException as exc:  # re-raised by the caller after the join
-            failures.append(exc)
-
-    helpers = [Thread(target=work)
-               for _ in range(min(_workers(), -(-n // step)) - 1)]
-    for thread in helpers:
-        thread.start()
-    work()
-    for thread in helpers:
-        thread.join()
-    if failures:
-        raise failures[0]
+    for lo in range(0, len(ts), step):
+        out[lo:lo + step] = rows(ts[lo:lo + step])
     return out
 
 
@@ -223,11 +183,12 @@ def bochner_synthesis(mu: SpectralMeasure, t):
     return float(out[0]) if scalar else out.reshape(t.shape)
 
 
-def _screw_antiderivative(u: np.ndarray, sici) -> np.ndarray:
-    """F(u) = int_0^u sin^2(x)/x^2 dx = Si(2u) - sin^2(u)/u, with F(0) = 0.
+def _screw_antiderivative(u: np.ndarray) -> np.ndarray:
+    """F(u) = int_0^u sin^2(x)/x^2 dx = Si(2u) - sin^2(u)/u, with F(0) = 0."""
+    # imported here: only constant-law gamma bins need Si, and importing
+    # scipy.special takes longer than most commands
+    from scipy.special import sici
 
-    ``sici`` is ``scipy.special.sici``, imported by the caller.
-    """
     u = np.asarray(u, dtype=float)
     si, _ = sici(2.0 * u)
     ratio = np.divide(np.sin(u) ** 2, u, out=np.zeros_like(u), where=u > 0)
@@ -263,14 +224,9 @@ def screw_synthesis(gamma: GammaMeasure, t):
                 return (half - np.cos(np.outer(ts, ends)) * np.sin(np.outer(ts, width))
                         / (2.0 * ts[:, None])) @ values
         else:
-            # imported here, before any sweep thread starts: only constant-law
-            # bins need Si, and importing scipy.special takes longer than
-            # most commands
-            from scipy.special import sici
-
             def rows(ts):
-                return ts * ((_screw_antiderivative(np.outer(ts, d), sici)
-                              - _screw_antiderivative(np.outer(ts, c), sici)) @ values)
+                return ts * ((_screw_antiderivative(np.outer(ts, d))
+                              - _screw_antiderivative(np.outer(ts, c))) @ values)
         nz = _resolved(tt, d - c)
         out[nz] += _row_sums(tt[nz], values.size, rows)
     return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)

@@ -594,7 +594,7 @@ class TestMalformedInputs:
         code, err = exit_and_stderr(capsys, ["invert", "--kernel", "gaussian", "--params",
                                              params, "-o", out])
         assert code == 2
-        assert "finite numbers" in err
+        assert "finite number" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("index", ["-1", "3", "-4"])

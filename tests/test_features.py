@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import kernelbridge as kb
+from kernelbridge import features
 
 GAUSS = kb.gaussian_measure()
 
@@ -118,6 +119,27 @@ def per_pair(sample, x, y):
     return 2.0 * sample.total_mass / sample.m * float(cx @ cy)
 
 
+class TestCos:
+    """features._cos, the plain-arithmetic cosine of the feature sweeps."""
+
+    @pytest.mark.parametrize("span", [1.0, 300.0, 3e4, 2.5e7])
+    def test_within_1e15_of_libm(self, span):
+        a = np.random.default_rng(7).uniform(-span, span, (40, 500))
+        values = a.copy()
+        assert features._cos(values) is values  # computed in place
+        assert np.max(np.abs(values - np.cos(a))) <= 1e-15
+
+    def test_exact_turns(self):
+        a = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -64 * np.pi])
+        assert_allclose(features._cos(a.copy()), [1, 1, -1, -1, 1, 1], rtol=0, atol=1e-15)
+        assert features._cos(np.zeros(0)).size == 0
+
+    def test_past_the_turn_limit_is_np_cos(self):
+        # one argument past _MAX_TURNS sends the whole array to np.cos
+        a = np.array([0.3, 2.0 * np.pi * (features._MAX_TURNS + 2)])
+        assert_array_equal(features._cos(a.copy()), np.cos(a))
+
+
 class TestBatchedApproximateKernel:
     CAUCHY = kb.bochner_inversion(kb.zoo("cauchy")).measure
 
@@ -168,14 +190,6 @@ class TestBatchedApproximateKernel:
                         (line, np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))):
             with pytest.raises(ValueError):
                 kb.approximate_kernel(s, x, y)
-
-    def test_feature_matrix_rows_are_feature_vectors(self):
-        sample = kb.sample_frequencies(GAUSS, m=128, seed=21)
-        points = np.array([1.1, -0.4, 2.0])
-        rows = kb.feature_matrix(sample, points)
-        assert rows.shape == (3, 128)
-        for row, x in zip(rows, points):
-            assert_array_equal(row, kb.feature_matrix(sample, x))
 
 
 class TestProductSampling:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kernelbridge as kb
 from kernelbridge import io
@@ -19,12 +20,41 @@ def sanitized(data, **kwargs):
     return json.dumps(io._sanitize(data), default=io._json_default, **kwargs)
 
 
+PRODUCT = kb.ProductSpectralMeasure(factors=(kb.gaussian_measure(n_bins=32),) * 3)
+ROWS = {"rows": [[1.5, -2.0], [3.0, 1e-300]], "ragged": [[1.0, 2.0], [3.0]],
+        "empty_rows": [[], []], "tuples": [(1.0, 2.0), (3.0, 4.0)], "ints": [[1, 2], [3, 4]],
+        "overflowing_sum": [1e308, 1e308], "overflowing_rows": [[1e308], [1e308]],
+        "non_finite_row": [[1.0, float("inf")]], "numpy": [np.float64(0.5), np.arange(2.0)],
+        "nested": {"a": [], "b": {}, "c": [{"d": [0.25]}]}, 1.5: "float key", 7: None}
+
+
 @pytest.mark.parametrize("data", [FINITE, NON_FINITE, kb.gaussian_measure(n_bins=32).to_dict(),
-                                  kb.sample_frequencies(kb.cosine_measure(), 64, 1).to_dict()])
+                                  kb.sample_frequencies(kb.cosine_measure(), 64, 1).to_dict(),
+                                  kb.sample_product_frequencies(PRODUCT, 64, 1).to_dict(), ROWS])
 def test_bytes_equal_the_sanitized_encoding(tmp_path, data):
     assert io.dumps_json(data) == sanitized(data)
     io.write_json(tmp_path / "out.json", data)
     assert (tmp_path / "out.json").read_text() == sanitized(data, indent=2) + "\n"
+
+
+JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-1e308, 1e308)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | st.text(max_size=4)
+    | st.lists(JSON_FLOATS, max_size=6)
+    | st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(JSON_FLOATS, min_size=n, max_size=n), max_size=4)),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3) | st.integers(), inner, max_size=3),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=JSON_TREES)
+def test_write_json_matches_the_indented_encoder(tmp_path_factory, data):
+    # write_json joins float lists itself; the bytes must be json.dump's
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    io.write_json(path, data)
+    assert path.read_text() == sanitized(data, indent=2) + "\n"
 
 
 def test_finite_data_skips_the_walk(tmp_path, monkeypatch):

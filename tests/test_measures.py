@@ -53,7 +53,8 @@ class TestValidation:
     {"atoms": [{"loc": [1.0], "mass": 0.5}]}, {"atoms": [{"loc": True, "mass": 0.5}]},
     {"atoms": [{"loc": 10 ** 400, "mass": 0.5}]},
     {"density": {"edges": [0.0, 10 ** 400], "values": [0.5]}},
-    {"density": [0.0, 1.0]}, {"density": {"edges": 1.0, "values": []}},
+    {"density": [0.0, 1.0]}, {"density": []}, {"density": 0}, {"density": None},
+    {"density": ""}, {"density": {"edges": 1.0, "values": []}},
     {"density": {"edges": [0.0, 1.0], "values": [[0.5]]}},
     {"density": {"edges": [0.0, [1.0]], "values": [0.5]}},
     {"density": {"edges": [0.0, "1"], "values": [0.5]}},

@@ -1,9 +1,6 @@
 """Spectral pipeline: synthesis both ways, conversions, bounds, inversion."""
 
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -159,143 +156,6 @@ class TestOneSinePerWidth:
         assert gamma.law == "s2"
         assert_array_equal(kb.screw_synthesis(gamma, self.T),
                            self.per_bin(monkeypatch, kb.screw_synthesis, gamma, self.T))
-
-
-class _CountedThread(threading.Thread):
-    """threading.Thread that counts its starts."""
-
-    starts = 0
-
-    def start(self):
-        type(self).starts += 1
-        super().start()
-
-
-class Boom(Exception):
-    pass
-
-
-class TestChunkedEvaluator:
-    """_row_sums spreads fixed chunks over threads; the bits never depend on them."""
-
-    LAGS = np.random.default_rng(11).uniform(-3.0, 3.0, (500, 3))
-
-    @staticmethod
-    def with_workers(monkeypatch, n, fn):
-        _CountedThread.starts = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_workers", lambda: n)
-            patch.setattr(spectral, "Thread", _CountedThread)
-            return fn(), _CountedThread.starts
-
-    @staticmethod
-    def sweeps():
-        mu = kb.bochner_inversion(kb.zoo("cauchy")).measure
-        gamma, _ = kb.gamma_from_spectral(mu)
-        constant = kb.GammaMeasure(atoms=[(0.3, 0.2)], edges=np.linspace(0.1, 4.0, 513),
-                                   values=np.linspace(1.0, 0.1, 512))
-        product = kb.ProductSpectralMeasure(factors=(mu,) * 3)
-        sample = kb.sample_product_frequencies(product, m=1024, seed=5)
-        lags = TestChunkedEvaluator.LAGS
-        t = lags.ravel()
-        return {
-            "bochner": lambda: kb.bochner_synthesis(mu, t),
-            "bochner-atoms": lambda: kb.bochner_synthesis(
-                kb.SpectralMeasure(atoms=[(0.5 + k / 64, 0.01) for k in range(2000)]), t),
-            "screw-s2": lambda: kb.screw_synthesis(gamma, t),
-            "screw-constant": lambda: kb.screw_synthesis(constant, t),
-            "product": lambda: kb.product_synthesis(product, lags),
-            "approximate": lambda: kb.approximate_kernel(sample, lags, -lags[::-1]),
-        }
-
-    @pytest.mark.parametrize("name", ["bochner", "bochner-atoms", "screw-s2",
-                                      "screw-constant", "product", "approximate"])
-    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, name):
-        sweep = self.sweeps()[name]
-        serial, serial_threads = self.with_workers(monkeypatch, 1, sweep)
-        assert serial_threads == 0
-        for n in (2, 3, 8):
-            threaded, threads = self.with_workers(monkeypatch, n, sweep)
-            assert threads >= 1  # the sweep is many chunks, so helpers ran
-            assert_array_equal(threaded, serial)
-
-    def test_helpers_are_capped_by_the_chunk_count(self, monkeypatch):
-        ts = np.arange(3.0)
-        # one column per chunk cell: three chunks of one row each
-        out, threads = self.with_workers(
-            monkeypatch, 16, lambda: spectral._row_sums(ts, spectral._CHUNK, lambda r: 2 * r))
-        assert threads == 2
-        assert_array_equal(out, 2 * ts)
-
-    def test_one_chunk_starts_no_thread(self, monkeypatch):
-        mu = kb.bochner_inversion(kb.zoo("gaussian")).measure
-        gamma, _ = kb.gamma_from_spectral(mu)
-        for fn in (lambda: kb.bochner_synthesis(mu, 0.7),
-                   lambda: kb.bochner_synthesis(mu, np.linspace(-1.0, 1.0, 8)),
-                   lambda: kb.screw_synthesis(gamma, 1.5),
-                   lambda: spectral._row_sums(np.zeros(0), 4, lambda r: r)):
-            _, threads = self.with_workers(monkeypatch, 8, fn)
-            assert threads == 0
-
-    def test_every_chunk_runs_once_under_contention(self, monkeypatch):
-        # more workers than cores and a tiny switch interval: a chunk claimed
-        # twice or lost would show in the per-row counts
-        seen = []
-
-        def rows(ts):
-            seen.extend(ts.tolist())
-            return np.sqrt(ts)
-
-        ts = np.arange(2000.0)
-        interval = sys.getswitchinterval()
-        monkeypatch.setattr(spectral, "_workers", lambda: 8)
-        sys.setswitchinterval(1e-6)
-        try:
-            start = time.perf_counter()
-            out = spectral._row_sums(ts, spectral._CHUNK // 3, rows)
-        finally:
-            sys.setswitchinterval(interval)
-        assert time.perf_counter() - start < 30
-        assert sorted(seen) == ts.tolist()
-        assert_array_equal(out, np.sqrt(ts))
-
-    @pytest.mark.parametrize("bad_row", [0, 37, 99])
-    def test_a_failing_chunk_raises_in_the_caller(self, monkeypatch, bad_row):
-        def rows(ts):
-            if bad_row in ts:
-                raise Boom(bad_row)
-            return 2.0 * ts
-
-        raised = []
-
-        def call():
-            try:
-                spectral._row_sums(np.arange(100.0), spectral._CHUNK, rows)
-            except Boom as exc:
-                raised.append(exc)
-
-        before = threading.active_count()
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_workers", lambda: 4)
-            caller = threading.Thread(target=call, daemon=True)
-            caller.start()
-            caller.join(timeout=30)
-        assert not caller.is_alive()
-        assert [exc.args for exc in raised] == [(bad_row,)]
-        assert threading.active_count() == before
-
-    def test_a_helper_failure_raises_in_the_caller(self, monkeypatch):
-        caller = threading.current_thread()
-
-        def rows(ts):
-            if threading.current_thread() is not caller:
-                raise Boom("helper")
-            time.sleep(1e-3)  # leaves chunks for the helpers to claim
-            return ts
-
-        monkeypatch.setattr(spectral, "_workers", lambda: 2)
-        with pytest.raises(Boom, match="helper"):
-            spectral._row_sums(np.arange(50.0), spectral._CHUNK, rows)
 
 
 class TestScrewSynthesis:
