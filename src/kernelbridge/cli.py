@@ -18,17 +18,18 @@ import numpy as np
 from . import io
 from .exceptions import KernelBridgeError, MathematicalRejection
 from .features import approximate_kernel, sample_frequencies, sample_product_frequencies
-from .gram import (build_gram, euclidean_embedding, is_negative_definite,
+from .gram import (DEFAULT_TOL, build_gram, euclidean_embedding, is_negative_definite,
                    is_positive_definite, nd_to_psd)
 from .measures import GammaMeasure, SpectralMeasure, _json_number
 from .product import ProductSpectralMeasure, product_synthesis
-from .profiles import metric_from_kernel, profile_from_samples, zoo, zoo_names
+from .profiles import (PROBE_GRID_SIZE, PROBE_GRID_SPAN, metric_from_kernel,
+                       profile_from_samples, zoo, zoo_names)
 from .spectral import (InversionConfig, atom_at_zero, bochner_inversion,
                        bochner_synthesis, bound_report, gamma_from_spectral,
                        check_elements, int_bound_integral, screw_synthesis,
                        spectral_from_gamma)
 
-DEFAULT_GRID = (-10.0, 10.0, 201)
+DEFAULT_GRID = (-PROBE_GRID_SPAN, PROBE_GRID_SPAN, PROBE_GRID_SIZE)
 
 
 def _emit(data: dict) -> None:
@@ -46,7 +47,7 @@ def _grid(args) -> np.ndarray:
 def _add_grid(parser) -> None:
     parser.add_argument("--grid", nargs=3, type=float, metavar=("MIN", "MAX", "N"),
                         default=list(DEFAULT_GRID),
-                        help="evaluation grid (default: -10 10 201)")
+                        help="evaluation grid (default: %g %g %d)" % DEFAULT_GRID)
 
 
 def _add_kernel_source(parser) -> None:
@@ -98,6 +99,10 @@ def cmd_zoo(args) -> int:
     if args.action == "list":
         _emit({"kernels": [zoo(name).descriptor() for name in zoo_names()]})
         return 0
+    if args.output is None:
+        raise ValueError("zoo sample requires -o/--output")
+    if args.kernel is None and args.profile is None and args.samples is None:
+        raise ValueError("zoo sample requires a kernel source")
     kernel = _load_kernel(args)
     grid = _grid(args)
     io.write_profile_csv(args.output, grid, kernel(grid))
@@ -238,11 +243,8 @@ def cmd_rff(args) -> int:
         exacts = product_synthesis(product, xs - ys)
         approxs = approximate_kernel(sample, xs, ys)
         errors = np.abs(approxs - exacts)
-        lines = ["exact,approx,abs_error"] + [
-            f"{io.FLOAT_FMT % exact},{io.FLOAT_FMT % approx},{io.FLOAT_FMT % err}"
-            for exact, approx, err in zip(exacts.tolist(), approxs.tolist(), errors.tolist())]
-        with open(args.errors_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        io.write_matrix_csv(args.errors_out, np.column_stack((exacts, approxs, errors)),
+                            header="exact,approx,abs_error")
         summary["errors_written"] = args.errors_out
         summary["max_abs_error"] = float(errors.max())
     _emit(summary)
@@ -284,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-psd", help="matrix CSV -> PSD verdict JSON")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_check_psd)
 
     p = sub.add_parser("check-nd", help="matrix CSV -> ND verdict JSON")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_check_nd)
 
     p = sub.add_parser("nd-to-psd", help="center a candidate ND matrix")
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="squared-distance matrix -> coordinates CSV")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_embed)
 
@@ -377,19 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "zoo" and args.action == "sample":
-        if args.output is None:
-            print("error: zoo sample requires -o/--output", file=sys.stderr)
-            return 2
-        if args.kernel is None and args.profile is None and args.samples is None:
-            print("error: zoo sample requires a kernel source", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except MathematicalRejection as exc:
         print(io.dumps_json(exc.diagnostic()))
         return 3
-    except (KernelBridgeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (KernelBridgeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,13 +79,6 @@ class FrequencySample:
             "phases": self.phases.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FrequencySample":
-        return cls(frequencies=np.asarray(data["freqs"], dtype=float),
-                   phases=np.asarray(data["phases"], dtype=float),
-                   total_mass=float(data["total_mass"]),
-                   seed=int(data["seed"]))
-
 
 def _component_table(mu: SpectralMeasure):
     """Two-sided component masses: atoms first, then density bins."""

@@ -1,15 +1,18 @@
 """File formats used by the command-line front end.
 
-Matrices travel as header-free row-major CSV; sampled profiles as
-two-column CSV (t, value) with an optional header row; structured objects
-(measures, samples, verdicts) as JSON.  Floats are written with 17
-significant digits so a write/read round trip is bit stable.
+Matrices and points travel as header-free row-major CSV; sampled profiles
+as two-column CSV (t, value) with an optional header row; structured
+objects (measures, samples, verdicts) as JSON.  Every CSV table is read by
+_read_table (numpy's C parser) and written by _write_table (one format
+per row).  Floats are written with 17 significant digits so a write/read
+round trip is bit stable.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -27,76 +30,71 @@ FLOAT_FMT = "%.17g"
 _ROWS_PER_PIECE = 512
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
+def _read_table(path, header: bool = False) -> np.ndarray:
+    """The rows of a CSV file of floats, as a 2-D array read by numpy's C parser.
+
+    Empty lines are skipped.  An empty cell, a line of only blanks, a
+    ``#``, digit underscores or rows of unequal width are a ValueError.
+    With ``header``, a first line that is not all numbers is skipped.
+    """
+    with open(path) as fh:
+        if header:
+            try:
+                list(map(float, fh.readline().split(",")))
+            except ValueError:
+                pass  # a header line: numpy reads on from the second line
+            else:
+                fh.seek(0)
+        with warnings.catch_warnings():
+            # an empty file is reported below, not as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    if table.size == 0:
+        raise ValueError(f"{path}: empty matrix file")
+    return table
+
+
+def _write_table(path, table, header: str | None = None) -> None:
+    """Write the rows of a 2-D table as CSV, each float as FLOAT_FMT, one row at a time."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        if header:
+            fh.write(header + "\n")
+        fh.writelines(row % tuple(values.tolist()) for values in table)
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([float(cell) for cell in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows in matrix file")
-    return np.asarray(rows, dtype=float)
+    return _read_table(path)
 
 
-def write_matrix_csv(path, matrix) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(_fmt(x) for x in row) for row in matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_matrix_csv(path, matrix, header: str | None = None) -> None:
+    _write_table(path, np.atleast_2d(matrix), header)
 
 
 def read_points_csv(path) -> np.ndarray:
-    values = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        values.extend(float(cell) for cell in line.split(",") if cell.strip())
-    if not values:
-        raise ValueError(f"{path}: no points found")
-    return np.asarray(values, dtype=float)
+    return _read_table(path).ravel()
 
 
 def write_points_csv(path, points) -> None:
-    Path(path).write_text("\n".join(_fmt(x) for x in np.asarray(points).ravel()) + "\n")
+    _write_table(path, np.reshape(points, (-1, 1)))
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (t, value) columns; a leading non-numeric header row is skipped."""
-    t, v = [], []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) < 2:
-            raise ValueError(f"{path}: line {i + 1} does not have two columns")
-        try:
-            ti, vi = float(cells[0]), float(cells[1])
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise ValueError(f"{path}: line {i + 1} is not numeric") from None
-        t.append(ti)
-        v.append(vi)
-    if not t:
-        raise ValueError(f"{path}: no samples found")
-    return np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+    """Read exactly two columns (t, value); a non-numeric first line is a header."""
+    table = _read_table(path, header=True)
+    if table.shape[1] != 2:
+        raise ValueError(f"{path}: profile rows need exactly two columns (t, value), "
+                         f"not {table.shape[1]}")
+    t, values = table.T.copy()
+    return t, values
 
 
 def write_profile_csv(path, t, values, header: str = "t,value") -> None:
-    t = np.asarray(t, dtype=float).ravel()
-    values = np.asarray(values, dtype=float).ravel()
-    lines = [header] if header else []
-    lines += [f"{_fmt(ti)},{_fmt(vi)}" for ti, vi in zip(t, values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, np.column_stack((np.ravel(t), np.ravel(values))), header)
 
 
 def _json_default(obj):

@@ -216,57 +216,6 @@ class SpectralMeasure(_BinnedMeasure):
         return (self.atom_locations[pos], self.atom_masses[pos],
                 self.bin_edges, self.bin_values)
 
-    def cumulative_positive(self, tau: float) -> float:
-        """One-sided mass of (0, tau]; a debugging view of the accumulated measure."""
-        tau = float(tau)
-        pos = (self.atom_locations > 0.0) & (self.atom_locations <= tau)
-        total = float(np.sum(self.atom_masses[pos]))
-        if self.bin_edges.size:
-            lo = self.bin_edges[:-1]
-            hi = self.bin_edges[1:]
-            overlap = np.clip(np.minimum(hi, tau) - lo, 0.0, None)
-            total += float(np.sum(self.bin_values * overlap))
-        return total
-
-    def symmetrized(self):
-        """Explicit two-sided view: (atom_locs, atom_masses, edges, values).
-
-        Atoms at +-tau each carry half of the stored one-sided mass pair
-        (i.e. exactly the stored mass); the density is mirrored to
-        negative frequencies.  Mostly useful for plotting and audits.
-        """
-        pos = self.atom_locations > 0.0
-        locs = np.concatenate([-self.atom_locations[pos][::-1],
-                               self.atom_locations[~pos],
-                               self.atom_locations[pos]])
-        masses = np.concatenate([self.atom_masses[pos][::-1],
-                                 self.atom_masses[~pos],
-                                 self.atom_masses[pos]])
-        if self.bin_edges.size:
-            if self.bin_edges[0] == 0.0:
-                # shared edge at 0: the mirrored halves meet exactly
-                edges = np.concatenate([-self.bin_edges[::-1][:-1], self.bin_edges])
-                values = np.concatenate([self.bin_values[::-1], self.bin_values])
-            else:
-                # density starts above 0: a zero-value gap bin sits between
-                edges = np.concatenate([-self.bin_edges[::-1], self.bin_edges])
-                values = np.concatenate([self.bin_values[::-1], [0.0],
-                                         self.bin_values])
-        else:
-            edges, values = self.bin_edges, self.bin_values
-        return locs, masses, edges, values
-
-    def scaled(self, factor: float) -> "SpectralMeasure":
-        """The measure scaled by a non-negative constant."""
-        factor = float(factor)
-        if factor < 0:
-            raise ValueError("scale factor must be >= 0")
-        return SpectralMeasure(
-            atoms=zip(self.atom_locations, self.atom_masses * factor),
-            edges=self.bin_edges,
-            values=self.bin_values * factor,
-        )
-
 
 class GammaMeasure(_BinnedMeasure):
     """Non-decreasing weight on (0, inf) as atoms plus binned density.

@@ -316,7 +316,11 @@ def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
     return SpectralMeasure(atoms=atoms, edges=edges, values=values)
 
 
-def atom_at_zero(kernel: KernelProfile, window: float, step: float = 0.01) -> float:
+#: trapezoid step of the zero-atom average, for atom_at_zero and InversionConfig
+_ATOM_STEP = 0.01
+
+
+def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP) -> float:
     """Long-run average (1/2T) int_{-T}^{T} k(t) dt by trapezoid quadrature.
 
     Converges to the mass at frequency zero as the window grows; the
@@ -345,7 +349,7 @@ class InversionConfig:
     n_bins: int = 2048
     freq_max: float = 8.0
     atom_window: float = 200.0
-    atom_step: float = 0.01
+    atom_step: float = _ATOM_STEP
     #: relative threshold (times |k(0)|) separating quadrature noise from
     #: a genuine negativity certificate
     clamp_tol: float = 1e-4
@@ -426,10 +430,16 @@ def bochner_inversion(kernel: KernelProfile,
     midpoints, with trapezoid weights on the uniform samples.  All bins are
     evaluated at once as a chirp-z transform, in O((n_samples + n_bins)
     log) time; it agrees with the dense trapezoid sum to ~1e-14 times the
-    sum of |weighted samples|, far below the clamp threshold.  Negativity
-    beyond ``clamp_tol * |k(0)|`` raises :class:`NotPositiveDefiniteError`;
-    smaller negative values are clamped to zero and the removed mass is
-    reported.
+    sum of |weighted samples|, far below the clamp threshold.
+
+    The transform stops at ``t_max``, and the missing tail can dip the
+    density below zero.  Assuming k - atom0 is monotone beyond ``t_max``
+    (true of the decaying zoo kernels, not of oscillating ones), the
+    second mean value theorem bounds that tail at frequency tau by
+    ``2 * tail_gap / (pi * tau)``.  A bin whose density is below
+    ``-(clamp_tol * |k(0)| + 2 * tail_gap / (pi * tau))`` raises
+    :class:`NotPositiveDefiniteError`; smaller negative values are clamped
+    to zero and the removed mass is reported.
 
     Kernels whose spectrum has atoms at nonzero frequencies (pure tones)
     are outside this density-only model and will be rejected by the
@@ -459,12 +469,17 @@ def bochner_inversion(kernel: KernelProfile,
     df = config.freq_max / config.n_bins
     density = _midpoint_cosine_sums(g, dt * df, config.n_bins) / np.pi
 
-    worst = float(np.min(density))
-    if worst < -noise_floor:
-        where = (int(np.argmin(density)) + 0.5) * df
+    tail_gap = abs(float(centered[-1]))
+    tau = (np.arange(config.n_bins) + 0.5) * df
+    # the floor plus the bound on the cut-off tail (monotone past t_max)
+    margin = density + noise_floor + 2.0 * tail_gap / (np.pi * tau)
+    j = int(np.argmin(margin))
+    if margin[j] < 0.0:
+        worst, where = float(density[j]), float(tau[j])
         raise NotPositiveDefiniteError(
             f"recovered density reaches {worst!r} at frequency {where!r}; "
-            "negativity beyond quadrature noise rules out positive definiteness",
+            "negativity beyond quadrature noise and truncation rules out "
+            "positive definiteness",
             atom0=atom0, worst_density=worst, frequency=where)
     clamped = np.clip(density, 0.0, None)
     clamped_mass = float(2.0 * np.sum((clamped - density) * np.diff(edges)))
@@ -476,8 +491,8 @@ def bochner_inversion(kernel: KernelProfile,
                        config.residual_points)
     residual = float(np.max(np.abs(bochner_synthesis(measure, grid) - kernel(grid))))
     return InversionResult(measure=measure, atom0=atom0, residual=residual,
-                           clamped_mass=clamped_mass, min_density=worst,
+                           clamped_mass=clamped_mass, min_density=float(np.min(density)),
                            config=config, mass_gap=k0 - measure.total_mass(),
                            nyquist_margin=np.pi / dt - config.freq_max,
                            atom_window_gap=atom_window_gap,
-                           tail_gap=abs(float(centered[-1])))
+                           tail_gap=tail_gap)

@@ -34,6 +34,13 @@ def exit_code(argv):
         return exc.code
 
 
+def read_sample(path):
+    data = io.read_json(path)
+    return kb.FrequencySample(frequencies=np.asarray(data["freqs"]),
+                              phases=np.asarray(data["phases"]),
+                              total_mass=data["total_mass"], seed=data["seed"])
+
+
 class TestZoo:
     def test_list(self, capsys):
         code, payload = run(capsys, "zoo", "list")
@@ -388,7 +395,7 @@ class TestFeatureCommands:
                             "--errors-out", errors_path, "-o", sample_path)
         assert code == 0
         assert payload["max_abs_error"] <= 0.08
-        sample = kb.FrequencySample.from_dict(io.read_json(sample_path))
+        sample = read_sample(sample_path)
         library = kb.sample_frequencies(kb.cosine_measure(), m=2048, seed=42)
         assert_array_equal(sample.frequencies, library.frequencies)
         header, *rows = (tmp_path / "errors.csv").read_text().strip().splitlines()
@@ -417,7 +424,7 @@ class TestFeatureCommands:
         code, payload = run(capsys, "rff", measure_path, "-m", "64", "--seed", "1",
                             "-o", tmp_path / "s.json")
         assert code == 0
-        sample = kb.FrequencySample.from_dict(io.read_json(tmp_path / "s.json"))
+        sample = read_sample(tmp_path / "s.json")
         assert sample.frequencies.shape == (64, 2)
 
 
@@ -628,13 +635,17 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # scipy.special is only needed for constant-law screw synthesis; its
-    # import would dominate the start-up of every command.  The sweep
-    # threads use plain threading: concurrent.futures costs 5-8 ms to import.
+    # import would dominate the start-up of every command.  No command
+    # needs concurrent.futures (5-8 ms to import), and a CSV read or write
+    # must not load gzip, which numpy's loadtxt imports when given a path.
     src = str(Path(kb.__file__).resolve().parents[1])
-    code = ("import sys, kernelbridge.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'concurrent')))")
+    code = ("import sys, kernelbridge.cli; from kernelbridge import io; "
+            f"io.write_matrix_csv({str(tmp_path / 'm.csv')!r}, [[1.0]]); "
+            f"io.read_matrix_csv({str(tmp_path / 'm.csv')!r}); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'gzip')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout
     assert out.strip() == "[]"

@@ -80,13 +80,6 @@ class TestMassAccounting:
         assert mu.zero_atom == 0.25
         assert mu.total_mass() == 0.25 + 2 * 0.5
 
-    def test_cumulative_positive(self):
-        mu = kb.SpectralMeasure(atoms=[(0.0, 1.0), (1.0, 0.5)],
-                                edges=[0.0, 2.0], values=[0.25])
-        assert mu.cumulative_positive(0.5) == 0.25 * 0.5
-        assert mu.cumulative_positive(1.0) == 0.5 + 0.25
-        assert mu.cumulative_positive(10.0) == 0.5 + 0.5
-
     def test_density_lookup(self):
         mu = kb.SpectralMeasure(edges=[0.0, 1.0, 2.0], values=[0.7, 0.1])
         assert mu.density_at(0.0) == 0.7
@@ -99,10 +92,6 @@ class TestMassAccounting:
         assert gamma.density_at(0.5) == 0.7 * 0.25
         assert gamma.density_at(1.5) == 0.1 * 2.25
         assert gamma.density_at(3.0) == 0.0
-
-    def test_scaled(self):
-        mu = kb.SpectralMeasure(atoms=[(1.0, 0.5)], edges=[0.0, 1.0], values=[0.2])
-        assert_allclose(mu.scaled(3.0).total_mass(), 3.0 * mu.total_mass())
 
 
 class TestSerialization:
@@ -130,28 +119,6 @@ class TestSerialization:
         mu = kb.SpectralMeasure()
         assert mu.total_mass() == 0.0
         assert kb.SpectralMeasure.from_dict(mu.to_dict()) == mu
-
-
-class TestSymmetrizedView:
-    def test_two_sided_masses(self):
-        mu = kb.SpectralMeasure(atoms=[(0.0, 0.3), (1.0, 0.25)],
-                                edges=[0.0, 2.0], values=[0.1])
-        locs, masses, edges, values = mu.symmetrized()
-        assert_allclose(sorted(locs), [-1.0, 0.0, 1.0])
-        # mirrored atoms each carry the stored one-sided mass
-        assert_allclose(np.sum(masses), 0.3 + 2 * 0.25)
-        widths = np.diff(edges)
-        assert_allclose(np.sum(values * widths) + np.sum(masses), mu.total_mass())
-        # density is even
-        assert_allclose(edges, [-2.0, 0.0, 2.0])
-        assert_allclose(values, [0.1, 0.1])
-
-    def test_density_away_from_zero_gets_gap_bin(self):
-        mu = kb.SpectralMeasure(edges=[1.0, 2.0], values=[0.1])
-        _, _, edges, values = mu.symmetrized()
-        assert_allclose(edges, [-2.0, -1.0, 1.0, 2.0])
-        assert_allclose(values, [0.1, 0.0, 0.1])
-        assert_allclose(np.sum(values * np.diff(edges)), mu.total_mass())
 
 
 class TestClosedFormMeasures:

@@ -487,6 +487,27 @@ class TestBochnerInversion:
         with pytest.raises(kb.NotPositiveDefiniteError):
             kb.bochner_inversion(kb.zoo("cosine"))
 
+    def test_truncation_dip_inside_the_tail_allowance_passes(self):
+        # cauchy stops at k(10) = 2/101; the missing monotone tail dips the
+        # density to -4.4e-4 past the floor (2e-4), but inside 2 tail_gap/(pi tau)
+        config = kb.InversionConfig(t_max=10.0, n_samples=4001)
+        result = kb.bochner_inversion(kb.zoo("cauchy"), config)
+        assert result.tail_gap == pytest.approx(2.0 / 101.0, rel=1e-12)
+        assert -5e-4 < result.min_density < -2.0 * config.clamp_tol
+        assert np.min(result.measure.bin_values) == 0.0
+
+    def test_gaussian_has_no_tail_allowance(self):
+        # exp(-800) underflows: the floor alone decides, as before the allowance
+        assert kb.bochner_inversion(kb.zoo("gaussian")).tail_gap == 0.0
+
+    def test_box_kernel_is_still_rejected(self):
+        # 1{|t| < 1} has a sinc spectrum and no tail left at t_max
+        box = kb.KernelProfile(fn=lambda t: (np.abs(t) < 1.0).astype(float), name="box")
+        for config in (kb.InversionConfig(), kb.InversionConfig(t_max=10.0, n_samples=4001)):
+            with pytest.raises(kb.NotPositiveDefiniteError) as err:
+                kb.bochner_inversion(box, config)
+            assert err.value.worst_density < -0.06
+
     def test_clamp_reporting(self):
         result = kb.bochner_inversion(kb.zoo("gaussian"))
         assert result.clamped_mass >= 0.0
