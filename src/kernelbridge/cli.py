@@ -91,7 +91,7 @@ def _verdict_dict(key: str, verdict) -> dict:
     return {
         key: verdict.verdict,
         "witness_eigenvalue": verdict.witness_eigenvalue,
-        "witness_vector": [float(v) for v in verdict.witness_vector],
+        "witness_vector": verdict.witness_vector,
     }
 
 

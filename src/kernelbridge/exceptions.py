@@ -39,13 +39,29 @@ class EigenSolverError(KernelBridgeError):
 
 
 class MathematicalRejection(KernelBridgeError):
-    """Base for rejections that certify a mathematical impossibility."""
+    """Base for rejections that certify a mathematical impossibility.
+
+    Each keyword reading becomes an attribute; :meth:`diagnostic` reports
+    the readings that are not None, in the order given.
+    """
 
     #: short stable identifier used in CLI diagnostics
     code = "MathematicalRejection"
 
+    def __init__(self, message: str, **readings):
+        super().__init__(message)
+        self._readings = tuple(readings)
+        for name, value in readings.items():
+            setattr(self, name, value)
+
     def diagnostic(self) -> dict:
-        return {"error": self.code, "message": str(self)}
+        """``error``, ``message``, then the readings that are not None.
+
+        Array readings stay arrays; ``io.dumps_json`` writes them as lists.
+        """
+        readings = {name: getattr(self, name) for name in self._readings}
+        return {"error": self.code, "message": str(self),
+                **{name: value for name, value in readings.items() if value is not None}}
 
 
 class NotHilbertianError(MathematicalRejection):
@@ -59,16 +75,8 @@ class NotHilbertianError(MathematicalRejection):
     code = "NotHilbertian"
 
     def __init__(self, message: str, witness_eigenvalue: float, witness_vector=None):
-        super().__init__(message)
-        self.witness_eigenvalue = float(witness_eigenvalue)
-        self.witness_vector = witness_vector
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        d["witness_eigenvalue"] = self.witness_eigenvalue
-        if self.witness_vector is not None:
-            d["witness_vector"] = [float(v) for v in self.witness_vector]
-        return d
+        super().__init__(message, witness_eigenvalue=float(witness_eigenvalue),
+                         witness_vector=witness_vector)
 
 
 class UnboundedMetricError(MathematicalRejection):
@@ -83,16 +91,8 @@ class UnboundedMetricError(MathematicalRejection):
     def __init__(self, integral: float, bound: float):
         super().__init__(
             "metric has no bounded translation-invariant kernel: "
-            f"integral of t^-2 d(gamma) = {integral!r} exceeds 4*k(0) = {bound!r}"
-        )
-        self.integral = float(integral)
-        self.bound = float(bound)
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        d["integral"] = self.integral
-        d["bound"] = self.bound
-        return d
+            f"integral of t^-2 d(gamma) = {integral!r} exceeds 4*k(0) = {bound!r}",
+            integral=float(integral), bound=float(bound))
 
 
 class NotPositiveDefiniteError(MathematicalRejection):
@@ -100,24 +100,9 @@ class NotPositiveDefiniteError(MathematicalRejection):
 
     Either the zero-frequency mass estimate is negative (a negative atom)
     or the recovered density has negative components beyond quadrature
-    noise.
+    noise.  The readings ``atom0``, ``worst_density`` and ``frequency``
+    are None when not measured.
     """
 
     code = "NotPositiveDefinite"
-
-    def __init__(self, message: str, atom0: float | None = None,
-                 worst_density: float | None = None, frequency: float | None = None):
-        super().__init__(message)
-        self.atom0 = atom0
-        self.worst_density = worst_density
-        self.frequency = frequency
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        if self.atom0 is not None:
-            d["atom0"] = float(self.atom0)
-        if self.worst_density is not None:
-            d["worst_density"] = float(self.worst_density)
-        if self.frequency is not None:
-            d["frequency"] = float(self.frequency)
-        return d
+    atom0 = worst_density = frequency = None

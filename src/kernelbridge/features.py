@@ -9,17 +9,17 @@ makes <phi(x), phi(y)> an unbiased Monte Carlo estimate of the kernel
 synthesized by the measure.
 
 Reproducibility is part of the contract: all draws come from
-``numpy.random.default_rng(seed)`` (PCG64) in a frozen order -- component
-selectors, in-bin positions, sign coins, then phases, each a block of m
-uniforms (for product sampling, the three per-factor blocks come first,
-factor by factor, then one block of phases).  Identical (measure, m,
-seed) triples therefore yield bit-identical samples.
+``numpy.random.default_rng(seed)`` (PCG64) in a frozen order -- for each
+factor of a product measure, component selectors, in-bin positions and
+sign coins, then one block of phases, each a block of m uniforms.  A
+measure on the line is drawn as the one-factor product.  Identical
+(measure, m, seed) triples therefore yield bit-identical samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,18 +80,17 @@ class FrequencySample:
         }
 
 
-def _component_table(mu: SpectralMeasure):
-    """Two-sided component masses: atoms first, then density bins."""
+def _draw_abs_frequencies(mu: SpectralMeasure, u_component, u_position):
+    """|frequencies| for the given uniforms, and the two-sided total mass.
+
+    Components, atoms first and then density bins, are selected by their
+    two-sided mass; within a bin the position is uniform (the density is
+    constant there).
+    """
     at_zero = mu.atom_locations == 0.0
-    atom_masses = np.where(at_zero, mu.atom_masses, 2.0 * mu.atom_masses)
-    bin_masses = 2.0 * mu.bin_values * mu.bin_widths
-    masses = np.concatenate([atom_masses, bin_masses])
+    masses = np.concatenate([np.where(at_zero, mu.atom_masses, 2.0 * mu.atom_masses),
+                             2.0 * mu.bin_values * mu.bin_widths])
     total = float(np.sum(masses))
-    return masses, total
-
-
-def _draw_abs_frequencies(mu: SpectralMeasure, u_component, u_position) -> np.ndarray:
-    masses, total = _component_table(mu)
     if total <= 0.0:
         raise ValueError("cannot sample from a zero-mass measure")
     cum = np.cumsum(masses / total)
@@ -107,30 +106,17 @@ def _draw_abs_frequencies(mu: SpectralMeasure, u_component, u_position) -> np.nd
         bins = idx[~from_atom] - n_atoms
         lo = mu.bin_edges[bins]
         freqs[~from_atom] = lo + u_position[~from_atom] * mu.bin_widths[bins]
-    return freqs
+    return freqs, total
 
 
 def sample_frequencies(mu: SpectralMeasure, m: int, seed: int) -> FrequencySample:
     """Draw m signed frequencies and phases from a measure on the line.
 
-    Atoms are selected categorically by two-sided mass; within a density
-    bin the position is uniform (the density is constant there); the sign
-    is a fair coin, which realizes the mirrored half of the measure.
+    The draw is that of :func:`sample_product_frequencies` on the
+    one-factor product of mu, with frequencies as an (m,) array.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    check_elements(m, "m")
-    rng = np.random.default_rng(seed)
-    u_component = rng.random(m)
-    u_position = rng.random(m)
-    u_sign = rng.random(m)
-    phases = rng.random(m) * (2.0 * np.pi)
-
-    freqs = _draw_abs_frequencies(mu, u_component, u_position)
-    freqs = freqs * np.where(u_sign < 0.5, -1.0, 1.0)
-    _, total = _component_table(mu)
-    return FrequencySample(frequencies=freqs, phases=phases,
-                           total_mass=total, seed=int(seed))
+    sample = sample_product_frequencies(ProductSpectralMeasure(factors=(mu,)), m, seed)
+    return replace(sample, frequencies=sample.frequencies[:, 0])
 
 
 def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
@@ -138,7 +124,9 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
     """Draw frequency vectors for a factored measure on R^d.
 
     Coordinates are independent (the measure is a product), drawn factor
-    by factor from one stream; a single phase block closes the draw.
+    by factor from one stream: component selectors, in-bin positions and
+    sign coins, where the sign is a fair coin that realizes the mirrored
+    half of the measure.  A single phase block closes the draw.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -150,9 +138,8 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
         u_component = rng.random(m)
         u_position = rng.random(m)
         u_sign = rng.random(m)
-        freqs = _draw_abs_frequencies(factor, u_component, u_position)
+        freqs, factor_total = _draw_abs_frequencies(factor, u_component, u_position)
         columns.append(freqs * np.where(u_sign < 0.5, -1.0, 1.0))
-        _, factor_total = _component_table(factor)
         total *= factor_total
     phases = rng.random(m) * (2.0 * np.pi)
     return FrequencySample(frequencies=np.column_stack(columns), phases=phases,

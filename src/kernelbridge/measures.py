@@ -198,6 +198,13 @@ class SpectralMeasure(_BinnedMeasure):
     _what = "spectral measure"
     _allow_zero_atom = True
 
+    def __init__(self, atoms=(), edges=(), values=(), law="constant"):
+        super().__init__(atoms, edges, values, law)
+        with np.errstate(over="ignore", invalid="ignore"):  # a Bochner measure is finite
+            total = self.total_mass()
+        if not math.isfinite(total):
+            raise ValueError(f"{self._what} total mass overflows: {total!r}")
+
     @property
     def zero_atom(self) -> float:
         """Mass of the atom at frequency 0 (the constant offset of the kernel)."""

@@ -8,6 +8,7 @@ as a d-dimensional grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ class ProductSpectralMeasure:
         if len(factors) < 1:
             raise ValueError("need at least one factor")
         object.__setattr__(self, "factors", factors)
+        if not math.isfinite(total := self.total_mass()):  # float products overflow quietly
+            raise ValueError(f"product measure total mass overflows: {total!r}")
 
     @property
     def dim(self) -> int:

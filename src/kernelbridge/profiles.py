@@ -54,7 +54,8 @@ def probe_grid(span: float = PROBE_GRID_SPAN, n: int = PROBE_GRID_SIZE) -> np.nd
 
 def _evaluate(fn: Callable, t, what: str) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    out = np.asarray(fn(t), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite value is an EvaluationError below
+        out = np.asarray(fn(t), dtype=float)
     if not np.all(np.isfinite(out)):
         flat_out = np.atleast_1d(out).ravel()
         try:

@@ -195,12 +195,14 @@ def _screw_antiderivative(u: np.ndarray) -> np.ndarray:
     return si - ratio
 
 
+@np.errstate(all="ignore")  # a value past the float range is reported at the end
 def screw_synthesis(gamma: GammaMeasure, t):
     """Evaluate the squared metric synthesized from a gamma measure.
 
     d2(t) = sum m sin^2(t s)/s^2 + the binned density integrated in closed
     form: elementary for s^2-law bins, through the Si-based antiderivative
-    for constant-law bins.  Even in t; d2(0) = 0.
+    for constant-law bins.  Even in t; d2(0) = 0.  A non-finite value (the
+    weight overflows the float range) is a ValueError.
     """
     t, scalar = _as_t_array(t)
     tt = np.abs(np.atleast_1d(t).ravel())
@@ -229,6 +231,8 @@ def screw_synthesis(gamma: GammaMeasure, t):
                               - _screw_antiderivative(np.outer(ts, c))) @ values)
         nz = _resolved(tt, d - c)
         out[nz] += _row_sums(tt[nz], values.size, rows)
+    if not np.isfinite(out).all():
+        raise ValueError("squared metric overflows the float range")
     return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)
 
 

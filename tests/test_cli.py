@@ -561,6 +561,27 @@ FILE_COMMANDS = [
     "product-synth J --pairs C -o O",
 ]
 
+_HUGE = {"density": {"edges": [0, 1e300], "values": [1e300]}}  # mass 2e600
+_LARGE = {"density": {"edges": [0, 1e100], "values": [1e100]}}  # mass 2e200
+#: measures whose mass, or metric, is past the float range: command, JSON, CSV
+OVERFLOWS = [
+    ("synth J --grid -1 1 5 -o O", _HUGE, ""),
+    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _HUGE, "0,0\n"),
+    ("product-synth J --pairs C -o O", {"factors": [_LARGE] * 4}, "0,0,0,0,1,1,1,1\n"),
+    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", {"factors": [_LARGE] * 4},
+     "0,0,0,0,1,1,1,1\n"),
+    ("screw J --grid -1 1 5 -o O", {"density": {**_HUGE["density"], "law": "s2"}}, ""),
+]
+
+
+def with_examples(cases):
+    """Add each (command, document, table) case as a hypothesis @example."""
+    def add(test):
+        for command, document, table in cases:
+            test = example(command=command, document=document, table=table)(test)
+        return test
+    return add
+
 
 def exit_and_stderr(capsys, argv):
     code = exit_code(argv)
@@ -614,12 +635,27 @@ class TestMalformedInputs:
         assert "out of range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, document, table", OVERFLOWS)
+    def test_overflowing_measures_exit_2(self, tmp_path, capsys, command, document, table):
+        # each used to exit 0 with inf or nan in its output and a RuntimeWarning
+        files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv",
+                 "O": tmp_path / "out", "E": tmp_path / "errors.csv"}
+        files["J"].write_text(json.dumps(document))
+        files["C"].write_text(table)
+        code, err = exit_and_stderr(capsys, [files.get(w, w) for w in command.split()])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+        assert not files["O"].exists() and not files["E"].exists()
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(FILE_COMMANDS), document=FUZZ_JSON, table=FUZZ_CSV)
     @example(command="synth J -o O", document={"atoms": [1, 2]}, table="")
     @example(command="rff J -m 4 --seed 1 -o O", document={"factors": 3}, table="")
     @example(command="gamma J -o O", document=[1, 2], table="")
+    @example(command="gram --points C --kernel gaussian -o O", document={},
+             table="0,1e300\n")  # exit 0, with a RuntimeWarning from the kernel
+    @with_examples(OVERFLOWS)
     def test_fuzzed_files_keep_the_exit_code_contract(self, tmp_path, capsys, command,
                                                      document, table):
         # every size stays tiny: lists of at most three, m = 4, 65 samples

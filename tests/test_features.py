@@ -213,6 +213,33 @@ class TestProductSampling:
         sample = kb.sample_product_frequencies(measure, m=16, seed=0)
         assert sample.total_mass == 2.0
 
+    def test_line_draw_is_the_one_factor_product_draw(self, measure_factory):
+        rng = np.random.default_rng(23)
+        zoo = [kb.gaussian_measure(), kb.laplacian_measure(), kb.cauchy_measure(),
+               kb.cosine_measure(), kb.constant_measure()]
+        for seed, mu in enumerate(zoo + [measure_factory(rng) for _ in range(40)]):
+            line = kb.sample_frequencies(mu, m=257, seed=seed)
+            one = kb.sample_product_frequencies(kb.ProductSpectralMeasure(factors=(mu,)),
+                                                m=257, seed=seed)
+            assert line.frequencies.shape == (257,)
+            assert line.frequencies.tobytes() == one.frequencies[:, 0].tobytes()
+            assert line.phases.tobytes() == one.phases.tobytes()
+            assert line.total_mass == one.total_mass
+
+    def test_frozen_draw_order(self):
+        # per factor: selectors, positions, signs; then one phase block.  A
+        # single atom makes each frequency its sign times the atom location.
+        measure = kb.ProductSpectralMeasure(factors=(kb.cosine_measure(1.0),
+                                                     kb.cosine_measure(2.0)))
+        sample = kb.sample_product_frequencies(measure, m=64, seed=5)
+        blocks = np.random.default_rng(5).random((7, 64))
+        signs = np.where(blocks[[2, 5]] < 0.5, -1.0, 1.0)
+        assert_array_equal(sample.frequencies, (signs * [[1.0], [2.0]]).T)
+        assert_array_equal(sample.phases, blocks[6] * (2.0 * np.pi))
+        line = kb.sample_frequencies(kb.cosine_measure(1.0), m=64, seed=5)
+        assert_array_equal(line.frequencies, signs[0])
+        assert_array_equal(line.phases, blocks[3] * (2.0 * np.pi))
+
     def test_dimension_mismatch_rejected(self):
         measure = kb.ProductSpectralMeasure(factors=(GAUSS, GAUSS))
         sample = kb.sample_product_frequencies(measure, m=16, seed=0)

@@ -44,6 +44,16 @@ class TestValidation:
             kb.SpectralMeasure.from_dict(
                 {"density": {"edges": [0.0, 1.0], "values": [0.5], "law": "s2"}})
 
+    @pytest.mark.parametrize("atoms, edges, values", [
+        ((), [0.0, 1e300], [1e300]),  # one bin of mass 2e600
+        ([(0.0, 1e308), (1.0, 1e308)], (), ()),  # finite atoms, mass 3e308
+        ((), [0.0, 1.0, 2.0], [1e308, 1e308]),  # finite bin masses, sum 4e308
+    ])
+    def test_overflowing_total_mass_rejected(self, atoms, edges, values):
+        # a Bochner measure is finite; its mass used to read as inf
+        with pytest.raises(ValueError, match="total mass overflows"):
+            kb.SpectralMeasure(atoms=atoms, edges=edges, values=values)
+
 
 @pytest.mark.parametrize("cls", [kb.SpectralMeasure, kb.GammaMeasure])
 @pytest.mark.parametrize("data", [

@@ -33,6 +33,15 @@ class TestSeparableEval:
             kb.SeparableKernel(factors=())
 
 
+class TestProductSpectralMeasure:
+    def test_overflowing_total_mass_rejected(self):
+        # each factor holds 2e200, the product 1.6e801
+        factor = kb.SpectralMeasure(edges=[0.0, 1e100], values=[1e100])
+        assert kb.ProductSpectralMeasure(factors=(factor,)).total_mass() == 2e200
+        with pytest.raises(ValueError, match="product measure total mass overflows"):
+            kb.ProductSpectralMeasure(factors=(factor,) * 4)
+
+
 class TestProductSynthesis:
     def test_all_zero_atoms(self):
         m = kb.ProductSpectralMeasure(factors=(kb.constant_measure(),

@@ -28,6 +28,10 @@ class TestZoo:
         with pytest.raises(ValueError):
             kb.zoo("gaussian", bandwidth=2.0)
 
+    def test_evaluate_hides_numpy_warnings_on_finite_values(self):
+        # (1e300)**2 overflows inside the gaussian; the value, 0, is finite
+        assert kb.zoo("gaussian")(np.array([0.0, 1e300])).tolist() == [1.0, 0.0]
+
     @pytest.mark.parametrize("name,params", [
         ("gaussian", {"scale": -1.0}),
         ("laplacian", {"scale": 0.0}),

@@ -187,6 +187,13 @@ class TestScrewSynthesis:
             with pytest.raises(ValueError):
                 kb.screw_synthesis(gamma, t)
 
+    @pytest.mark.parametrize("law", ["constant", "s2"])
+    def test_overflow_rejected(self, law):
+        # used to give inf, with a RuntimeWarning from the row sums
+        gamma = kb.GammaMeasure(edges=[1e-3, 1e300], values=[1e308], law=law)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            kb.screw_synthesis(gamma, [0.5, 2.0])
+
     def test_even_and_zero_at_origin(self):
         for law in ("constant", "s2"):
             gamma = kb.GammaMeasure(atoms=[(0.7, 0.4)], edges=[0.2, 1.0], values=[0.3],
