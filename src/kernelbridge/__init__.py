@@ -26,9 +26,9 @@ from .exceptions import (EigenSolverError, EvaluationError, KernelBridgeError,
                          NotPositiveDefiniteError, UnboundedMetricError)
 from .features import (FrequencySample, approximate_kernel, feature_matrix,
                        sample_frequencies, sample_product_frequencies)
-from .gram import (DefinitenessVerdict, EmbeddingResult, GramMatrix,
-                   SymmetricKernelMatrix, build_gram, euclidean_embedding,
-                   is_negative_definite, is_positive_definite, nd_to_psd)
+from .gram import (DefinitenessVerdict, EmbeddingResult, GramMatrix, build_gram,
+                   euclidean_embedding, is_negative_definite, is_positive_definite,
+                   nd_to_psd)
 from .measures import (GammaMeasure, SpectralMeasure, cauchy_measure,
                        constant_measure, cosine_measure, gaussian_measure,
                        laplacian_measure)
@@ -49,7 +49,7 @@ __all__ = [
     "KernelBridgeError", "EvaluationError", "EigenSolverError",
     "MathematicalRejection", "NotHilbertianError", "NotPositiveDefiniteError",
     "UnboundedMetricError",
-    "GramMatrix", "SymmetricKernelMatrix", "DefinitenessVerdict",
+    "GramMatrix", "DefinitenessVerdict",
     "EmbeddingResult", "build_gram", "is_positive_definite",
     "is_negative_definite", "nd_to_psd", "euclidean_embedding",
     "KernelProfile", "MetricProfile", "BivariateKernel", "zoo", "zoo_names",

@@ -92,6 +92,8 @@ def _verdict_dict(key: str, verdict) -> dict:
         key: verdict.verdict,
         "witness_eigenvalue": verdict.witness_eigenvalue,
         "witness_vector": verdict.witness_vector,
+        "threshold": verdict.threshold,
+        "margin": verdict.margin,
     }
 
 

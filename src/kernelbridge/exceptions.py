@@ -70,13 +70,18 @@ class NotHilbertianError(MathematicalRejection):
     ``witness_vector`` is a unit vector orthogonal to the all-ones
     direction whose quadratic form against the input is positive;
     ``witness_eigenvalue`` is that (positive) quadratic-form value.
+    ``threshold`` and ``margin`` are those of the negative definiteness
+    verdict (``margin`` = threshold - eigenvalue, negative here); None when
+    not measured.
     """
 
     code = "NotHilbertian"
 
-    def __init__(self, message: str, witness_eigenvalue: float, witness_vector=None):
+    def __init__(self, message: str, witness_eigenvalue: float, witness_vector=None,
+                 threshold: float | None = None, margin: float | None = None):
         super().__init__(message, witness_eigenvalue=float(witness_eigenvalue),
-                         witness_vector=witness_vector)
+                         witness_vector=witness_vector, threshold=threshold,
+                         margin=margin)
 
 
 class UnboundedMetricError(MathematicalRejection):

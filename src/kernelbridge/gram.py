@@ -10,7 +10,10 @@ tolerance: a matrix counts as positive semidefinite when its smallest
 eigenvalue is >= -tol * n * max|diag|.  Negative definiteness is tested
 on the subspace orthogonal to the all-ones vector by projecting,
 P = I - (1/n) 1 1^T, and eigen-testing P N P (with the all-ones direction
-deflated away so it can never masquerade as a witness).
+deflated away so it can never masquerade as a witness), against
+tol * n * max|N| plus the solver's rounding floor.  Embedding is classical
+scaling (Torgerson) on that one eigendecomposition, so it rejects exactly
+when the negative definiteness test fails, under the same ``tol``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .profiles import KernelProfile
 
 __all__ = [
     "GramMatrix",
-    "SymmetricKernelMatrix",
     "DefinitenessVerdict",
     "EmbeddingResult",
     "build_gram",
@@ -74,31 +76,22 @@ class GramMatrix:
 
 
 @dataclass(frozen=True)
-class SymmetricKernelMatrix:
-    """Sampled values of a candidate negative definite kernel."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           _check_symmetric(self.entries, "kernel matrix"))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class DefinitenessVerdict:
     """Outcome of a definiteness test plus the certifying eigenpair.
 
-    When ``verdict`` is False the witness vector reproduces a quadratic
-    form of the wrong sign beyond tolerance.
+    ``margin``, the witness eigenvalue's signed distance from ``threshold``,
+    is >= 0 exactly when the verdict holds; otherwise the witness vector
+    reproduces a quadratic form of the wrong sign beyond tolerance.
     """
 
-    verdict: bool
     witness_eigenvalue: float
     witness_vector: np.ndarray
+    threshold: float
+    margin: float
+
+    @property
+    def verdict(self) -> bool:
+        return self.margin >= 0.0
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -114,7 +107,7 @@ class EmbeddingResult:
 
 
 def _entries(matrix) -> np.ndarray:
-    if isinstance(matrix, (GramMatrix, SymmetricKernelMatrix)):
+    if isinstance(matrix, GramMatrix):
         return matrix.entries
     return _check_symmetric(matrix, "matrix")
 
@@ -154,11 +147,29 @@ def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     if scale == 0.0:  # degenerate all-zero diagonal, fall back to entry scale
         scale = float(np.max(np.abs(entries)))
     threshold = -tol * n * scale
-    return DefinitenessVerdict(
-        verdict=bool(eigvals[0] >= threshold),
-        witness_eigenvalue=float(eigvals[0]),
-        witness_vector=eigvecs[:, 0],
-    )
+    return DefinitenessVerdict(float(eigvals[0]), eigvecs[:, 0], threshold,
+                               float(eigvals[0]) - threshold)
+
+
+def _projected_eigh(entries: np.ndarray, tol: float):
+    """``(verdict, eigvals, eigvecs, floor)`` of P N P with the all-ones
+    direction deflated to eigenpair 0; ``floor`` is the rounding floor."""
+    n = entries.shape[0]
+    ones = np.full(n, 1.0 / np.sqrt(n))
+    projected = entries - np.outer(ones, ones @ entries)
+    projected = projected - np.outer(projected @ ones, ones)
+    projected = 0.5 * (projected + projected.T)
+    scale = float(np.max(np.abs(entries)))
+    # ||P N P|| <= n * scale, so beta sinks the all-ones direction strictly
+    # below every other eigenvalue at any input scale (1 for the zero matrix)
+    beta = (n + 1) * scale or 1.0
+    eigvals, eigvecs = _eigh(projected - beta * np.outer(ones, ones))
+    # the deflation term has norm beta, so allow its backward-error noise
+    floor = float(np.finfo(float).eps) * n * beta
+    threshold = tol * n * scale + floor
+    verdict = DefinitenessVerdict(float(eigvals[-1]), eigvecs[:, -1], threshold,
+                                  threshold - float(eigvals[-1]))
+    return verdict, eigvals, eigvecs, floor
 
 
 def is_negative_definite(matrix, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
@@ -170,28 +181,9 @@ def is_negative_definite(matrix, tol: float = DEFAULT_TOL) -> DefinitenessVerdic
     vector is then {0}, so there is no direction to test or witness.
     """
     entries = _entries(matrix)
-    n = entries.shape[0]
-    if n < 2:
+    if entries.shape[0] < 2:
         raise ValueError("negative definiteness needs a matrix of size >= 2")
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    projected = entries - np.outer(ones, ones @ entries)
-    projected = projected - np.outer(projected @ ones, ones)
-    projected = 0.5 * (projected + projected.T)
-    scale = float(np.max(np.abs(entries)))
-    # sink the all-ones direction far below zero so the top eigenpair
-    # always lives in the orthogonal complement
-    beta = 1.0 + n * scale
-    deflated = projected - beta * np.outer(ones, ones)
-    eigvals, eigvecs = _eigh(deflated)
-    top = float(eigvals[-1])
-    witness = eigvecs[:, -1]
-    # the deflation term has norm beta, so allow its backward-error noise
-    threshold = tol * n * scale + np.finfo(float).eps * n * beta
-    return DefinitenessVerdict(
-        verdict=bool(top <= threshold),
-        witness_eigenvalue=top,
-        witness_vector=witness,
-    )
+    return _projected_eigh(entries, tol)[0]
 
 
 def nd_to_psd(matrix, base_index: int = 0) -> np.ndarray:
@@ -213,46 +205,33 @@ def nd_to_psd(matrix, base_index: int = 0) -> np.ndarray:
 
 
 def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
-    """Recover Euclidean coordinates reproducing a squared-distance sample.
+    """Classical scaling on the decomposition of :func:`is_negative_definite`.
 
-    Centers at point 0, eigendecomposes, and keeps eigendirections whose
-    eigenvalue clears the relative tolerance; the embedding dimension is
-    data driven.  The residual is recomputed from the coordinates, never
-    assumed.  Raises :class:`NotHilbertianError` when negative eigenvalues
-    exceed tolerance; the attached witness is the negative-definiteness
-    witness of the input, i.e. a direction (orthogonal to all-ones) with a
-    positive quadratic form.
+    Raises :class:`NotHilbertianError` exactly when that verdict fails, with
+    its witness (orthogonal to all-ones, positive quadratic form),
+    threshold and margin.  Otherwise row i of ``coordinates`` is point i,
+    centred at the centroid, columns in descending eigenvalue order of
+    -1/2 P D P; ``rank`` counts the directions above the rounding floor.
+    The residual is recomputed from the coordinates, never assumed.
     """
     entries = _entries(d2_matrix)
-    n = entries.shape[0]
     scale = float(np.max(np.abs(entries)))
     if float(np.max(np.abs(np.diag(entries)))) > tol * max(scale, 1.0):
         raise ValueError("squared-distance matrix must have a zero diagonal")
     if float(np.min(entries)) < -tol * max(scale, 1.0):
         raise ValueError("squared-distance matrix must be entrywise non-negative")
 
-    gram = nd_to_psd(entries, base_index=0)
-    eigvals, eigvecs = _eigh(gram)
-    gram_scale = float(np.max(np.abs(np.diag(gram))))
-    if gram_scale == 0.0:
-        gram_scale = float(np.max(np.abs(gram)))
-    threshold = tol * n * gram_scale
-    if eigvals[0] < -threshold:
-        nd = is_negative_definite(entries, tol=tol)
-        witness_eig = nd.witness_eigenvalue if not nd.verdict else float(eigvals[0])
-        witness_vec = nd.witness_vector if not nd.verdict else eigvecs[:, 0]
+    nd, eigvals, eigvecs, floor = _projected_eigh(entries, tol)
+    if not nd.verdict:
         raise NotHilbertianError(
             "sample is not a Hilbertian squared-distance matrix "
-            f"(centered matrix has eigenvalue {float(eigvals[0])!r})",
-            witness_eigenvalue=witness_eig,
-            witness_vector=witness_vec,
-        )
+            f"(projected matrix has eigenvalue {nd.witness_eigenvalue!r})",
+            witness_eigenvalue=nd.witness_eigenvalue, witness_vector=nd.witness_vector,
+            threshold=nd.threshold, margin=nd.margin)
 
-    keep = eigvals > threshold
-    order = np.argsort(eigvals[keep])[::-1]
-    vals = eigvals[keep][order]
-    vecs = eigvecs[:, keep][:, order]
-    coordinates = vecs * np.sqrt(vals)[None, :]
+    # past the deflated eigenpair 0 the eigenvalues ascend: -1/2 of them descend
+    keep = eigvals[1:] < -floor
+    coordinates = eigvecs[:, 1:][:, keep] * np.sqrt(-0.5 * eigvals[1:][keep])
 
     sq_norms = np.sum(coordinates ** 2, axis=1)
     reconstructed = sq_norms[:, None] + sq_norms[None, :] - 2.0 * coordinates @ coordinates.T

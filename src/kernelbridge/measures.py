@@ -235,15 +235,19 @@ class GammaMeasure(_BinnedMeasure):
     _allow_zero_atom = False
     _laws = ("constant", "s2")
 
+    @np.errstate(over="ignore")  # an integral past the float range is inf
     def alpha(self, tau: float) -> float:
         """Partial quadratic-decay integral of s^-2 d(gamma) over (0, tau].
 
         Exact for both laws.  Returns inf when a constant-law bin with
         positive value touches 0; an s^2-law bin integrates to v (d - c).
+        An atom's m/s^2 is formed as (m/s)/s, never through s^2, which
+        underflows below s ~ 1e-154.
         """
         tau = float(tau)
         pos = (self.atom_locations > 0.0) & (self.atom_locations <= tau)
-        total = float(np.sum(self.atom_masses[pos] / self.atom_locations[pos] ** 2))
+        locs = self.atom_locations[pos]
+        total = float(np.sum(self.atom_masses[pos] / locs / locs))
         if self.bin_edges.size:
             lo = self.bin_edges[:-1]
             hi = np.minimum(self.bin_edges[1:], tau)

@@ -210,9 +210,9 @@ def screw_synthesis(gamma: GammaMeasure, t):
 
     locs, masses = gamma.atom_locations, gamma.atom_masses
     if locs.size:
-        weights = masses / locs ** 2
+        # m (sin(ts)/s)^2, not (m/s^2) sin^2(ts): s^2 underflows below ~1e-154
         out += _row_sums(tt, locs.size,
-                         lambda ts: np.sin(np.outer(ts, locs)) ** 2 @ weights)
+                         lambda ts: (np.sin(np.outer(ts, locs)) / locs) ** 2 @ masses)
     edges, values = gamma.bin_edges, gamma.bin_values
     if values.size:
         c, d = edges[:-1], edges[1:]
@@ -245,8 +245,7 @@ def gamma_from_spectral(mu: SpectralMeasure) -> tuple[GammaMeasure, float]:
     become s^2-law bins (see module docstring).
     """
     locs, masses, edges, values = mu.positive_part()
-    atoms = [(0.5 * loc, 8.0 * (0.5 * loc) ** 2 * mass)
-             for loc, mass in zip(locs, masses)]
+    atoms = [(0.5 * loc, 2.0 * loc * (loc * mass)) for loc, mass in zip(locs, masses)]
     gamma = GammaMeasure(atoms=atoms, edges=0.5 * edges, values=16.0 * values,
                          law="s2")
     return gamma, mu.zero_atom
@@ -300,7 +299,7 @@ def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
     if not report["ok"]:
         raise UnboundedMetricError(integral=report["integral"], bound=report["bound"])
 
-    atoms = [(2.0 * s, m / (8.0 * s ** 2))
+    atoms = [(2.0 * s, m / s / s / 8.0)  # never s^2, which underflows below ~1e-154
              for s, m in zip(gamma.atom_locations, gamma.atom_masses)]
     edges = 2.0 * gamma.bin_edges
     if gamma.law == "s2":

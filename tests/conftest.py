@@ -28,6 +28,21 @@ def random_spectral_measure(rng, binned=True):
     return measure
 
 
+def near_boundary_squared_distances(count, seed=11):
+    """Planar squared distances plus symmetric noise of relative size 1e-12
+    to 1e-6, made non-negative with a zero diagonal: samples that sit on
+    either side of the negative definiteness threshold."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        noise = rng.normal(size=(n, n)) * 10 ** rng.uniform(-12, -6)
+        d2 = np.abs(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+                    + 0.5 * (noise + noise.T))
+        np.fill_diagonal(d2, 0.0)
+        yield d2
+
+
 @pytest.fixture
 def measure_factory():
     return random_spectral_measure

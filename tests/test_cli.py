@@ -15,8 +15,18 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import kernelbridge as kb
+from conftest import near_boundary_squared_distances
 from kernelbridge import io
 from kernelbridge.cli import main
+
+QUARTIC = np.array([[0.0, 1.0, 16.0], [1.0, 0.0, 1.0], [16.0, 1.0, 0.0]])
+COLLINEAR = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+#: two samples of the near-boundary generator that embed accepted and
+#: check-nd rejected (17), and the other way round (46), under two eigensolves
+NEAR_BOUNDARY = list(near_boundary_squared_distances(47))
+#: gamma atoms whose s^2 underflows; the first has the finite integral 1e40
+TINY_ATOM = {"atoms": [{"loc": 1e-170, "mass": 1e-300}]}
+TINIER_ATOM = {"atoms": [{"loc": 1e-200, "mass": 1.0}]}
 
 
 def run(capsys, *argv):
@@ -145,6 +155,41 @@ class TestMatrixCommands:
         assert code == 3
         assert payload["error"] == "NotHilbertian"
         assert payload["witness_eigenvalue"] == pytest.approx(4.0)
+        assert list(payload)[2:] == ["witness_eigenvalue", "witness_vector", "threshold",
+                                     "margin"]
+
+    @pytest.mark.parametrize("command, key, matrix, verdict", [
+        ("check-nd", "nd", COLLINEAR, True), ("check-nd", "nd", QUARTIC, False),
+        ("check-psd", "psd", np.ones((3, 3)), True), ("check-psd", "psd", QUARTIC, False)])
+    def test_verdicts_end_with_threshold_and_margin(self, tmp_path, capsys, command, key,
+                                                    matrix, verdict):
+        m = tmp_path / "m.csv"
+        io.write_matrix_csv(m, matrix)
+        assert main([command, str(m)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert list(payload) == [key, "witness_eigenvalue", "witness_vector", "threshold",
+                                 "margin"]
+        assert payload[key] is verdict
+        assert (payload["margin"] >= 0.0) is verdict
+
+    @pytest.mark.parametrize("matrix", [COLLINEAR, QUARTIC, 1e-20 * QUARTIC,
+                                        1e100 * QUARTIC, NEAR_BOUNDARY[17],
+                                        NEAR_BOUNDARY[46]],
+                             ids=["collinear", "quartic", "quartic-1e-20", "quartic-1e100",
+                                  "near-boundary-17", "near-boundary-46"])
+    def test_embed_rejects_exactly_when_check_nd_says_false(self, tmp_path, capsys, matrix):
+        m = tmp_path / "d2.csv"
+        io.write_matrix_csv(m, matrix)
+        _, nd = run(capsys, "check-nd", m)
+        code, payload = run(capsys, "embed", m, "-o", tmp_path / "c.csv")
+        if nd["nd"]:
+            assert code == 0
+        else:
+            assert code == 3
+            assert {key: payload[key] for key in list(nd)[1:]} == \
+                {key: nd[key] for key in list(nd)[1:]}
 
 
 class TestProfileCommands:
@@ -374,6 +419,36 @@ class TestSpectralCommands:
         assert code == 0
         assert payload["ok"] is False
         assert payload["integral"] == "inf"
+
+    def test_tiny_atoms_never_form_s_squared(self, tmp_path, capsys):
+        # m / s^2 used to be formed through s^2, which underflows to 0 here:
+        # bound-check read inf, gamma --k0 exited 3 and screw exited 2
+        gamma_path, back = tmp_path / "gamma.json", tmp_path / "mu.json"
+        gamma_path.write_text(json.dumps(TINY_ATOM))
+        code, payload = run(capsys, "bound-check", gamma_path, "--k0", "1e50")
+        assert code == 0 and payload["ok"] is True
+        assert payload["integral"] == pytest.approx(1e40, rel=1e-15)
+        code, _ = run(capsys, "gamma", gamma_path, "--k0", "1e50", "-o", back)
+        assert code == 0
+        measure = kb.SpectralMeasure.from_dict(io.read_json(back))
+        locs, masses = measure.atom_locations, measure.atom_masses
+        assert locs[locs > 0].tolist() == [2e-170]
+        assert_allclose(masses[locs > 0], [1.25e39], rtol=1e-15)
+        # and the forward conversion takes the atom back to mass 1e-300
+        assert_allclose(kb.gamma_from_spectral(measure)[0].atom_masses, [1e-300], rtol=1e-15)
+        out = tmp_path / "d2.csv"
+        code, _ = run(capsys, "screw", gamma_path, "--grid", "-3", "3", "13", "-o", out)
+        assert code == 0
+        t, d2 = io.read_profile_csv(out)
+        assert_allclose(d2, 1e-300 * t ** 2 * np.sinc(t * 1e-170 / np.pi) ** 2,
+                        rtol=1e-15)
+
+    def test_atom_past_the_float_range_reads_inf_without_warning(self, tmp_path, capsys):
+        gamma_path = tmp_path / "gamma.json"
+        gamma_path.write_text(json.dumps(TINIER_ATOM))
+        code, payload = run(capsys, "bound-check", gamma_path, "--k0", "1.0")
+        assert code == 0
+        assert payload["ok"] is False and payload["integral"] == "inf"
 
     def test_bound_check_rejects_nonfinite_k0(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.json"
@@ -655,6 +730,8 @@ class TestMalformedInputs:
     @example(command="gamma J -o O", document=[1, 2], table="")
     @example(command="gram --points C --kernel gaussian -o O", document={},
              table="0,1e300\n")  # exit 0, with a RuntimeWarning from the kernel
+    @example(command="gamma J --k0 1 -o O", document=TINY_ATOM, table="")
+    @example(command="bound-check J --k0 1", document=TINIER_ATOM, table="")
     @with_examples(OVERFLOWS)
     def test_fuzzed_files_keep_the_exit_code_contract(self, tmp_path, capsys, command,
                                                      document, table):

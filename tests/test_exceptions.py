@@ -48,7 +48,8 @@ def test_raised_rejections_keep_their_key_order():
     with pytest.raises(kb.NotHilbertianError) as hilbert:
         kb.euclidean_embedding(np.array([[0.0, 1.0, 16.0], [1.0, 0.0, 1.0],
                                          [16.0, 1.0, 0.0]]))
-    assert list(hilbert.value.diagnostic())[2:] == ["witness_eigenvalue", "witness_vector"]
+    assert list(hilbert.value.diagnostic())[2:] == ["witness_eigenvalue", "witness_vector",
+                                                    "threshold", "margin"]
     with pytest.raises(kb.UnboundedMetricError) as unbounded:
         kb.spectral_from_gamma(kb.GammaMeasure(edges=[0.0, 1.0], values=[1.0]), k0=1.0)
     assert list(unbounded.value.diagnostic())[2:] == ["integral", "bound"]

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kernelbridge as kb
+from conftest import near_boundary_squared_distances
 
 # hand-checked sample of cos(t) - 0.3 on {0, pi, 2pi}
 COS_MINUS_03 = np.array([
@@ -98,6 +99,15 @@ class TestNegativeDefinite:
         assert overlap > 1 - 1e-10
         assert_allclose(verdict.witness_eigenvalue, 24.0 / 6.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("factor", [1e-300, 1e-20, 1e-15, 1.0, 1e100])
+    def test_quartic_rejected_at_every_scale(self, factor):
+        # the deflation once put an absolute floor of ~7e-16 under the
+        # threshold, so the quartic scaled by 1e-20 read as negative definite
+        verdict = kb.is_negative_definite(QUARTIC_D2 * factor)
+        assert not verdict.verdict
+        assert_allclose(verdict.witness_eigenvalue, 4.0 * factor, rtol=1e-12)
+        assert not kb.is_positive_definite(kb.nd_to_psd(QUARTIC_D2 * factor)).verdict
+
     def test_two_point_case(self):
         verdict = kb.is_negative_definite(np.array([[0.0, 3.0], [3.0, 0.0]]))
         assert verdict.verdict
@@ -130,6 +140,30 @@ class TestNegativeDefinite:
             form = float(c @ sym @ c)
             assert form > 1e-10 * n * np.max(np.abs(sym))
             assert_allclose(form, verdict.witness_eigenvalue, rtol=1e-10)
+
+
+class TestThresholdAndMargin:
+    @pytest.mark.parametrize("check, side", [(kb.is_positive_definite, 1.0),
+                                             (kb.is_negative_definite, -1.0)])
+    def test_margin_is_nonnegative_exactly_when_the_verdict_holds(self, check, side):
+        # psd holds when the witness is at or above the threshold, nd when below
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            a = rng.uniform(-1, 1, (n, n))
+            verdict = check(0.5 * (a + a.T))
+            verdicts.add(verdict.verdict)
+            assert verdict.margin == side * (verdict.witness_eigenvalue - verdict.threshold)
+            assert verdict.verdict == (side * verdict.witness_eigenvalue
+                                       >= side * verdict.threshold)
+            assert verdict.verdict == (verdict.margin >= 0.0)
+        assert verdicts == {True, False}
+
+    def test_psd_threshold_is_relative_to_the_diagonal(self):
+        verdict = kb.is_positive_definite(2.0 * np.eye(3), tol=1e-10)
+        assert verdict.threshold == -1e-10 * 3 * 2.0
+        assert verdict.margin == 2.0 - verdict.threshold
 
 
 class TestNdToPsd:
@@ -226,23 +260,84 @@ class TestEuclideanEmbedding:
         with pytest.raises(ValueError):
             kb.euclidean_embedding(np.eye(3))
 
+    def test_rejects_exactly_when_nd_is_false_with_the_same_witness(self):
+        # two separate eigensolves under two thresholds used to disagree
+        # on 119 of these 5,000
+        verdicts = set()
+        for d2 in near_boundary_squared_distances(5000):
+            nd = kb.is_negative_definite(d2)
+            verdicts.add(nd.verdict)
+            try:
+                kb.euclidean_embedding(d2)
+            except kb.NotHilbertianError as err:
+                assert not nd.verdict
+                assert err.witness_eigenvalue == nd.witness_eigenvalue
+                assert np.array_equal(err.witness_vector, nd.witness_vector)
+                assert (err.threshold, err.margin) == (nd.threshold, nd.margin)
+            else:
+                assert nd.verdict
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_residual_bound_at_large_n(self, name, n):
+        # criterion 2's bound at the default tol; truncating eigendirections
+        # below n * tol used to break it for cauchy from n = 200
+        d2 = kb.metric_from_kernel(kb.zoo(name))
+        pts = np.random.default_rng(n).uniform(-20.0, 20.0, n)
+        matrix = d2(pts[:, None] - pts[None, :])
+        result = kb.euclidean_embedding(matrix)
+        assert result.residual <= 1e-8 * float(np.max(matrix))
+
+    @pytest.mark.parametrize("matrix", [COLLINEAR_D2, QUARTIC_D2])
+    def test_one_eigendecomposition_per_call(self, monkeypatch, matrix):
+        calls = []
+
+        def counting(entries):
+            calls.append(entries.shape)
+            return np.linalg.eigh(entries)
+
+        monkeypatch.setattr(kb.gram, "_eigh", counting)
+        try:
+            kb.euclidean_embedding(matrix)
+        except kb.NotHilbertianError:
+            pass
+        assert calls == [(3, 3)]
+
+    def test_columns_descend_and_are_centred(self):
+        rng = np.random.default_rng(31)
+        pts = rng.normal(size=(12, 2)) * [3.0, 0.5]
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        result = kb.euclidean_embedding(d2)
+        assert result.rank == 2
+        spread = np.sum(result.coordinates ** 2, axis=0)
+        assert spread[0] > spread[1]
+        assert_allclose(result.coordinates.mean(axis=0), 0.0, atol=1e-12)
+        # the coordinates are the centred points up to an orthogonal map
+        centred = pts - pts.mean(axis=0)
+        assert_allclose(result.coordinates @ result.coordinates.T, centred @ centred.T,
+                        atol=1e-12)
+
 
 class TestValidation:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
             kb.GramMatrix(points=[0.0, 1.0], entries=[[1.0, 0.5], [0.2, 1.0]])
+        for check in (kb.is_positive_definite, kb.is_negative_definite):
+            with pytest.raises(ValueError, match="not symmetric"):
+                check(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_points_size_mismatch(self):
         with pytest.raises(ValueError):
             kb.GramMatrix(points=[0.0], entries=np.eye(2))
 
     def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            kb.SymmetricKernelMatrix(entries=np.ones((2, 3)))
+        for check in (kb.is_positive_definite, kb.is_negative_definite):
+            with pytest.raises(ValueError, match="must be square"):
+                check(np.ones((2, 3)))
 
     @pytest.mark.parametrize("check", [kb.is_positive_definite, kb.is_negative_definite,
-                                       kb.nd_to_psd, kb.euclidean_embedding,
-                                       kb.SymmetricKernelMatrix])
+                                       kb.nd_to_psd, kb.euclidean_embedding])
     def test_empty_matrix_rejected(self, check):
         # used to surface a raw IndexError and a divide-by-zero warning
         with warnings.catch_warnings():
