@@ -50,8 +50,8 @@ def _add_grid(parser) -> None:
                         help="evaluation grid (default: %g %g %d)" % DEFAULT_GRID)
 
 
-def _add_kernel_source(parser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
+def _add_kernel_source(parser, required: bool = True) -> None:
+    group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--kernel", help=f"named profile, one of {zoo_names()}")
     group.add_argument("--profile", help="JSON descriptor file {name, params}")
     group.add_argument("--samples", help="CSV file of t,value samples (t >= 0)")
@@ -271,11 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zoo", help="list named kernels or sample one to CSV")
     p.add_argument("action", choices=["list", "sample"])
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--kernel")
-    group.add_argument("--profile")
-    group.add_argument("--samples")
-    p.add_argument("--params", default=None)
+    _add_kernel_source(p, required=False)  # zoo list takes none
     _add_grid(p)
     p.add_argument("-o", "--output", help="output CSV (required for sample)")
     p.set_defaults(func=cmd_zoo)

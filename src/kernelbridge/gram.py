@@ -153,20 +153,30 @@ def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
 
 def _projected_eigh(entries: np.ndarray, tol: float):
     """``(verdict, eigvals, eigvecs, floor)`` of P N P with the all-ones
-    direction deflated to eigenpair 0; ``floor`` is the rounding floor."""
+    direction deflated to eigenpair 0; ``floor`` is the rounding floor.
+
+    Solved on N / 2**e with max|N / 2**e| in [1/2, 1), so nothing overflows
+    and scaling N by 2**k scales eigenvalues 1.., floor and threshold exactly.
+    """
     n = entries.shape[0]
+    exponent = int(np.frexp(np.max(np.abs(entries)))[1])
+    entries = np.ldexp(entries, -exponent)
     ones = np.full(n, 1.0 / np.sqrt(n))
     projected = entries - np.outer(ones, ones @ entries)
     projected = projected - np.outer(projected @ ones, ones)
     projected = 0.5 * (projected + projected.T)
     scale = float(np.max(np.abs(entries)))
     # ||P N P|| <= n * scale, so beta sinks the all-ones direction strictly
-    # below every other eigenvalue at any input scale (1 for the zero matrix)
+    # below every other eigenvalue (1 for the zero matrix)
     beta = (n + 1) * scale or 1.0
     eigvals, eigvecs = _eigh(projected - beta * np.outer(ones, ones))
     # the deflation term has norm beta, so allow its backward-error noise
     floor = float(np.finfo(float).eps) * n * beta
-    threshold = tol * n * scale + floor
+    with np.errstate(over="ignore"):  # inf: a huge tol's threshold, or rejected below
+        eigvals[1:] = np.ldexp(eigvals[1:], exponent)
+        floor, threshold = np.ldexp([floor, tol * n * scale + floor], exponent).tolist()
+    if not np.isfinite(eigvals[1:]).all():
+        raise ValueError("projected matrix has an eigenvalue past the float range")
     verdict = DefinitenessVerdict(float(eigvals[-1]), eigvecs[:, -1], threshold,
                                   threshold - float(eigvals[-1]))
     return verdict, eigvals, eigvecs, floor
@@ -216,9 +226,9 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     """
     entries = _entries(d2_matrix)
     scale = float(np.max(np.abs(entries)))
-    if float(np.max(np.abs(np.diag(entries)))) > tol * max(scale, 1.0):
+    if float(np.max(np.abs(np.diag(entries)))) > tol * scale:
         raise ValueError("squared-distance matrix must have a zero diagonal")
-    if float(np.min(entries)) < -tol * max(scale, 1.0):
+    if float(np.min(entries)) < -tol * scale:
         raise ValueError("squared-distance matrix must be entrywise non-negative")
 
     nd, eigvals, eigvecs, floor = _projected_eigh(entries, tol)

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+#: default bin count and frequency range of binned measures, closed-form or inverted
+N_BINS = 2048
+FREQ_MAX = 8.0
 
 
 def _normalize_atoms(atoms, allow_zero_location: bool, what: str):
@@ -129,13 +132,7 @@ class _BinnedMeasure:
         self.law = law
 
     @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.atom_locations.tolist(), self.atom_masses.tolist()))
-
-    @property
     def bin_widths(self) -> np.ndarray:
-        if self.bin_edges.size == 0:
-            return np.zeros(0)
         return np.diff(self.bin_edges)
 
     def density_at(self, tau: float) -> float:
@@ -196,7 +193,6 @@ class SpectralMeasure(_BinnedMeasure):
     """One-sided representation of a symmetric bounded positive measure."""
 
     _what = "spectral measure"
-    _allow_zero_atom = True
 
     def __init__(self, atoms=(), edges=(), values=(), law="constant"):
         super().__init__(atoms, edges, values, law)
@@ -263,31 +259,30 @@ class GammaMeasure(_BinnedMeasure):
         return total
 
 
-def gaussian_measure(n_bins: int = 2048, freq_max: float = 8.0,
+def _binned_measure(n_bins: int, freq_max: float, density) -> SpectralMeasure:
+    """``n_bins`` equal bins on [0, freq_max], each valued ``density`` at its midpoint."""
+    edges = np.linspace(0.0, freq_max, n_bins + 1)
+    return SpectralMeasure(edges=edges, values=density(0.5 * (edges[:-1] + edges[1:])))
+
+
+def gaussian_measure(n_bins: int = N_BINS, freq_max: float = FREQ_MAX,
                      scale: float = 1.0) -> SpectralMeasure:
     """Binned closed-form measure of the Gaussian kernel exp(-t^2/(2 scale^2))."""
-    edges = np.linspace(0.0, freq_max, n_bins + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    values = scale * np.exp(-(scale * mid) ** 2 / 2.0) / SQRT_2PI
-    return SpectralMeasure(edges=edges, values=values)
+    return _binned_measure(n_bins, freq_max, lambda mid: (
+        scale * np.exp(-(scale * mid) ** 2 / 2.0) / SQRT_2PI))
 
 
-def laplacian_measure(n_bins: int = 2048, freq_max: float = 8.0,
+def laplacian_measure(n_bins: int = N_BINS, freq_max: float = FREQ_MAX,
                       scale: float = 1.0) -> SpectralMeasure:
     """Binned closed-form measure of exp(-|t|/scale): a Cauchy-shaped density."""
-    edges = np.linspace(0.0, freq_max, n_bins + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    values = (scale / np.pi) / (1.0 + (scale * mid) ** 2)
-    return SpectralMeasure(edges=edges, values=values)
+    return _binned_measure(n_bins, freq_max,
+                           lambda mid: (scale / np.pi) / (1.0 + (scale * mid) ** 2))
 
 
-def cauchy_measure(n_bins: int = 2048, freq_max: float = 8.0,
+def cauchy_measure(n_bins: int = N_BINS, freq_max: float = FREQ_MAX,
                    scale: float = 1.0) -> SpectralMeasure:
     """Binned closed-form measure of 2/(1+(t/scale)^2): an exponential density."""
-    edges = np.linspace(0.0, freq_max, n_bins + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    values = scale * np.exp(-scale * mid)
-    return SpectralMeasure(edges=edges, values=values)
+    return _binned_measure(n_bins, freq_max, lambda mid: scale * np.exp(-scale * mid))
 
 
 def cosine_measure(omega: float = 1.0) -> SpectralMeasure:

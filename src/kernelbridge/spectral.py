@@ -5,9 +5,9 @@ The pipeline implemented here:
 * ``bochner_synthesis``  -- measure -> kernel profile values (exact for the
   atoms + piecewise-constant representation: each bin integrates cosines
   in closed form).
-* ``screw_synthesis``    -- gamma measure -> squared-metric values, each
-  bin integrated in closed form: elementary for s^2-law bins, through the
-  Si-based antiderivative of sin^2(ts)/s^2 for constant-law bins.
+* ``screw_synthesis``    -- gamma measure -> squared-metric values: s^2-law
+  bins as the Bochner density sum of their spectral bins (below),
+  constant-law bins through the Si-based antiderivative of sin^2(ts)/s^2.
 * ``gamma_from_spectral`` / ``spectral_from_gamma`` -- the change of
   variables linking the two representations: a component of the measure
   at frequency tau > 0 with one-sided mass m corresponds to a gamma
@@ -17,7 +17,8 @@ The pipeline implemented here:
 
   A density bin [a, b] with value v becomes the s^2-law gamma bin
   [a/2, b/2] with value 16 v, i.e. density 16 v s^2; the map is exact and,
-  its factors being powers of two, inverts bit for bit.
+  its factors being powers of two, inverts bit for bit; for a measure
+  without atoms, the identity above holds bit for bit.
 * ``int_bound_integral`` -- the quadratic-decay integral of a gamma
   measure; a bounded translation-invariant kernel with value k0 at the
   origin exists iff it is <= 4 k0.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
-from .measures import GammaMeasure, SpectralMeasure
+from .measures import FREQ_MAX, N_BINS, GammaMeasure, SpectralMeasure
 from .profiles import KernelProfile
 
 __all__ = [
@@ -156,6 +157,20 @@ def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray
     return (conv[:n_out] * chirp[:n_out]).real
 
 
+def _density_part(tt: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per t, the sum over bins [a, b] with value v of 2 v (sin(t b) - sin(t a)) / t."""
+    a, b = edges[:-1], edges[1:]
+    center = 0.5 * (a + b)
+    half = _shared(0.5 * (b - a))
+    nz = _resolved(tt, half)
+    out = np.full(tt.shape, float(2.0 * np.sum(values * (b - a))))
+    # (sin(t b) - sin(t a))/t = 2 cos(t c) sin(t h) / t, stable near 0
+    out[nz] = _row_sums(tt[nz], values.size, lambda ts: 2.0 * (
+        2.0 * np.cos(np.outer(ts, center)) * np.sin(np.outer(ts, half))
+        / ts[:, None]) @ values)
+    return out
+
+
 def bochner_synthesis(mu: SpectralMeasure, t):
     """Evaluate the kernel synthesized from a spectral measure.
 
@@ -171,15 +186,7 @@ def bochner_synthesis(mu: SpectralMeasure, t):
         out += _row_sums(tt, locs.size,
                          lambda ts: 2.0 * np.cos(np.outer(ts, locs)) @ masses)
     if values.size:
-        a, b = edges[:-1], edges[1:]
-        center = 0.5 * (a + b)
-        half = _shared(0.5 * (b - a))
-        nz = _resolved(tt, half)
-        out[~nz] += float(2.0 * np.sum(values * (b - a)))
-        # (sin(t b) - sin(t a))/t = 2 cos(t c) sin(t h) / t, stable near 0
-        out[nz] += _row_sums(tt[nz], values.size, lambda ts: 2.0 * (
-            2.0 * np.cos(np.outer(ts, center)) * np.sin(np.outer(ts, half))
-            / ts[:, None]) @ values)
+        out += _density_part(tt, edges, values)
     return float(out[0]) if scalar else out.reshape(t.shape)
 
 
@@ -200,9 +207,10 @@ def screw_synthesis(gamma: GammaMeasure, t):
     """Evaluate the squared metric synthesized from a gamma measure.
 
     d2(t) = sum m sin^2(t s)/s^2 + the binned density integrated in closed
-    form: elementary for s^2-law bins, through the Si-based antiderivative
-    for constant-law bins.  Even in t; d2(0) = 0.  A non-finite value (the
-    weight overflows the float range) is a ValueError.
+    form: 2 D(0) - 2 D(t) of the Bochner density sum D of the spectral bins
+    for s^2-law bins, the Si-based antiderivative for constant-law bins.
+    Even in t; d2(0) = 0.  A non-finite value (the weight overflows the
+    float range) is a ValueError.
     """
     t, scalar = _as_t_array(t)
     tt = np.abs(np.atleast_1d(t).ravel())
@@ -214,23 +222,16 @@ def screw_synthesis(gamma: GammaMeasure, t):
         out += _row_sums(tt, locs.size,
                          lambda ts: (np.sin(np.outer(ts, locs)) / locs) ** 2 @ masses)
     edges, values = gamma.bin_edges, gamma.bin_values
-    if values.size:
-        c, d = edges[:-1], edges[1:]
-        if gamma.law == "s2":
-            # int_c^d sin^2(ts) ds = (d - c)/2 - cos(t(c + d)) sin(t(d - c)) / (2t)
-            width, ends = d - c, c + d
-            half = 0.5 * width
-            width = _shared(width)
-
-            def rows(ts):
-                return (half - np.cos(np.outer(ts, ends)) * np.sin(np.outer(ts, width))
-                        / (2.0 * ts[:, None])) @ values
-        else:
-            def rows(ts):
-                return ts * ((_screw_antiderivative(np.outer(ts, d))
-                              - _screw_antiderivative(np.outer(ts, c))) @ values)
-        nz = _resolved(tt, d - c)
-        out[nz] += _row_sums(tt[nz], values.size, rows)
+    if values.size and gamma.law == "s2":
+        # the spectral bin [2c, 2d] with value g/16 (see module docstring):
+        # 2 k(0) - 2 k(t) of it is int_c^d g s^2 sin^2(ts)/s^2 ds
+        bins = (2.0 * edges, values / 16.0)
+        out += 2.0 * (_density_part(np.zeros(1), *bins) - _density_part(tt, *bins))
+    elif values.size:
+        nz = _resolved(tt, np.diff(edges))
+        # one antiderivative per edge: adjacent bins share their inner edges
+        out[nz] += _row_sums(tt[nz], values.size, lambda ts: ts * (
+            np.diff(_screw_antiderivative(np.outer(ts, edges)), axis=1) @ values))
     if not np.isfinite(out).all():
         raise ValueError("squared metric overflows the float range")
     return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)
@@ -310,13 +311,10 @@ def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
         nz = gamma.bin_values > 0  # zero-value bins stay zero even at lo == 0
         values[nz] = gamma.bin_values[nz] / (16.0 * lo[nz] * hi[nz])
 
-    mass_without_zero_atom = float(
-        2.0 * sum(m for _, m in atoms)
-        + (2.0 * np.sum(values * (edges[1:] - edges[:-1])) if edges.size else 0.0))
-    zero_mass = max(k0 - mass_without_zero_atom, 0.0)
-    if zero_mass > 0.0:
-        atoms.append((0.0, zero_mass))
-    return SpectralMeasure(atoms=atoms, edges=edges, values=values)
+    measure = SpectralMeasure(atoms=atoms, edges=edges, values=values)
+    zero_mass = k0 - measure.total_mass()  # kept >= 0 by the precondition, up to rounding
+    return measure if zero_mass <= 0.0 else SpectralMeasure(
+        atoms=[(0.0, zero_mass), *atoms], edges=edges, values=values)
 
 
 #: trapezoid step of the zero-atom average, for atom_at_zero and InversionConfig
@@ -349,8 +347,8 @@ class InversionConfig:
 
     t_max: float = 40.0
     n_samples: int = 16001
-    n_bins: int = 2048
-    freq_max: float = 8.0
+    n_bins: int = N_BINS
+    freq_max: float = FREQ_MAX
     atom_window: float = 200.0
     atom_step: float = _ATOM_STEP
     #: relative threshold (times |k(0)|) separating quadrature noise from

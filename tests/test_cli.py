@@ -27,6 +27,12 @@ NEAR_BOUNDARY = list(near_boundary_squared_distances(47))
 #: gamma atoms whose s^2 underflows; the first has the finite integral 1e40
 TINY_ATOM = {"atoms": [{"loc": 1e-170, "mass": 1e-300}]}
 TINIER_ATOM = {"atoms": [{"loc": 1e-200, "mass": 1.0}]}
+#: two points 1e154 apart: (n + 1) max|N| overflowed to a NaN witness
+FLOAT_MAX_PAIR = "0,1e308\n1e308,0\n"
+#: a non-zero diagonal and a negative entry, each at scale 1 and 1e-20
+SCALED_EMBED = ["1,1\n1,1\n", "1e-20,1e-20\n1e-20,1e-20\n",
+                "0,1,-0.5\n1,0,1\n-0.5,1,0\n",
+                "0,1e-20,-5e-21\n1e-20,0,1e-20\n-5e-21,1e-20,0\n"]
 
 
 def run(capsys, *argv):
@@ -68,6 +74,13 @@ class TestZoo:
 
     def test_sample_requires_output(self, capsys):
         assert main(["zoo", "sample", "--kernel", "gaussian"]) == 2
+
+    def test_sample_requires_one_kernel_source(self, tmp_path, capsys):
+        out = str(tmp_path / "z.csv")
+        code, err = exit_and_stderr(capsys, ["zoo", "sample", "-o", out])
+        assert code == 2 and "requires a kernel source" in err
+        assert exit_code(["zoo", "sample", "--kernel", "gaussian", "--samples", out,
+                          "-o", out]) == 2
 
 
 class TestMatrixCommands:
@@ -157,6 +170,23 @@ class TestMatrixCommands:
         assert payload["witness_eigenvalue"] == pytest.approx(4.0)
         assert list(payload)[2:] == ["witness_eigenvalue", "witness_vector", "threshold",
                                      "margin"]
+
+    @pytest.mark.parametrize("table", SCALED_EMBED)
+    def test_embed_input_checks_do_not_depend_on_scale(self, tmp_path, capsys, table):
+        # at 1e-20 these exited 0 (rank 0) and 3 under an absolute floor of tol
+        m = tmp_path / "d2.csv"
+        m.write_text(table)
+        code, err = exit_and_stderr(capsys, ["embed", str(m), "-o", str(tmp_path / "c.csv")])
+        assert code == 2 and "squared-distance matrix must" in err
+
+    def test_entries_near_the_float_maximum(self, tmp_path, capsys):
+        m = tmp_path / "d2.csv"
+        m.write_text(FLOAT_MAX_PAIR)
+        code, nd = run(capsys, "check-nd", m)
+        assert code == 0 and nd["nd"] is True and nd["witness_eigenvalue"] == -1e308
+        code, payload = run(capsys, "embed", m, "-o", tmp_path / "c.csv")
+        assert code == 0 and payload["rank"] == 1
+        assert_allclose(np.abs(io.read_matrix_csv(tmp_path / "c.csv")), 5e153, rtol=1e-15)
 
     @pytest.mark.parametrize("command, key, matrix, verdict", [
         ("check-nd", "nd", COLLINEAR, True), ("check-nd", "nd", QUARTIC, False),
@@ -732,7 +762,10 @@ class TestMalformedInputs:
              table="0,1e300\n")  # exit 0, with a RuntimeWarning from the kernel
     @example(command="gamma J --k0 1 -o O", document=TINY_ATOM, table="")
     @example(command="bound-check J --k0 1", document=TINIER_ATOM, table="")
+    @example(command="check-nd C", document={}, table=FLOAT_MAX_PAIR)
+    @example(command="embed C -o O", document={}, table=FLOAT_MAX_PAIR)
     @with_examples(OVERFLOWS)
+    @with_examples([("embed C -o O", {}, table) for table in SCALED_EMBED])
     def test_fuzzed_files_keep_the_exit_code_contract(self, tmp_path, capsys, command,
                                                      document, table):
         # every size stays tiny: lists of at most three, m = 4, 65 samples
@@ -750,15 +783,23 @@ class TestMalformedInputs:
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # scipy.special is only needed for constant-law screw synthesis; its
-    # import would dominate the start-up of every command.  No command
-    # needs concurrent.futures (5-8 ms to import), and a CSV read or write
-    # must not load gzip, which numpy's loadtxt imports when given a path.
+    # import would dominate the start-up of every command, s^2-law screw and
+    # synth included.  No command needs concurrent.futures (5-8 ms to
+    # import), and a CSV read or write must not load gzip, which numpy's
+    # loadtxt imports when given a path.
     src = str(Path(kb.__file__).resolve().parents[1])
+    measure = kb.gaussian_measure(n_bins=16)
+    io.write_json(tmp_path / "mu.json", measure.to_dict())
+    io.write_json(tmp_path / "gamma.json", kb.gamma_from_spectral(measure)[0].to_dict())
+    commands = [["screw", str(tmp_path / "gamma.json"), "-o", str(tmp_path / "d2.csv")],
+                ["synth", str(tmp_path / "mu.json"), "-o", str(tmp_path / "k.csv")]]
     code = ("import sys, kernelbridge.cli; from kernelbridge import io; "
             f"io.write_matrix_csv({str(tmp_path / 'm.csv')!r}, [[1.0]]); "
             f"io.read_matrix_csv({str(tmp_path / 'm.csv')!r}); "
+            f"assert not any(kernelbridge.cli.main(argv) for argv in {commands!r}); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'concurrent', 'gzip')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "d2.csv").exists() and (tmp_path / "k.csv").exists()

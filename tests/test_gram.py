@@ -108,6 +108,32 @@ class TestNegativeDefinite:
         assert_allclose(verdict.witness_eigenvalue, 4.0 * factor, rtol=1e-12)
         assert not kb.is_positive_definite(kb.nd_to_psd(QUARTIC_D2 * factor)).verdict
 
+    def test_power_of_two_scaling_is_exact(self):
+        base = kb.is_negative_definite(QUARTIC_D2)
+        for k in range(-1000, 1001):
+            verdict = kb.is_negative_definite(np.ldexp(QUARTIC_D2, k))
+            assert verdict.witness_eigenvalue == np.ldexp(base.witness_eigenvalue, k)
+            assert np.array_equal(verdict.witness_vector, base.witness_vector)
+            if verdict.threshold >= np.finfo(float).tiny:  # not rounded as a subnormal
+                assert verdict.threshold == np.ldexp(base.threshold, k)
+                assert verdict.margin == np.ldexp(base.margin, k)
+
+    def test_entries_near_the_float_maximum(self):
+        # (n + 1) max|N| overflowed: a NaN witness and "nd": false
+        matrix = np.array([[0.0, 1e308], [1e308, 0.0]])
+        verdict = kb.is_negative_definite(matrix)
+        assert verdict.verdict
+        assert verdict.witness_eigenvalue == -1e308
+        assert_allclose(verdict.threshold, 2e298, rtol=1e-4)
+        result = kb.euclidean_embedding(matrix)
+        assert result.rank == 1
+        assert result.residual <= 1e-15 * 1e308
+
+    def test_eigenvalue_past_the_float_range_rejected(self):
+        u = np.array([1.0, -1.0, 1.0, -1.0])  # eigenvalue 4e308 of 1e308 u u^T
+        with pytest.raises(ValueError, match="past the float range"):
+            kb.is_negative_definite(1e308 * np.outer(u, u))
+
     def test_two_point_case(self):
         verdict = kb.is_negative_definite(np.array([[0.0, 3.0], [3.0, 0.0]]))
         assert verdict.verdict
@@ -259,6 +285,15 @@ class TestEuclideanEmbedding:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             kb.euclidean_embedding(np.eye(3))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-20])
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 2)), "zero diagonal"),
+        (np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 1.0], [-0.5, 1.0, 0.0]]), "non-negative")])
+    def test_input_checks_are_relative_to_the_entries(self, matrix, message, scale):
+        # at 1e-20 both passed an absolute floor of tol: rank 0, or a rejection
+        with pytest.raises(ValueError, match=message):
+            kb.euclidean_embedding(scale * matrix)
 
     def test_rejects_exactly_when_nd_is_false_with_the_same_witness(self):
         # two separate eigensolves under two thresholds used to disagree

@@ -156,3 +156,11 @@ class TestClosedFormMeasures:
     def test_scaled_gaussian(self):
         mu = kb.gaussian_measure(scale=2.0, freq_max=8.0)
         assert_allclose(kb.bochner_synthesis(mu, 1.0), np.exp(-1.0 / 8.0), atol=1e-6)
+
+    def test_defaults_are_the_inversion_grid(self):
+        # one source for n_bins and freq_max: the builders and InversionConfig
+        config = kb.InversionConfig()
+        assert (config.n_bins, config.freq_max) == (kb.measures.N_BINS, kb.measures.FREQ_MAX)
+        grid = np.linspace(0.0, config.freq_max, config.n_bins + 1)
+        for build in (kb.gaussian_measure, kb.laplacian_measure, kb.cauchy_measure):
+            assert np.array_equal(build().bin_edges, grid)

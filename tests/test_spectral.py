@@ -158,6 +158,59 @@ class TestOneSinePerWidth:
                            self.per_bin(monkeypatch, kb.screw_synthesis, gamma, self.T))
 
 
+def atom_free(mu):
+    return kb.SpectralMeasure(edges=mu.bin_edges, values=mu.bin_values)
+
+
+def bochner_identity(mu, t):
+    """The two sides of screw(gamma(mu), t) = 2 k(0) - 2 k(t)."""
+    gamma, _ = kb.gamma_from_spectral(mu)
+    return (kb.screw_synthesis(gamma, t),
+            2.0 * kb.bochner_synthesis(mu, 0.0) - 2.0 * kb.bochner_synthesis(mu, t))
+
+
+class TestOneDensitySum:
+    """s^2-law screw rows are the Bochner density sum of their spectral bins."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mu=binned_measures().map(atom_free),
+           t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20).map(np.array))
+    def test_identity_is_bit_exact_without_atoms(self, mu, t):
+        screw, bochner = bochner_identity(mu, t)
+        assert_array_equal(screw, bochner)
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_identity_is_bit_exact_on_inverted_measures(self, name):
+        mu = kb.bochner_inversion(kb.zoo(name)).measure
+        assert mu.zero_atom == 0.0 and mu.atom_locations.size == 0
+        t = np.concatenate([[0.0, 5e-324, -1e-310],
+                            np.random.default_rng(6).uniform(-1e3, 1e3, 1000)])
+        screw, bochner = bochner_identity(mu, t)
+        assert_array_equal(screw, bochner)
+
+    def test_constant_law_evaluates_each_edge_once(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        n = 300
+        edges = 0.05 + np.cumsum(rng.uniform(1e-3, 0.1, n + 1))
+        gamma = kb.GammaMeasure(edges=edges, values=rng.uniform(0.0, 1.0, n))
+        t = rng.uniform(-30.0, 30.0, 200)
+        antiderivative = spectral._screw_antiderivative
+        c, d = edges[:-1], edges[1:]
+        # the per-bin formula, on the same chunks: both ends of every bin
+        reference = spectral._row_sums(np.abs(t), n, lambda ts: ts * (
+            (antiderivative(np.outer(ts, d)) - antiderivative(np.outer(ts, c)))
+            @ gamma.bin_values))
+        points = []
+
+        def counting(u):
+            points.append(np.size(u))
+            return antiderivative(u)
+
+        monkeypatch.setattr(spectral, "_screw_antiderivative", counting)
+        assert_array_equal(kb.screw_synthesis(gamma, t), reference)
+        assert sum(points) == (n + 1) * t.size
+
+
 class TestScrewSynthesis:
     def test_atom_closed_form(self):
         # one atom of mass 1 at 1/2: sin^2(t/2)/(1/4) = 2 - 2 cos t
@@ -187,10 +240,13 @@ class TestScrewSynthesis:
             with pytest.raises(ValueError):
                 kb.screw_synthesis(gamma, t)
 
-    @pytest.mark.parametrize("law", ["constant", "s2"])
-    def test_overflow_rejected(self, law):
+    # the last case has the finite spectral mass D(0) = 1e308, but 2 D(0) - 2 D(t) overflows
+    @pytest.mark.parametrize("law, edges", [("constant", [1e-3, 1e300]),
+                                            ("s2", [1e-3, 1e300]), ("s2", [0.0, 4.0])],
+                             ids=["constant", "s2", "s2-doubling"])
+    def test_overflow_rejected(self, law, edges):
         # used to give inf, with a RuntimeWarning from the row sums
-        gamma = kb.GammaMeasure(edges=[1e-3, 1e300], values=[1e308], law=law)
+        gamma = kb.GammaMeasure(edges=edges, values=[1e308], law=law)
         with pytest.raises(ValueError, match="overflows the float range"):
             kb.screw_synthesis(gamma, [0.5, 2.0])
 
