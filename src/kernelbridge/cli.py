@@ -10,6 +10,7 @@ machine-readable JSON diagnostic on stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -376,8 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; ``argv=None`` reads sys.argv and marks the process entry.
+
+    At the process entry the interpreter exits right after, so ``gc.freeze``
+    moves every object out of the collector's reach: its final full
+    collections then have nothing to traverse (~20 ms of teardown over the
+    objects numpy and kernelbridge hold).  Callers passing ``argv`` keep
+    their collector as it was.
+    """
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MathematicalRejection as exc:
         print(io.dumps_json(exc.diagnostic()))
@@ -385,6 +394,9 @@ def main(argv=None) -> int:
     except (KernelBridgeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

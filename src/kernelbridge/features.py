@@ -165,7 +165,10 @@ def _points(sample: FrequencySample, x) -> tuple[np.ndarray, bool]:
 
 def _projections(sample: FrequencySample, points: np.ndarray) -> np.ndarray:
     """w_j . x for an (n, d) array of points: an (n, m) array."""
-    return points @ sample.frequencies.reshape(sample.m, -1).T
+    freqs = sample.frequencies.reshape(sample.m, -1)
+    if freqs.shape[1] == 1:  # the same products; a K = 1 matmul costs ~8x more
+        return points * freqs[:, 0]
+    return points @ freqs.T
 
 
 def _cos(a: np.ndarray) -> np.ndarray:

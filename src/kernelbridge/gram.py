@@ -106,6 +106,12 @@ class EmbeddingResult:
     residual: float  # max abs deviation of reconstructed squared distances
 
 
+def _check_tol(tol) -> None:
+    """Raise ValueError unless tol is a finite number >= 0."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _entries(matrix) -> np.ndarray:
     if isinstance(matrix, GramMatrix):
         return matrix.entries
@@ -140,6 +146,7 @@ def build_gram(profile: KernelProfile, points) -> GramMatrix:
 
 def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     """Spectral PSD test: min eigenvalue >= -tol * n * max|diag|."""
+    _check_tol(tol)
     entries = _entries(gram)
     n = entries.shape[0]
     eigvals, eigvecs = _eigh(entries)
@@ -190,6 +197,7 @@ def is_negative_definite(matrix, tol: float = DEFAULT_TOL) -> DefinitenessVerdic
     diagonal.  A 1 x 1 matrix is rejected: the complement of the all-ones
     vector is then {0}, so there is no direction to test or witness.
     """
+    _check_tol(tol)
     entries = _entries(matrix)
     if entries.shape[0] < 2:
         raise ValueError("negative definiteness needs a matrix of size >= 2")
@@ -224,6 +232,7 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     -1/2 P D P; ``rank`` counts the directions above the rounding floor.
     The residual is recomputed from the coordinates, never assumed.
     """
+    _check_tol(tol)
     entries = _entries(d2_matrix)
     scale = float(np.max(np.abs(entries)))
     if float(np.max(np.abs(np.diag(entries)))) > tol * scale:

@@ -36,6 +36,7 @@ The pipeline implemented here:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -96,16 +97,6 @@ def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
     return out
 
 
-def _shared(widths: np.ndarray) -> np.ndarray:
-    """``widths[:1]`` when every bin has the same width, else ``widths``.
-
-    The syntheses use a width w only through sin(t w).  Every inverted
-    measure has one bin width, so one sine per t then serves all bins by
-    broadcasting, with the same bits as one sine per bin.
-    """
-    return widths[:1] if (widths == widths[0]).all() else widths
-
-
 def _resolved(ts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Mask of the t whose products with every bin width are normal floats.
 
@@ -157,17 +148,75 @@ def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray
     return (conv[:n_out] * chirp[:n_out]).real
 
 
+def _head(x: np.ndarray) -> np.ndarray:
+    """x truncated to 26 significant bits: a product of two heads is exact."""
+    mant, exp = np.frexp(x)
+    return np.ldexp(np.trunc(np.ldexp(mant, 26)), exp - 26)
+
+
+def _cos_sin(ts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the exact products ts_i x_k, as two (ts.size, x.size) tables.
+
+    The product rounds to p, and Dekker's two-product gives the rest
+    e = ts x - p exactly; cos(p + e) = cos p - e sin p and sin(p + e) =
+    sin p + e cos p to within e**2 / 2.  So the tables carry no rounding of
+    order |ts x| eps, which a plain product leaves in every angle.  Past
+    |p| ~ 2**53, where |e| may exceed 1/2, the angle is p as it stands.
+    """
+    p = np.outer(ts, x)
+    t_head, x_head = _head(ts), _head(x)
+    t_tail, x_tail = ts - t_head, x - x_head
+    e = ((np.outer(t_head, x_head) - p) + np.outer(t_head, x_tail)
+         + np.outer(t_tail, x_head)) + np.outer(t_tail, x_tail)
+    e[~(np.abs(e) <= 0.5)] = 0.0
+    cos, sin = np.cos(p), np.sin(p)
+    return cos - e * sin, sin + e * cos
+
+
+def _split_cosine_sums(ts: np.ndarray, center: np.ndarray, width: float,
+                       values: np.ndarray) -> np.ndarray:
+    """sum_j values_j cos(ts (center_0 + j width)), for centres one width apart.
+
+    Baby-step giant-step (Paterson & Stockmeyer 1973): j = P p + q with
+    P = ceil(sqrt(N)), so cos(A_p + B_q) = cos A_p cos B_q - sin A_p sin B_q
+    with A_p = ts center_{P p} and B_q = ts q width.  Per t that is 2 (P + R)
+    sines and cosines, R = ceil(N / P), and two (P, R) products with the
+    value grid, in place of N cosines.
+    """
+    n = values.size
+    steps = math.isqrt(n - 1) + 1
+    grid = np.zeros(-(-n // steps) * steps)
+    grid[:n] = values
+    grid = grid.reshape(-1, steps).T  # grid[q, p] = values[P p + q]
+    giant, baby = center[::steps], np.arange(steps) * width
+
+    def rows(ts):
+        cos_a, sin_a = _cos_sin(ts, giant)
+        cos_b, sin_b = _cos_sin(ts, baby)
+        return np.sum(cos_a * (cos_b @ grid) - sin_a * (sin_b @ grid), axis=1)
+
+    return _row_sums(ts, 2 * (steps + giant.size), rows)  # table cells per t
+
+
 def _density_part(tt: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per t, the sum over bins [a, b] with value v of 2 v (sin(t b) - sin(t a)) / t."""
+    """Per t, the sum over bins [a, b] with value v of 2 v (sin(t b) - sin(t a)) / t.
+
+    That is 4 v cos(t c) sin(t h) / t with centre c and half-width h, stable
+    near 0.  Bins of one width, as every inverted measure has, take the
+    split cosine sum; other bins the dense table.
+    """
     a, b = edges[:-1], edges[1:]
-    center = 0.5 * (a + b)
-    half = _shared(0.5 * (b - a))
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
     nz = _resolved(tt, half)
     out = np.full(tt.shape, float(2.0 * np.sum(values * (b - a))))
-    # (sin(t b) - sin(t a))/t = 2 cos(t c) sin(t h) / t, stable near 0
-    out[nz] = _row_sums(tt[nz], values.size, lambda ts: 2.0 * (
-        2.0 * np.cos(np.outer(ts, center)) * np.sin(np.outer(ts, half))
-        / ts[:, None]) @ values)
+    ts = tt[nz]
+    if (half == half[0]).all():
+        out[nz] = 4.0 * np.sin(ts * half[0]) / ts * _split_cosine_sums(
+            ts, center, 2.0 * half[0], values)
+    else:
+        out[nz] = _row_sums(ts, values.size, lambda ts: 2.0 * (
+            2.0 * np.cos(np.outer(ts, center)) * np.sin(np.outer(ts, half))
+            / ts[:, None]) @ values)
     return out
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,10 @@ def near_boundary_squared_distances(count, seed=11):
 @pytest.fixture
 def measure_factory():
     return random_spectral_measure
+
+
+@pytest.fixture(autouse=True)
+def collector_not_frozen():
+    """No in-process path may freeze the collector: only the process entry does."""
+    yield
+    assert gc.get_freeze_count() == 0

@@ -1,5 +1,6 @@
 """CLI: thin-adapter equality with library calls, exit codes, file formats."""
 
+import gc
 import json
 import os
 import subprocess
@@ -27,6 +28,10 @@ NEAR_BOUNDARY = list(near_boundary_squared_distances(47))
 #: gamma atoms whose s^2 underflows; the first has the finite integral 1e40
 TINY_ATOM = {"atoms": [{"loc": 1e-170, "mass": 1e-300}]}
 TINIER_ATOM = {"atoms": [{"loc": 1e-200, "mass": 1.0}]}
+COLLINEAR_CSV = "0,1,4\n1,0,1\n4,1,0\n"
+#: --tol values past its domain, each of which gave a verdict or a wrong error
+BAD_TOLS = [("check-nd C --tol nan", COLLINEAR_CSV), ("check-psd C --tol inf", COLLINEAR_CSV),
+            ("embed C --tol -1 -o O", COLLINEAR_CSV)]
 #: two points 1e154 apart: (n + 1) max|N| overflowed to a NaN witness
 FLOAT_MAX_PAIR = "0,1e308\n1e308,0\n"
 #: a non-zero diagonal and a negative entry, each at scale 1 and 1e-20
@@ -617,6 +622,37 @@ class TestExitCodes:
         assert err.value.code == 2
 
 
+class TestProcessEntry:
+    """main() without argv is the process entry: it freezes the collector once."""
+
+    def test_only_the_process_entry_freezes(self, monkeypatch, capsys):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        monkeypatch.setattr(sys, "argv", ["kernelbridge", "zoo", "list"])
+        assert main() == 0
+        assert frozen == [True]
+        assert main(["zoo", "list"]) == 0
+        assert exit_code(["no-such-command"]) == 2
+        assert frozen == [True]
+        monkeypatch.setattr(sys, "argv", ["kernelbridge", "no-such-command"])
+        with pytest.raises(SystemExit):
+            main()
+        assert frozen == [True, True]
+
+    def test_subprocess_writes_the_in_process_bytes(self, tmp_path, capsys):
+        src = str(Path(kb.__file__).resolve().parents[1])
+        measure = kb.bochner_inversion(kb.zoo("cauchy")).measure
+        io.write_json(tmp_path / "mu.json", measure.to_dict())
+        child = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "kernelbridge.cli", "synth",
+             str(tmp_path / "mu.json"), "-o", str(tmp_path / "child.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert main(["synth", str(tmp_path / "mu.json"), "-o", str(tmp_path / "own.csv")]) == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
+
+
 FUZZ_SCALARS = (st.none() | st.booleans() | st.integers(-2, 3) | st.just(10 ** 400)
                 | st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, 1e300, float("nan"),
                                    float("inf")])
@@ -730,6 +766,15 @@ class TestMalformedInputs:
         assert "finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, table", BAD_TOLS)
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, command, table):
+        files = {"C": tmp_path / "d2.csv", "O": tmp_path / "out.csv"}
+        files["C"].write_text(table)
+        code, err = exit_and_stderr(capsys, [files.get(w, w) for w in command.split()])
+        assert code == 2
+        assert "tol must be finite and >= 0" in err
+        assert not files["O"].exists()
+
     @pytest.mark.parametrize("index", ["-1", "3", "-4"])
     def test_nd_to_psd_base_index_out_of_range(self, tmp_path, capsys, index):
         matrix, out = tmp_path / "d2.csv", tmp_path / "c.csv"
@@ -766,6 +811,7 @@ class TestMalformedInputs:
     @example(command="embed C -o O", document={}, table=FLOAT_MAX_PAIR)
     @with_examples(OVERFLOWS)
     @with_examples([("embed C -o O", {}, table) for table in SCALED_EMBED])
+    @with_examples([(command, {}, table) for command, table in BAD_TOLS])
     def test_fuzzed_files_keep_the_exit_code_contract(self, tmp_path, capsys, command,
                                                      document, table):
         # every size stays tiny: lists of at most three, m = 4, 65 samples

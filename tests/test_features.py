@@ -158,6 +158,13 @@ class TestBatchedApproximateKernel:
         # an (n, 1) array is the same batch
         assert_array_equal(kb.approximate_kernel(sample, pairs[:, :1], pairs[:, 1:]), batch)
 
+    def test_line_projections_are_the_matmul_products(self):
+        # one product per entry, as the K = 1 matmul computes them
+        sample = kb.sample_frequencies(self.CAUCHY, m=4096, seed=6)
+        points = np.random.default_rng(6).uniform(-3.0, 3.0, (500, 1))
+        assert_array_equal(features._projections(sample, points),
+                           points @ sample.frequencies.reshape(sample.m, 1).T)
+
     def test_single_points_give_floats(self):
         line = kb.sample_frequencies(GAUSS, m=64, seed=1)
         value = kb.approximate_kernel(line, 0.3, -0.2)

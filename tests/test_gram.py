@@ -380,6 +380,15 @@ class TestValidation:
             with pytest.raises(ValueError):
                 check(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -np.inf])
+    @pytest.mark.parametrize("check", [kb.is_positive_definite, kb.is_negative_definite,
+                                       kb.euclidean_embedding])
+    def test_tol_must_be_finite_and_non_negative(self, check, tol):
+        # nan gave a NaN threshold, inf a psd verdict next to eigenvalue -4,
+        # and -1 a "zero diagonal" error on a zero diagonal
+        with pytest.raises(ValueError, match="tol must be finite"):
+            check(COLLINEAR_D2, tol=tol)
+
     def test_one_by_one_nd_test_rejected(self):
         # the complement of the all-ones vector is {0}: no witness exists,
         # and the deflation eigenvalue -1 used to be reported as one
