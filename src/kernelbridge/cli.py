@@ -39,8 +39,9 @@ def _emit(data: dict) -> None:
 
 def _grid(args) -> np.ndarray:
     lo, hi, n = args.grid
-    if not (np.isfinite([lo, hi, n]).all() and hi > lo and n >= 2 and n == int(n)):
-        raise ValueError("--grid needs finite MIN < MAX and an integer N >= 2")
+    if not (np.isfinite([lo, hi, hi - lo, n]).all() and hi > lo and n >= 2 and n == int(n)):
+        raise ValueError("--grid needs finite MIN < MAX, a finite MAX - MIN and an "
+                         "integer N >= 2")
     check_elements(n, "--grid N")
     return np.linspace(lo, hi, int(n))
 
@@ -49,6 +50,22 @@ def _add_grid(parser) -> None:
     parser.add_argument("--grid", nargs=3, type=float, metavar=("MIN", "MAX", "N"),
                         default=list(DEFAULT_GRID),
                         help="evaluation grid (default: %g %g %d)" % DEFAULT_GRID)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every string ``float`` accepts as a value.
+
+    argparse's own test for a negative number takes -1000 and -.5 but not
+    -1e3, which it reads as an unknown option, so ``--grid -1e3 1e3 5``
+    found no MIN.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _add_kernel_source(parser, required: bool = True) -> None:
@@ -219,14 +236,19 @@ def cmd_atom0(args) -> int:
     return 0
 
 
-def _read_pairs(path, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y halves of a --pairs CSV of finite rows x_1..x_d,y_1..y_d."""
+def _read_pairs(path, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and y halves of a --pairs CSV of finite rows x_1..x_d,y_1..y_d, and x - y."""
     pairs = io.read_matrix_csv(path)
     if pairs.shape[1] != 2 * d:
         raise ValueError(f"--pairs rows must have {2 * d} columns (x then y)")
     if not np.isfinite(pairs).all():
         raise ValueError("--pairs entries must be finite")
-    return pairs[:, :d], pairs[:, d:]
+    xs, ys = pairs[:, :d], pairs[:, d:]
+    with np.errstate(over="ignore"):
+        lags = xs - ys
+    if not np.isfinite(lags).all():
+        raise ValueError("--pairs lags x - y overflow the float range")
+    return xs, ys, lags
 
 
 def cmd_rff(args) -> int:
@@ -238,33 +260,33 @@ def cmd_rff(args) -> int:
         measure = SpectralMeasure.from_dict(data)
         sample = sample_frequencies(measure, m=args.m, seed=args.seed)
         product = ProductSpectralMeasure(factors=(measure,))
-    io.write_json(args.output, sample.to_dict())
     summary = {"written": args.output, "m": sample.m, "seed": sample.seed,
                "total_mass": sample.total_mass}
-    if args.pairs:
-        xs, ys = _read_pairs(args.pairs, sample.dim)
-        exacts = product_synthesis(product, xs - ys)
+    if args.pairs:  # evaluated first: a rejected pair leaves no sample file
+        xs, ys, lags = _read_pairs(args.pairs, sample.dim)
+        exacts = product_synthesis(product, lags)
         approxs = approximate_kernel(sample, xs, ys)
         errors = np.abs(approxs - exacts)
         io.write_matrix_csv(args.errors_out, np.column_stack((exacts, approxs, errors)),
                             header="exact,approx,abs_error")
         summary["errors_written"] = args.errors_out
         summary["max_abs_error"] = float(errors.max())
+    io.write_json(args.output, sample.to_dict())
     _emit(summary)
     return 0
 
 
 def cmd_product_synth(args) -> int:
     measure = ProductSpectralMeasure.from_dict(io.read_json(args.measure))
-    xs, ys = _read_pairs(args.pairs, measure.dim)
-    values = product_synthesis(measure, xs - ys)
+    _, _, lags = _read_pairs(args.pairs, measure.dim)
+    values = product_synthesis(measure, lags)
     io.write_points_csv(args.output, values)
     _emit({"written": args.output, "n": len(values)})
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kernelbridge",
         description="Transforms between translation-invariant kernels, "
                     "Hilbertian metrics, and spectral measures.")

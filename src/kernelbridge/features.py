@@ -84,13 +84,10 @@ def _draw_abs_frequencies(mu: SpectralMeasure, u_component, u_position):
     """|frequencies| for the given uniforms, and the two-sided total mass.
 
     Components, atoms first and then density bins, are selected by their
-    two-sided mass; within a bin the position is uniform (the density is
-    constant there).
+    two-sided masses (``SpectralMeasure.component_masses``); within a bin
+    the position is uniform (the density is constant there).
     """
-    at_zero = mu.atom_locations == 0.0
-    masses = np.concatenate([np.where(at_zero, mu.atom_masses, 2.0 * mu.atom_masses),
-                             2.0 * mu.bin_values * mu.bin_widths])
-    total = float(np.sum(masses))
+    masses, total = mu.component_masses(), mu.total_mass()
     if total <= 0.0:
         raise ValueError("cannot sample from a zero-mass measure")
     cum = np.cumsum(masses / total)
@@ -157,6 +154,8 @@ def _points(sample: FrequencySample, x) -> tuple[np.ndarray, bool]:
     if x.ndim > 2:
         raise ValueError(f"points must be a scalar, a vector or an (n, d) array, "
                          f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
     points = x.reshape(1, -1) if one else x.reshape(x.shape[0], -1)
     if points.shape[1] != sample.dim:
         raise ValueError(f"point has dimension {points.shape[1]}, expected {sample.dim}")
@@ -169,6 +168,19 @@ def _projections(sample: FrequencySample, points: np.ndarray) -> np.ndarray:
     if freqs.shape[1] == 1:  # the same products; a K = 1 matmul costs ~8x more
         return points * freqs[:, 0]
     return points @ freqs.T
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """Feature values, or a ValueError where one is not finite.
+
+    The values are built from cosines of projections, so one is NaN exactly
+    when a projection w . x went past the float range (its cosine is NaN).
+    The callers compute them with those warnings off and check the result
+    once, here, rather than every chunk of projections.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("a point times a frequency overflows the float range")
+    return values
 
 
 def _cos(a: np.ndarray) -> np.ndarray:
@@ -206,7 +218,9 @@ def feature_matrix(sample: FrequencySample, x) -> np.ndarray:
     if len(points) != 1:
         raise ValueError(f"feature_matrix takes one point, got {len(points)}")
     scale = np.sqrt(2.0 * sample.total_mass / sample.m)
-    return scale * _cos(_projections(sample, points)[0] + sample.phases)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _finite
+        features = _cos(_projections(sample, points)[0] + sample.phases)
+    return scale * _finite(features)
 
 
 def approximate_kernel(sample: FrequencySample, x, y):
@@ -233,6 +247,7 @@ def approximate_kernel(sample: FrequencySample, x, y):
         cx *= _cos(cy)
         return cx.sum(axis=1)
 
-    inner = _row_sums(np.hstack([xs, ys]), sample.m, rows)
-    values = 2.0 * sample.total_mass / sample.m * inner
+    with np.errstate(over="ignore", invalid="ignore"):  # see _finite
+        inner = _row_sums(np.hstack([xs, ys]), sample.m, rows)
+    values = 2.0 * sample.total_mass / sample.m * _finite(inner)
     return float(values[0]) if one else values

@@ -209,16 +209,22 @@ def nd_to_psd(matrix, base_index: int = 0) -> np.ndarray:
 
     K(i, j) = (N(i, b) + N(j, b) - N(i, j) - N(b, b)) / 2.  Row and column
     b of the result are identically zero, and N is negative definite iff
-    the result is positive definite.
+    the result is positive definite.  The entries are halved first, so a
+    non-negative N gives a finite result; a result past the float range is
+    a ValueError.
     """
     entries = _entries(matrix)
     n = entries.shape[0]
     if not 0 <= base_index < n:
         raise IndexError(f"base_index {base_index} out of range for n={n}")
-    col = entries[:, base_index]
-    out = 0.5 * (col[:, None] + col[None, :] - entries - entries[base_index, base_index])
+    half = 0.5 * entries
+    col = half[:, base_index]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = col[:, None] + col[None, :] - half - half[base_index, base_index]
     out[base_index, :] = 0.0
     out[:, base_index] = 0.0
+    if not np.isfinite(out).all():
+        raise ValueError("the centred matrix overflows the float range")
     return out
 
 

@@ -207,11 +207,20 @@ class SpectralMeasure(_BinnedMeasure):
         at_zero = self.atom_locations == 0.0
         return float(np.sum(self.atom_masses[at_zero]))
 
-    def total_mass(self) -> float:
-        """Two-sided total mass; equals the synthesized kernel at 0."""
+    def component_masses(self) -> np.ndarray:
+        """Two-sided mass of each component: the atoms, then the bins.
+
+        An atom at 0 is its own mirror image and counts once; every other
+        component counts for the pair at +-tau.
+        """
         at_zero = self.atom_locations == 0.0
-        atom_part = np.sum(self.atom_masses[at_zero]) + 2.0 * np.sum(self.atom_masses[~at_zero])
-        return float(atom_part + 2.0 * np.sum(self.bin_values * self.bin_widths))
+        return np.concatenate([np.where(at_zero, self.atom_masses, 2.0 * self.atom_masses),
+                               2.0 * self.bin_values * self.bin_widths])
+
+    def total_mass(self) -> float:
+        """Two-sided total mass, the sum of the component masses; equals the
+        synthesized kernel at 0."""
+        return float(np.sum(self.component_masses()))
 
     def positive_part(self):
         """Atoms and density strictly above frequency 0 (one-sided masses)."""

@@ -32,6 +32,12 @@ The pipeline implemented here:
   uniform, so the trapezoid sum over all bins is one chirp-z transform
   (Bluestein's algorithm on ``numpy.fft``), not a dense samples x bins
   cosine table.
+
+One angle rule serves every trig sum: ``_cos_sin`` takes each cosine and
+sine of a product t x (atoms, bins, the split's sine factor, the chirp-z
+phases) of the exact product, and a product past the float range is a
+ValueError, never a NaN.  Only the Si-based antiderivative takes the
+rounded product, which ``sici`` needs.
 """
 
 from __future__ import annotations
@@ -97,6 +103,7 @@ def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # a product past the float range is resolved
 def _resolved(ts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Mask of the t whose products with every bin width are normal floats.
 
@@ -105,19 +112,6 @@ def _resolved(ts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     the syntheses give them their t = 0 value.
     """
     return np.abs(ts) * np.min(widths) >= np.finfo(float).tiny
-
-
-def _phases(half_theta: float, q: np.ndarray) -> np.ndarray:
-    """exp(-i half_theta q) for integer-valued q below 2**52.
-
-    half_theta splits into a head, short enough that head * q is exact for
-    every q, and a small tail.  The phases then carry no rounding of order
-    half_theta * q, which reaches 1e6 rad on long inversion grids.
-    """
-    mant, exp = np.frexp(half_theta)
-    bits = 53 - int(q.max()).bit_length()
-    head = float(np.ldexp(np.floor(np.ldexp(mant, bits)), exp - bits))
-    return np.exp(-1j * (head * q)) * np.exp(-1j * ((half_theta - head) * q))
 
 
 def _chirp_size(n: int, n_out: int) -> int:
@@ -134,17 +128,19 @@ def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray
     k = -(n - 1) .. n_out - 1 (Bluestein), done with one power-of-two
     FFT pair.  The error stays within ~1e-14 sum |g_i|.
     """
+    def phases(q):  # exp(-i theta q / 2), of angles up to ~1e6 rad taken exactly
+        cos, sin = _cos_sin(np.array([0.5 * theta]), q)
+        return cos[0] - 1j * sin[0]
+
     n = g.size
-    half = 0.5 * theta
     i = np.arange(n, dtype=float)
     k = np.arange(max(n, n_out), dtype=float)
-    chirp = _phases(half, k * k)
+    chirp = phases(k * k)
     size = _chirp_size(n, n_out)  # no wrap-around
     filt = np.zeros(size, dtype=complex)
     filt[:n_out] = chirp[:n_out].conj()
     filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    conv = np.fft.ifft(np.fft.fft(g * _phases(half, i * (i + 1.0)), size)
-                       * np.fft.fft(filt))
+    conv = np.fft.ifft(np.fft.fft(g * phases(i * (i + 1.0)), size) * np.fft.fft(filt))
     return (conv[:n_out] * chirp[:n_out]).real
 
 
@@ -162,8 +158,12 @@ def _cos_sin(ts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sin p + e cos p to within e**2 / 2.  So the tables carry no rounding of
     order |ts x| eps, which a plain product leaves in every angle.  Past
     |p| ~ 2**53, where |e| may exceed 1/2, the angle is p as it stands.
+    A product past the float range is a ValueError, not a NaN.
     """
-    p = np.outer(ts, x)
+    with np.errstate(over="ignore"):
+        p = np.outer(ts, x)
+    if not np.isfinite(p).all():
+        raise ValueError("a lag times a frequency overflows the float range")
     t_head, x_head = _head(ts), _head(x)
     t_tail, x_tail = ts - t_head, x - x_head
     e = ((np.outer(t_head, x_head) - p) + np.outer(t_head, x_tail)
@@ -211,12 +211,11 @@ def _density_part(tt: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.n
     out = np.full(tt.shape, float(2.0 * np.sum(values * (b - a))))
     ts = tt[nz]
     if (half == half[0]).all():
-        out[nz] = 4.0 * np.sin(ts * half[0]) / ts * _split_cosine_sums(
+        out[nz] = 4.0 * _cos_sin(ts, half[:1])[1][:, 0] / ts * _split_cosine_sums(
             ts, center, 2.0 * half[0], values)
     else:
         out[nz] = _row_sums(ts, values.size, lambda ts: 2.0 * (
-            2.0 * np.cos(np.outer(ts, center)) * np.sin(np.outer(ts, half))
-            / ts[:, None]) @ values)
+            2.0 * _cos_sin(ts, center)[0] * _cos_sin(ts, half)[1] / ts[:, None]) @ values)
     return out
 
 
@@ -232,8 +231,7 @@ def bochner_synthesis(mu: SpectralMeasure, t):
 
     locs, masses, edges, values = mu.positive_part()
     if locs.size:
-        out += _row_sums(tt, locs.size,
-                         lambda ts: 2.0 * np.cos(np.outer(ts, locs)) @ masses)
+        out += _row_sums(tt, locs.size, lambda ts: 2.0 * _cos_sin(ts, locs)[0] @ masses)
     if values.size:
         out += _density_part(tt, edges, values)
     return float(out[0]) if scalar else out.reshape(t.shape)
@@ -259,7 +257,8 @@ def screw_synthesis(gamma: GammaMeasure, t):
     form: 2 D(0) - 2 D(t) of the Bochner density sum D of the spectral bins
     for s^2-law bins, the Si-based antiderivative for constant-law bins.
     Even in t; d2(0) = 0.  A non-finite value (the weight overflows the
-    float range) is a ValueError.
+    float range) is a ValueError, as is a lag whose product with a
+    frequency does (see _cos_sin).
     """
     t, scalar = _as_t_array(t)
     tt = np.abs(np.atleast_1d(t).ravel())
@@ -269,7 +268,7 @@ def screw_synthesis(gamma: GammaMeasure, t):
     if locs.size:
         # m (sin(ts)/s)^2, not (m/s^2) sin^2(ts): s^2 underflows below ~1e-154
         out += _row_sums(tt, locs.size,
-                         lambda ts: (np.sin(np.outer(ts, locs)) / locs) ** 2 @ masses)
+                         lambda ts: (_cos_sin(ts, locs)[1] / locs) ** 2 @ masses)
     edges, values = gamma.bin_edges, gamma.bin_values
     if values.size and gamma.law == "s2":
         # the spectral bin [2c, 2d] with value g/16 (see module docstring):

@@ -34,6 +34,8 @@ BAD_TOLS = [("check-nd C --tol nan", COLLINEAR_CSV), ("check-psd C --tol inf", C
             ("embed C --tol -1 -o O", COLLINEAR_CSV)]
 #: two points 1e154 apart: (n + 1) max|N| overflowed to a NaN witness
 FLOAT_MAX_PAIR = "0,1e308\n1e308,0\n"
+#: a finite matrix whose centred matrix is past the float range
+OVERFLOWING_CENTRE = "1e308,-1e308\n-1e308,1e308\n"
 #: a non-zero diagonal and a negative entry, each at scale 1 and 1e-20
 SCALED_EMBED = ["1,1\n1,1\n", "1e-20,1e-20\n1e-20,1e-20\n",
                 "0,1,-0.5\n1,0,1\n-0.5,1,0\n",
@@ -120,6 +122,15 @@ class TestMatrixCommands:
         code, payload = run(capsys, "check-nd", m)
         assert code == 0
         assert payload["nd"] is False
+
+    def test_nd_to_psd_rejects_an_overflowing_result(self, tmp_path, capsys):
+        # used to write -inf and exit 0, with a RuntimeWarning
+        m, out = tmp_path / "n.csv", tmp_path / "centered.csv"
+        m.write_text(OVERFLOWING_CENTRE)
+        code, err = exit_and_stderr(capsys, ["nd-to-psd", m, "-o", out])
+        assert code == 2
+        assert "centred matrix overflows the float range" in err
+        assert not out.exists()
 
     def test_nd_to_psd_golden(self, tmp_path, capsys):
         m = tmp_path / "d2.csv"
@@ -342,13 +353,26 @@ class TestSpectralCommands:
             assert code == 2
 
     @pytest.mark.parametrize("grid", [("0", "inf", "5"), ("nan", "1", "5"),
-                                      ("0", "1", "inf"), ("0", "1", "2.5")])
+                                      ("0", "1", "inf"), ("0", "1", "2.5"),
+                                      ("-inf", "1", "5"), ("-1e308", "1e308", "5")])
     def test_synth_rejects_bad_grid(self, tmp_path, capsys, grid):
-        # N = inf used to escape as an OverflowError traceback
+        # N = inf used to escape as an OverflowError traceback; a span past
+        # the float range would give NaN lags
         mu = tmp_path / "mu.json"
         io.write_json(mu, kb.gaussian_measure(n_bins=8).to_dict())
         assert main(["synth", str(mu), "--grid", *grid,
                      "-o", str(tmp_path / "k.csv")]) == 2
+
+    @pytest.mark.parametrize("low", ["-1e3", "-1E3", "-1.0e+3", "-.1e4", "-1_000"])
+    def test_grid_takes_negative_bounds_in_every_float_form(self, tmp_path, capsys, low):
+        # argparse read -1e3 as an unknown option: "expected 3 arguments"
+        mu = tmp_path / "mu.json"
+        io.write_json(mu, kb.gaussian_measure(n_bins=8).to_dict())
+        assert main(["synth", str(mu), "--grid", low, "1e3", "5",
+                     "-o", str(tmp_path / "k.csv")]) == 0
+        assert main(["synth", str(mu), "--grid", "-1000", "1000", "5",
+                     "-o", str(tmp_path / "plain.csv")]) == 0
+        assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_invert_rejects_shifted_cosine_from_samples(self, tmp_path, capsys):
         t = np.arange(0.0, 200.0 + 1e-9, 0.005)
@@ -715,6 +739,24 @@ OVERFLOWS = [
 ]
 
 
+#: bins [0, 2] and [2, 4]: a lag of 1e308 times their centre 3 is past the float range
+_WIDE = {"density": {"edges": [0, 2, 4], "values": [1, 1]}}
+_PAIR_ROW = "0,0,0,1e308,-1e308,1\n"
+#: finite inputs at the extreme of the float range whose lag times a frequency
+#: overflows: command, JSON, CSV
+LAG_OVERFLOWS = [
+    ("synth J --grid 1e308 1.5e308 3 -o O", _WIDE, ""),
+    ("screw J --grid 1e308 1.5e308 3 -o O", {"density": {**_WIDE["density"], "law": "s2"}},
+     ""),
+    ("product-synth J --pairs C -o O", {"factors": [_WIDE] * 3}, _PAIR_ROW),
+    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", {"factors": [_WIDE] * 3},
+     _PAIR_ROW),
+]
+#: pairs whose lag x - y is past the float range: command, JSON, CSV
+LAG_SPANS = [("product-synth J --pairs C -o O", {"factors": [_WIDE]}, "1e308,-1e308\n"),
+             ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _WIDE, "-1e308,1e308\n")]
+
+
 def with_examples(cases):
     """Add each (command, document, table) case as a hypothesis @example."""
     def add(test):
@@ -785,6 +827,24 @@ class TestMalformedInputs:
         assert "out of range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, document, table, message",
+        [(*case, "a lag times a frequency overflows the float range") for case in LAG_OVERFLOWS]
+        + [(*case, "--pairs lags x - y overflow the float range") for case in LAG_SPANS])
+    def test_overflowing_lags_exit_2(self, tmp_path, capsys, command, document, table,
+                                     message):
+        # synth, product-synth and rff wrote nan and exited 0, and x - y past the
+        # float range gave inf, each with a RuntimeWarning; screw called the
+        # lag a squared-metric overflow
+        files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv",
+                 "O": tmp_path / "out", "E": tmp_path / "errors.csv"}
+        files["J"].write_text(json.dumps(document))
+        files["C"].write_text(table)
+        code, err = exit_and_stderr(capsys, [files.get(w, w) for w in command.split()])
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not files["O"].exists() and not files["E"].exists()
+
     @pytest.mark.parametrize("command, document, table", OVERFLOWS)
     def test_overflowing_measures_exit_2(self, tmp_path, capsys, command, document, table):
         # each used to exit 0 with inf or nan in its output and a RuntimeWarning
@@ -810,6 +870,8 @@ class TestMalformedInputs:
     @example(command="check-nd C", document={}, table=FLOAT_MAX_PAIR)
     @example(command="embed C -o O", document={}, table=FLOAT_MAX_PAIR)
     @with_examples(OVERFLOWS)
+    @with_examples(LAG_OVERFLOWS + LAG_SPANS)
+    @example(command="nd-to-psd C -o O", document={}, table=OVERFLOWING_CENTRE)
     @with_examples([("embed C -o O", {}, table) for table in SCALED_EMBED])
     @with_examples([(command, {}, table) for command, table in BAD_TOLS])
     def test_fuzzed_files_keep_the_exit_code_contract(self, tmp_path, capsys, command,

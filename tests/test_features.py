@@ -49,6 +49,14 @@ class TestSampleFrequencies:
         with pytest.raises(ValueError, match="zero-mass"):
             kb.sample_frequencies(empty, m=8, seed=0)
 
+    def test_total_mass_is_the_measure_total_mass(self, measure_factory):
+        # the draw's total differed from total_mass() in the last bit on
+        # about half of the measures with atoms
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            mu = measure_factory(rng)
+            assert kb.sample_frequencies(mu, m=8, seed=0).total_mass == mu.total_mass()
+
     def test_phases_in_range(self):
         sample = kb.sample_frequencies(GAUSS, m=4096, seed=3)
         assert np.all(sample.phases >= 0.0)
@@ -191,6 +199,25 @@ class TestBatchedApproximateKernel:
                         (line, np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))):
             with pytest.raises(ValueError):
                 kb.approximate_kernel(s, x, y)
+
+    def test_overflowing_projections_rejected(self):
+        # w x past the float range gave nan with RuntimeWarnings
+        line = kb.sample_frequencies(GAUSS, m=64, seed=1)
+        product = kb.sample_product_frequencies(
+            kb.ProductSpectralMeasure(factors=(GAUSS,) * 3), m=64, seed=1)
+        assert np.max(np.abs(line.frequencies)) > 2.0  # so 1e308 w overflows
+        for sample, x, y in ((line, 1e308, -1e308), (line, [0.0, 1e308], [0.0, 0.0]),
+                             (product, [1e308, -1e308, 1.0], np.zeros(3))):
+            with pytest.raises(ValueError, match="a point times a frequency overflows"):
+                kb.approximate_kernel(sample, x, y)
+            with pytest.raises(ValueError, match="a point times a frequency overflows"):
+                kb.feature_matrix(sample, np.max(x) if sample is line else x)
+
+    def test_non_finite_points_rejected(self):
+        sample = kb.sample_frequencies(GAUSS, m=16, seed=0)
+        for x in (np.inf, [0.0, np.nan]):
+            with pytest.raises(ValueError, match="points must be finite"):
+                kb.approximate_kernel(sample, x, np.zeros(np.shape(x)))
 
 
 class TestProductSampling:

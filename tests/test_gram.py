@@ -218,6 +218,16 @@ class TestNdToPsd:
         with pytest.raises(IndexError):
             kb.nd_to_psd(COLLINEAR_D2, base_index=3)
 
+    def test_overflowing_result_rejected(self):
+        # the finite input gave -inf with a RuntimeWarning
+        with pytest.raises(ValueError, match="centred matrix overflows the float range"):
+            kb.nd_to_psd(np.array([[1e308, -1e308], [-1e308, 1e308]]))
+
+    def test_entries_near_the_float_maximum_stay_finite(self):
+        # (N(1, 0) + N(1, 0)) / 2 = 1e308 gave inf when the sum came before the halving
+        out = kb.nd_to_psd(np.array([[0.0, 1e308], [1e308, 0.0]]), base_index=0)
+        assert out.tolist() == [[0.0, 0.0], [0.0, 1e308]]
+
     def test_polarization_identity(self):
         # K(i,i) + K(j,j) - 2 K(i,j) == N(i,j) - (N(i,i) + N(j,j)) / 2
         rng = np.random.default_rng(17)

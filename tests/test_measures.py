@@ -90,6 +90,12 @@ class TestMassAccounting:
         assert mu.zero_atom == 0.25
         assert mu.total_mass() == 0.25 + 2 * 0.5
 
+    def test_component_masses_count_a_zero_atom_once(self):
+        mu = kb.SpectralMeasure(atoms=[(1.0, 0.5), (0.0, 0.25)],
+                                edges=[0.0, 1.0, 3.0], values=[0.1, 0.05])
+        assert mu.component_masses().tolist() == [0.25, 1.0, 0.2, 0.2]
+        assert mu.total_mass() == float(np.sum(mu.component_masses()))
+
     def test_density_lookup(self):
         mu = kb.SpectralMeasure(edges=[0.0, 1.0, 2.0], values=[0.7, 0.1])
         assert mu.density_at(0.0) == 0.7

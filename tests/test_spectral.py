@@ -28,9 +28,10 @@ def chirp_z_cosine_sums(g, t_max, freq_max, n_bins):
     return _midpoint_cosine_sums(g, (t_max / (g.size - 1)) * (freq_max / n_bins), n_bins)
 
 
-def exact_cos(t, c):
-    """cos(t c) of the exact product t c = p + e (Dekker's two-product, Veltkamp
-    split): cos p - e sin p, within e**2 of it."""
+def exact_cos_sin(t, c):
+    """cos(t c) and sin(t c) of the exact product t c = p + e (Dekker's
+    two-product, Veltkamp split): cos p - e sin p and sin p + e cos p, within
+    e**2 of them."""
     p = t * c
 
     def split(x):
@@ -40,25 +41,26 @@ def exact_cos(t, c):
 
     (t_head, t_tail), (c_head, c_tail) = split(t), split(c)
     e = ((t_head * c_head - p) + t_head * c_tail + t_tail * c_head) + t_tail * c_tail
-    return math.cos(p) - e * math.sin(p)
+    return math.cos(p) - e * math.sin(p), math.sin(p) + e * math.cos(p)
 
 
 def plain_bochner_synthesis(mu, t):
     """Oracle: one t and one component at a time, 2 v 2 cos(t c) sin(t h) / t per bin.
 
-    cos(t c) is taken of the exact product, so the oracle carries no
-    rounding of order |t c| eps.  sin(t h) / t is taken as h where
-    |t h| < 1e-8, at which the two agree to rounding and the quotient would
-    lose its digits to underflow.
+    Every cosine and sine, of atoms and bins, is taken of the exact product,
+    so the oracle carries no rounding of order |t c| eps.  sin(t h) / t is
+    taken as h where |t h| < 1e-8, at which the two agree to rounding and the
+    quotient would lose its digits to underflow.
     """
     locs, masses, edges, values = mu.positive_part()
     out = []
     for ti in t:
-        terms = [mu.zero_atom] + [2.0 * m * math.cos(ti * loc) for loc, m in zip(locs, masses)]
+        terms = [mu.zero_atom] + [2.0 * m * exact_cos_sin(ti, loc)[0]
+                                  for loc, m in zip(locs, masses)]
         for a, b, v in zip(edges[:-1], edges[1:], values):
             h = 0.5 * (b - a)
-            ratio = h if abs(ti * h) < 1e-8 else math.sin(ti * h) / ti
-            terms.append(2.0 * v * 2.0 * exact_cos(ti, 0.5 * (a + b)) * ratio)
+            ratio = h if abs(ti * h) < 1e-8 else exact_cos_sin(ti, h)[1] / ti
+            terms.append(2.0 * v * 2.0 * exact_cos_sin(ti, 0.5 * (a + b))[0] * ratio)
         out.append(math.fsum(terms))
     return np.array(out)
 
