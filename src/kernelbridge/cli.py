@@ -21,14 +21,13 @@ from .exceptions import KernelBridgeError, MathematicalRejection
 from .features import approximate_kernel, sample_frequencies, sample_product_frequencies
 from .gram import (DEFAULT_TOL, build_gram, euclidean_embedding, is_negative_definite,
                    is_positive_definite, nd_to_psd)
-from .measures import GammaMeasure, SpectralMeasure, _json_number
+from .measures import GammaMeasure, SpectralMeasure, _json_number, check_elements
 from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import (PROBE_GRID_SIZE, PROBE_GRID_SPAN, metric_from_kernel,
                        profile_from_samples, zoo, zoo_names)
 from .spectral import (InversionConfig, atom_at_zero, bochner_inversion,
                        bochner_synthesis, bound_report, gamma_from_spectral,
-                       check_elements, int_bound_integral, screw_synthesis,
-                       spectral_from_gamma)
+                       int_bound_integral, screw_synthesis, spectral_from_gamma)
 
 DEFAULT_GRID = (-PROBE_GRID_SPAN, PROBE_GRID_SPAN, PROBE_GRID_SIZE)
 

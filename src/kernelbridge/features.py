@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import SpectralMeasure
+from .measures import SpectralMeasure, check_elements
 from .product import ProductSpectralMeasure
-from .spectral import _row_sums, check_elements
+from .spectral import _row_sums
 
 __all__ = ["FrequencySample", "sample_frequencies",
            "sample_product_frequencies", "feature_matrix", "approximate_kernel"]

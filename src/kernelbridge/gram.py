@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EigenSolverError, NotHilbertianError
+from .measures import check_elements
 from .profiles import KernelProfile
 
 __all__ = [
@@ -140,6 +141,7 @@ def build_gram(profile: KernelProfile, points) -> GramMatrix:
         raise ValueError("points must be non-empty")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
+    check_elements(points.size ** 2, "the Gram matrix of the points")
     diff = points[:, None] - points[None, :]
     return GramMatrix(points=points, entries=profile(diff))
 

@@ -18,6 +18,13 @@ spectral bin becomes under the change of variables s = tau/2, so converted
 measures are stored exactly.  A gamma measure may be unbounded under the
 quadratic-decay integral; that is what separates metrics with and without
 a bounded kernel.
+
+Every bin grid the library builds, for the closed-form measures here and
+for ``bochner_inversion``, comes from :func:`frequency_grid`: edges j w,
+j = 0 .. n, of one float width w, with top edge n w <= freq_max.  So the
+widths are equal bit for bit at every bin count, and the syntheses take
+their angle split on them; only measures read from files whose widths
+differ take the dense table.
 """
 
 from __future__ import annotations
@@ -35,12 +42,25 @@ __all__ = [
     "cauchy_measure",
     "cosine_measure",
     "constant_measure",
+    "frequency_grid",
+    "MAX_ELEMENTS",
+    "check_elements",
 ]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 #: default bin count and frequency range of binned measures, closed-form or inverted
 N_BINS = 2048
 FREQ_MAX = 8.0
+#: most float64 values one array may hold (2**24: 128 MiB); a size that
+#: would need more is rejected before anything is allocated
+MAX_ELEMENTS = 2 ** 24
+
+
+def check_elements(count, what: str) -> None:
+    """Raise ValueError when ``what`` needs more than MAX_ELEMENTS array elements."""
+    if not count <= MAX_ELEMENTS:
+        raise ValueError(f"{what} needs {float(count):.4g} array elements, "
+                         f"over the budget of {MAX_ELEMENTS}")
 
 
 def _normalize_atoms(atoms, allow_zero_location: bool, what: str):
@@ -95,6 +115,14 @@ def _json_number(value, what: str, finite: bool = False) -> float:
             if not finite or math.isfinite(number):
                 return number
     raise ValueError(f"{what} must be a {'finite ' if finite else ''}number, got {value!r}")
+
+
+def _positive_number(value, what: str) -> float:
+    """A finite number > 0 as a float; ValueError for any other value."""
+    number = _json_number(value, what, finite=True)
+    if not number > 0:
+        raise ValueError(f"{what} must be > 0, got {value!r}")
+    return number
 
 
 def _json_numbers(values, what: str) -> np.ndarray:
@@ -268,30 +296,63 @@ class GammaMeasure(_BinnedMeasure):
         return total
 
 
-def _binned_measure(n_bins: int, freq_max: float, density) -> SpectralMeasure:
-    """``n_bins`` equal bins on [0, freq_max], each valued ``density`` at its midpoint."""
-    edges = np.linspace(0.0, freq_max, n_bins + 1)
-    return SpectralMeasure(edges=edges, values=density(0.5 * (edges[:-1] + edges[1:])))
+def _bin_width(n_bins, freq_max) -> float:
+    """freq_max / n_bins truncated to 52 - n_bins.bit_length() significant bits.
+
+    Then j w and (2 j + 1) w fit in 53 bits for every j <= n_bins.
+    ValueError for a bool or non-integer n_bins, n_bins < 1, a freq_max that
+    is not a finite number > 0, and n_bins + 1 edges over the element budget.
+    """
+    if isinstance(n_bins, bool) or not isinstance(n_bins, numbers.Integral) or n_bins < 1:
+        raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+    freq_max = _positive_number(freq_max, "freq_max")
+    check_elements(int(n_bins) + 1, "n_bins + 1 bin edges")
+    bits = 52 - int(n_bins).bit_length()
+    mant, exp = math.frexp(freq_max / int(n_bins))
+    return math.ldexp(math.floor(math.ldexp(mant, bits)), exp - bits)
+
+
+def frequency_grid(n_bins: int, freq_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edges j w (j = 0 .. n_bins) and centres (j + 1/2) w of n_bins bins.
+
+    Each is the exact multiple of the one float width w of _bin_width, so
+    the widths are equal bit for bit at every bin count, and the top edge
+    n_bins w is at most freq_max, short of it by less than
+    freq_max 2**(n_bins.bit_length() - 51).  At the defaults w = 2**-8.
+    """
+    width = _bin_width(n_bins, freq_max)
+    j = np.arange(int(n_bins) + 1.0)
+    return j * width, (j[:-1] + 0.5) * width
+
+
+def _binned_measure(n_bins, freq_max, scale, density) -> SpectralMeasure:
+    """The bins of :func:`frequency_grid`, each valued ``density`` at its centre.
+
+    ``scale`` is the density's, checked to be a finite number > 0.
+    """
+    _positive_number(scale, "scale")
+    edges, centres = frequency_grid(n_bins, freq_max)
+    return SpectralMeasure(edges=edges, values=density(centres))
 
 
 def gaussian_measure(n_bins: int = N_BINS, freq_max: float = FREQ_MAX,
                      scale: float = 1.0) -> SpectralMeasure:
     """Binned closed-form measure of the Gaussian kernel exp(-t^2/(2 scale^2))."""
-    return _binned_measure(n_bins, freq_max, lambda mid: (
+    return _binned_measure(n_bins, freq_max, scale, lambda mid: (
         scale * np.exp(-(scale * mid) ** 2 / 2.0) / SQRT_2PI))
 
 
 def laplacian_measure(n_bins: int = N_BINS, freq_max: float = FREQ_MAX,
                       scale: float = 1.0) -> SpectralMeasure:
     """Binned closed-form measure of exp(-|t|/scale): a Cauchy-shaped density."""
-    return _binned_measure(n_bins, freq_max,
+    return _binned_measure(n_bins, freq_max, scale,
                            lambda mid: (scale / np.pi) / (1.0 + (scale * mid) ** 2))
 
 
 def cauchy_measure(n_bins: int = N_BINS, freq_max: float = FREQ_MAX,
                    scale: float = 1.0) -> SpectralMeasure:
     """Binned closed-form measure of 2/(1+(t/scale)^2): an exponential density."""
-    return _binned_measure(n_bins, freq_max, lambda mid: scale * np.exp(-scale * mid))
+    return _binned_measure(n_bins, freq_max, scale, lambda mid: scale * np.exp(-scale * mid))
 
 
 def cosine_measure(omega: float = 1.0) -> SpectralMeasure:

@@ -7,7 +7,8 @@ The pipeline implemented here:
   in closed form).
 * ``screw_synthesis``    -- gamma measure -> squared-metric values: s^2-law
   bins as the Bochner density sum of their spectral bins (below),
-  constant-law bins through the Si-based antiderivative of sin^2(ts)/s^2.
+  constant-law bins through the Si-based antiderivative of sin^2(ts)/s^2,
+  in a form that does not cancel at large lags.
 * ``gamma_from_spectral`` / ``spectral_from_gamma`` -- the change of
   variables linking the two representations: a component of the measure
   at frequency tau > 0 with one-sided mass m corresponds to a gamma
@@ -28,16 +29,17 @@ The pipeline implemented here:
   cosine-transform quadrature, with a certificate path: a clearly
   negative zero-frequency mass or clearly negative density values raise
   :class:`NotPositiveDefiniteError` instead of being silently clamped.
-  The samples t_i = i dt and the bin midpoints (j + 1/2) df are both
-  uniform, so the trapezoid sum over all bins is one chirp-z transform
-  (Bluestein's algorithm on ``numpy.fft``), not a dense samples x bins
-  cosine table.
+  The samples t_i = i dt and the bin midpoints (j + 1/2) w of
+  ``measures.frequency_grid`` are both uniform, so the trapezoid sum over
+  all bins is one chirp-z transform (Bluestein's algorithm on
+  ``numpy.fft``), not a dense samples x bins cosine table.
 
 One angle rule serves every trig sum: ``_cos_sin`` takes each cosine and
 sine of a product t x (atoms, bins, the split's sine factor, the chirp-z
 phases) of the exact product, and a product past the float range is a
 ValueError, never a NaN.  Only the Si-based antiderivative takes the
-rounded product, which ``sici`` needs.
+rounded product: ``sici`` needs it, and past its series threshold the angle
+enters at relative size 1/(2 t e) only.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
-from .measures import FREQ_MAX, N_BINS, GammaMeasure, SpectralMeasure
+from .measures import (FREQ_MAX, MAX_ELEMENTS, N_BINS, GammaMeasure, SpectralMeasure,
+                       _bin_width, check_elements, frequency_grid)
 from .profiles import KernelProfile
 
 __all__ = [
@@ -72,16 +75,6 @@ BOUND_RTOL = 1e-12
 #: chunk size (in rows x columns) for the dense trig evaluations: small
 #: enough that a chunk's temporaries stay in cache
 _CHUNK = 2 ** 14
-#: most float64 values one array may hold (2**24: 128 MiB); a size that
-#: would need more is rejected before anything is allocated
-MAX_ELEMENTS = 2 ** 24
-
-
-def check_elements(count, what: str) -> None:
-    """Raise ValueError when ``what`` needs more than MAX_ELEMENTS array elements."""
-    if not count <= MAX_ELEMENTS:
-        raise ValueError(f"{what} needs {float(count):.4g} array elements, "
-                         f"over the budget of {MAX_ELEMENTS}")
 
 
 def _as_t_array(t):
@@ -202,8 +195,8 @@ def _density_part(tt: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.n
     """Per t, the sum over bins [a, b] with value v of 2 v (sin(t b) - sin(t a)) / t.
 
     That is 4 v cos(t c) sin(t h) / t with centre c and half-width h, stable
-    near 0.  Bins of one width, as every inverted measure has, take the
-    split cosine sum; other bins the dense table.
+    near 0.  Bins of one width, as every grid of ``frequency_grid`` has,
+    take the split cosine sum; other bins the dense table.
     """
     a, b = edges[:-1], edges[1:]
     center, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -237,16 +230,47 @@ def bochner_synthesis(mu: SpectralMeasure, t):
     return float(out[0]) if scalar else out.reshape(t.shape)
 
 
-def _screw_antiderivative(u: np.ndarray) -> np.ndarray:
-    """F(u) = int_0^u sin^2(x)/x^2 dx = Si(2u) - sin^2(u)/u, with F(0) = 0."""
+#: x = 2 t e from which _screw_antiderivative takes the auxiliary functions
+#: f, g of Si from their asymptotic series (Abramowitz & Stegun 5.2.34-35):
+#: with 20 terms each, the first omitted term is below 3e-15 relative there
+_SERIES_FROM = 40.0
+#: x (f(x) - 1/x) / y and g(x) / y in powers of y = 1/x^2: (-1)^k (2k)! y^(k-1)
+#: for k = 1 .. 19 and (-1)^k (2k + 1)! y^k for k = 0 .. 19
+_F_SERIES = [(-1.0) ** k * math.factorial(2 * k) for k in range(1, 20)]
+_G_SERIES = [(-1.0) ** k * math.factorial(2 * k + 1) for k in range(20)]
+
+
+def _screw_antiderivative(ts: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(t, e) per lag and edge, and the mask of the edges where x = 2 t e >= 40.
+
+    With F(u) = int_0^u sin^2(v)/v^2 dv = Si(2u) - sin^2(u)/u, Phi is
+    t F(t e) below x = 40, from sici.  From 40 up, where t F(t e) nears
+    t pi/2, Phi is t (F(t e) - pi/2) = -(1 + (p_f cos x / x + p_g sin x) / x)
+    / (2 e), with p_f, p_g the series above at y = 1/x^2: Si(x) = pi/2 -
+    f(x) cos x - g(x) sin x, so nothing cancels and no t multiplies a
+    difference.  A bin [c, d] is then Phi(t, d) - Phi(t, c), plus t pi/2
+    where only d is past 40.  A lag whose product with an edge overflows is
+    a ValueError.
+    """
     # imported here: only constant-law gamma bins need Si, and importing
     # scipy.special takes longer than most commands
+    from numpy.polynomial.polynomial import polyval
     from scipy.special import sici
 
-    u = np.asarray(u, dtype=float)
-    si, _ = sici(2.0 * u)
-    ratio = np.divide(np.sin(u) ** 2, u, out=np.zeros_like(u), where=u > 0)
-    return si - ratio
+    u = np.outer(ts, edges)
+    x = 2.0 * u
+    if not np.isfinite(x).all():
+        raise ValueError("a lag times a frequency overflows the float range")
+    high = x >= _SERIES_FROM
+    phi = np.empty_like(x)
+    low, t_low = u[~high], np.broadcast_to(ts[:, None], u.shape)[~high]
+    ratio = np.divide(np.sin(low) ** 2, low, out=np.zeros_like(low), where=low > 0)
+    phi[~high] = t_low * (sici(2.0 * low)[0] - ratio)
+    x, half_inverse = x[high], 0.5 / np.broadcast_to(edges, u.shape)[high]
+    y = 1.0 / x / x
+    phi[high] = -half_inverse * (1.0 + (polyval(y, _F_SERIES) * np.cos(x) / x
+                                        + polyval(y, _G_SERIES) * np.sin(x)) / x)
+    return phi, high
 
 
 @np.errstate(all="ignore")  # a value past the float range is reported at the end
@@ -278,8 +302,12 @@ def screw_synthesis(gamma: GammaMeasure, t):
     elif values.size:
         nz = _resolved(tt, np.diff(edges))
         # one antiderivative per edge: adjacent bins share their inner edges
-        out[nz] += _row_sums(tt[nz], values.size, lambda ts: ts * (
-            np.diff(_screw_antiderivative(np.outer(ts, edges)), axis=1) @ values))
+        def rows(ts):
+            phi, high = _screw_antiderivative(ts, edges)
+            return (np.diff(phi, axis=1)
+                    + (0.5 * np.pi) * ts[:, None] * np.diff(high, axis=1)) @ values
+
+        out[nz] += _row_sums(tt[nz], values.size, rows)
     if not np.isfinite(out).all():
         raise ValueError("squared metric overflows the float range")
     return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)
@@ -406,20 +434,20 @@ class InversionConfig:
     residual_points: int = 201
 
     def __post_init__(self):
-        for name in ("n_samples", "n_bins", "residual_points"):
+        _bin_width(self.n_bins, self.freq_max)  # validates both
+        for name in ("n_samples", "residual_points"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("t_max", "freq_max", "atom_window", "atom_step", "clamp_tol",
-                     "residual_span"):
+        for name in ("t_max", "atom_window", "atom_step", "clamp_tol", "residual_span"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not np.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.t_max <= 0 or self.n_samples < 2 or self.n_bins < 1:
-            raise ValueError("t_max, n_samples, n_bins must be positive")
-        if self.freq_max <= 0 or self.atom_window <= 0 or self.atom_step <= 0:
-            raise ValueError("freq_max, atom_window, atom_step must be positive")
+        if self.t_max <= 0 or self.n_samples < 2:
+            raise ValueError("t_max, n_samples must be positive")
+        if self.atom_window <= 0 or self.atom_step <= 0:
+            raise ValueError("atom_window, atom_step must be positive")
         if self.clamp_tol < 0 or self.residual_span < 0 or self.residual_points < 1:
             raise ValueError("clamp_tol, residual_span must be >= 0 and "
                              "residual_points >= 1")
@@ -438,8 +466,9 @@ class InversionResult:
     (two-sided) mass removed by clamping small negative density values.
     Three health readings name what the measure leaves out:
     ``mass_gap = k(0) - measure.total_mass()`` is the mass lost, mostly the
-    spectral tail above ``freq_max``; ``nyquist_margin = pi/dt - freq_max``
-    is negative when the bins reach past the sampling's Nyquist frequency;
+    spectral tail above the top edge; ``nyquist_margin = pi/dt - n_bins w``
+    is negative when the bins' top edge n_bins w (see
+    ``measures.frequency_grid``) is past the sampling's Nyquist frequency;
     ``atom_window_gap = |full - half|`` is the disagreement of the two
     zero-atom windows the Richardson step combines; ``tail_gap =
     |k(t_max) - atom0|`` is the kernel left at the end of the samples,
@@ -476,10 +505,11 @@ def bochner_inversion(kernel: KernelProfile,
     The zero-frequency atom is estimated first (long-run average with a
     two-window tail correction); the remaining density is the cosine
     transform (1/pi) int_0^{t_max} (k(t) - atom0) cos(t tau) dt at the bin
-    midpoints, with trapezoid weights on the uniform samples.  All bins are
-    evaluated at once as a chirp-z transform, in O((n_samples + n_bins)
-    log) time; it agrees with the dense trapezoid sum to ~1e-14 times the
-    sum of |weighted samples|, far below the clamp threshold.
+    centres of ``measures.frequency_grid(n_bins, freq_max)``, with
+    trapezoid weights on the uniform samples.  All bins are evaluated at
+    once as a chirp-z transform, in O((n_samples + n_bins) log) time; it
+    agrees with the dense trapezoid sum to ~1e-14 times the sum of
+    |weighted samples|, far below the clamp threshold.
 
     The transform stops at ``t_max``, and the missing tail can dip the
     density below zero.  Assuming k - atom0 is monotone beyond ``t_max``
@@ -514,12 +544,10 @@ def bochner_inversion(kernel: KernelProfile,
     centered = kernel(t) - atom0
     g = centered * weights
 
-    edges = np.linspace(0.0, config.freq_max, config.n_bins + 1)
-    df = config.freq_max / config.n_bins
-    density = _midpoint_cosine_sums(g, dt * df, config.n_bins) / np.pi
+    edges, tau = frequency_grid(config.n_bins, config.freq_max)
+    density = _midpoint_cosine_sums(g, dt * edges[1], config.n_bins) / np.pi
 
     tail_gap = abs(float(centered[-1]))
-    tau = (np.arange(config.n_bins) + 0.5) * df
     # the floor plus the bound on the cut-off tail (monotone past t_max)
     margin = density + noise_floor + 2.0 * tail_gap / (np.pi * tau)
     j = int(np.argmin(margin))
@@ -531,7 +559,7 @@ def bochner_inversion(kernel: KernelProfile,
             "positive definiteness",
             atom0=atom0, worst_density=worst, frequency=where)
     clamped = np.clip(density, 0.0, None)
-    clamped_mass = float(2.0 * np.sum((clamped - density) * np.diff(edges)))
+    clamped_mass = float(2.0 * edges[1] * np.sum(clamped - density))
 
     atoms = [(0.0, atom0)] if atom0 > 0.0 else []
     measure = SpectralMeasure(atoms=atoms, edges=edges, values=clamped)
@@ -542,6 +570,6 @@ def bochner_inversion(kernel: KernelProfile,
     return InversionResult(measure=measure, atom0=atom0, residual=residual,
                            clamped_mass=clamped_mass, min_density=float(np.min(density)),
                            config=config, mass_gap=k0 - measure.total_mass(),
-                           nyquist_margin=np.pi / dt - config.freq_max,
+                           nyquist_margin=np.pi / dt - edges[-1],
                            atom_window_gap=atom_window_gap,
                            tail_gap=tail_gap)

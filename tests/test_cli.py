@@ -617,6 +617,22 @@ class TestElementBudget:
         assert not out.exists()
         assert "budget" in capsys.readouterr().err
 
+    def test_oversized_gram_exits_2(self, tmp_path, capsys):
+        # 4,097 points need 16.8M Gram entries, just over the 2**24 budget
+        points, out = tmp_path / "points.csv", tmp_path / "gram.csv"
+        io.write_points_csv(points, np.arange(4097.0))
+        tracemalloc.start()
+        try:
+            code = main(["gram", "--points", str(points), "--kernel", "gaussian",
+                         "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 ** 20
+        assert not out.exists()
+        assert "budget" in capsys.readouterr().err
+
     def test_oversized_m_exits_2(self, tmp_path, capsys):
         measure_path = tmp_path / "mu.json"
         io.write_json(measure_path, kb.cosine_measure().to_dict())
@@ -830,7 +846,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, document, table, message",
         [(*case, "a lag times a frequency overflows the float range") for case in LAG_OVERFLOWS]
-        + [(*case, "--pairs lags x - y overflow the float range") for case in LAG_SPANS])
+        + [(*case, "--pairs lags x - y overflow the float range") for case in LAG_SPANS]
+        # constant-law bins: called a squared-metric overflow
+        + [("screw J --grid 1e308 1.5e308 3 -o O", _WIDE, "",
+            "a lag times a frequency overflows the float range")])
     def test_overflowing_lags_exit_2(self, tmp_path, capsys, command, document, table,
                                      message):
         # synth, product-synth and rff wrote nan and exited 0, and x - y past the

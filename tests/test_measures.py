@@ -1,10 +1,16 @@
 """Measure storage: validation, mass accounting, serialization, closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import kernelbridge as kb
+from kernelbridge.measures import MAX_ELEMENTS, frequency_grid
+
+BUILDERS = (kb.gaussian_measure, kb.laplacian_measure, kb.cauchy_measure)
 
 
 class TestValidation:
@@ -168,5 +174,81 @@ class TestClosedFormMeasures:
         config = kb.InversionConfig()
         assert (config.n_bins, config.freq_max) == (kb.measures.N_BINS, kb.measures.FREQ_MAX)
         grid = np.linspace(0.0, config.freq_max, config.n_bins + 1)
-        for build in (kb.gaussian_measure, kb.laplacian_measure, kb.cauchy_measure):
+        for build in BUILDERS:
             assert np.array_equal(build().bin_edges, grid)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("kwargs", [
+        {"n_bins": 0}, {"n_bins": -3}, {"n_bins": True}, {"n_bins": 2.0}, {"n_bins": "8"},
+        {"freq_max": 0.0}, {"freq_max": -1.0}, {"freq_max": np.nan}, {"freq_max": np.inf},
+        {"freq_max": None}, {"freq_max": True},
+        {"scale": 0.0}, {"scale": -1.0}, {"scale": np.nan}, {"scale": np.inf},
+        {"scale": None}, {"scale": 1j}])
+    def test_builders_reject_degenerate_arguments(self, build, kwargs):
+        # n_bins=0 gave a zero measure with one stray edge, n_bins=True one bin,
+        # and scale=0 an all-zero measure
+        with pytest.raises(ValueError):
+            build(**kwargs)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_builders_reject_oversized_grids_unallocated(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                build(n_bins=MAX_ELEMENTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def product_error(a, b):
+    """a b - fl(a b), exactly: Dekker's two-product on Veltkamp halves."""
+    def split(x):
+        y = 134217729.0 * x  # 2**27 + 1
+        head = y - (y - x)
+        return head, x - head
+
+    p = a * b
+    (a_head, a_tail), (b_head, b_tail) = split(a), split(b)
+    return ((a_head * b_head - p) + a_head * b_tail + a_tail * b_head) + a_tail * b_tail
+
+
+class TestFrequencyGrid:
+    """One grid for every binned measure: edges j w of one float width w."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5000),
+           freq_max=st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e))
+    def test_one_width_and_exact_centres(self, n, freq_max):
+        edges, centres = frequency_grid(n, freq_max)
+        w = edges[1]
+        j = np.arange(n + 1.0)
+        assert edges.size == n + 1 and edges[0] == 0.0
+        # every edge j w and centre (j + 1/2) w is the exact product
+        assert not product_error(j, w).any() and np.array_equal(edges, j * w)
+        odd = 2.0 * j[:-1] + 1.0
+        assert not product_error(odd, w).any() and np.array_equal(centres, 0.5 * (odd * w))
+        assert (np.diff(edges) == w).all()
+        # the top edge n w is at most freq_max, within the truncation of w
+        assert 0.0 <= freq_max - edges[-1] <= freq_max * 2.0 ** (n.bit_length() - 51)
+
+    @pytest.mark.parametrize("n", [1000, 2000, 3000, 4097, 100_000])
+    def test_bin_counts_that_are_not_powers_of_two(self, n):
+        # np.linspace(0, 8, n + 1) has 9, 10 and 13 widths at n = 1000, 2000, 3000
+        edges, _ = frequency_grid(n, 8.0)
+        assert np.unique(np.diff(edges)).size == 1
+        assert 8.0 - 8.0 * 2.0 ** (n.bit_length() - 51) <= edges[-1] <= 8.0
+
+    def test_powers_of_two_keep_the_linspace_edges(self):
+        for n in (1, 2, 1024, 2048, 4096):
+            assert np.array_equal(frequency_grid(n, 8.0)[0], np.linspace(0.0, 8.0, n + 1))
+
+    @pytest.mark.parametrize("n", [1, 1000, 2048, 3000])
+    def test_builders_and_inversion_share_the_grid(self, n):
+        edges = frequency_grid(n, 8.0)[0]
+        for build in BUILDERS:
+            assert np.array_equal(build(n_bins=n).bin_edges, edges)
+        config = kb.InversionConfig(n_samples=1001, n_bins=n, atom_window=20.0)
+        assert np.array_equal(kb.bochner_inversion(kb.zoo("cauchy"), config).measure.bin_edges,
+                              edges)

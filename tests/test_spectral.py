@@ -3,9 +3,10 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
@@ -206,6 +207,25 @@ class TestOneSinePerWidth:
         kb.screw_synthesis(gamma, [0.5])
         assert calls == [2048] * 3  # k(t), then 2 D(0) - 2 D(t)
 
+    @pytest.mark.parametrize("build, n", [(kb.gaussian_measure, 2000),
+                                          (kb.laplacian_measure, 1000),
+                                          (kb.cauchy_measure, 3000),
+                                          (lambda n_bins: kb.bochner_inversion(
+                                              kb.zoo("cauchy"),
+                                              kb.InversionConfig(n_bins=n_bins)).measure,
+                                           1000)],
+                             ids=["gaussian-2000", "laplacian-1000", "cauchy-3000",
+                                  "inverted-1000"])
+    def test_built_measures_take_the_split_at_any_bin_count(self, monkeypatch, build, n):
+        # linspace edges had 9 to 13 widths at these counts, and took the dense table
+        mu = build(n_bins=n)
+        calls = self.count_splits(monkeypatch)
+        t = np.random.default_rng(n).uniform(-1e3, 1e3, 20)
+        got = kb.bochner_synthesis(mu, t)
+        assert calls == [n]
+        assert np.max(np.abs(got - plain_bochner_synthesis(mu, t))) \
+            <= 1e-14 * max(mu.total_mass(), 1.0)
+
     def test_unequal_widths_take_the_dense_table(self, monkeypatch):
         calls = self.count_splits(monkeypatch)
         kb.bochner_synthesis(kb.SpectralMeasure(edges=[0.0, 0.25, 0.75],
@@ -259,16 +279,19 @@ class TestOneDensitySum:
         gamma = kb.GammaMeasure(edges=edges, values=rng.uniform(0.0, 1.0, n))
         t = rng.uniform(-30.0, 30.0, 200)
         antiderivative = spectral._screw_antiderivative
-        c, d = edges[:-1], edges[1:]
-        # the per-bin formula, on the same chunks: both ends of every bin
-        reference = spectral._row_sums(np.abs(t), n, lambda ts: ts * (
-            (antiderivative(np.outer(ts, d)) - antiderivative(np.outer(ts, c)))
-            @ gamma.bin_values))
+
+        def per_bin(ts):  # both ends of every bin, and t pi/2 where only d is past 40
+            (phi_c, high_c), (phi_d, high_d) = (antiderivative(ts, edges[:-1]),
+                                                antiderivative(ts, edges[1:]))
+            return (phi_d - phi_c + 0.5 * np.pi * ts[:, None] * (high_d & ~high_c)) \
+                @ gamma.bin_values
+
+        reference = spectral._row_sums(np.abs(t), n, per_bin)  # on the same chunks
         points = []
 
-        def counting(u):
-            points.append(np.size(u))
-            return antiderivative(u)
+        def counting(ts, edges):
+            points.append(ts.size * edges.size)
+            return antiderivative(ts, edges)
 
         monkeypatch.setattr(spectral, "_screw_antiderivative", counting)
         assert_array_equal(kb.screw_synthesis(gamma, t), reference)
@@ -321,6 +344,50 @@ class TestScrewSynthesis:
             assert kb.screw_synthesis(gamma, 0.0) == 0.0
             assert_allclose(kb.screw_synthesis(gamma, GRID),
                             kb.screw_synthesis(gamma, -GRID), rtol=1e-14)
+
+    @staticmethod
+    def constant_law_oracle(c, d, t):
+        """t (F(t d) - F(t c)), F(u) = Si(2u) - sin^2(u)/u, at 60 digits."""
+        with mpmath.workdps(60):
+            t, c, d = mpmath.mpf(t), mpmath.mpf(c), mpmath.mpf(d)
+
+            def antiderivative(u):
+                return mpmath.si(2 * u) - mpmath.sin(u) ** 2 / u if u > 0 else mpmath.mpf(0)
+
+            return float(t * (antiderivative(t * d) - antiderivative(t * c)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.floats(-4.0, 4.0), span=st.floats(1e-6, 8.0), t=st.floats(-3.0, 15.0))
+    @example(c=0.0, span=float(np.log10(3.0)), t=12.0)  # [1, 4]: 0.37503, not 0.375
+    @example(c=0.0, span=float(np.log10(3.0)), t=14.0)  # 0.39968
+    @example(c=-4.0, span=8.0, t=15.0)
+    def test_constant_law_bin_matches_mpmath(self, c, span, t):
+        # edges and lags log-uniform: c = 10**c, d = c (1 + 10**span), t = 10**t
+        lo = 10.0 ** c
+        hi = lo * (1.0 + 10.0 ** span)
+        t = 10.0 ** t
+        gamma = kb.GammaMeasure(edges=[lo, hi], values=[1.0])
+        oracle = self.constant_law_oracle(lo, hi, t)
+        assert abs(kb.screw_synthesis(gamma, t) - oracle) \
+            <= 5e-14 * hi / (hi - lo) * abs(oracle)
+
+    @pytest.mark.parametrize("t", [1e16, 1e20, 1e50, 1e100, 1e200, 1e300, -1e300])
+    def test_constant_law_reaches_its_limit(self, t):
+        # the limit (1/c - 1/d)/2 of the bin [1, 4]; the cancelled form t (F(t d) - F(t c))
+        # gives 0 from t = 1e16 on
+        gamma = kb.GammaMeasure(edges=[1.0, 4.0], values=[1.0])
+        assert abs(kb.screw_synthesis(gamma, t) - 0.375) <= 1e-15
+
+    def test_constant_law_grows_like_the_absolute_value(self):
+        # (2/pi) sin^2(ts)/s^2 on (0, S] gives |t| - 1/(pi S) + O(1/(t S^2))
+        gamma = kb.GammaMeasure(edges=[0.0, 1e6], values=[2.0 / np.pi])
+        t = np.array([1.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e300])
+        assert_allclose(kb.screw_synthesis(gamma, -t), t - 1.0 / (np.pi * 1e6), rtol=1e-12)
+
+    def test_constant_law_lag_overflow_rejected(self):
+        gamma = kb.GammaMeasure(edges=[0.0, 2.0, 4.0], values=[1.0, 1.0])
+        with pytest.raises(ValueError, match="a lag times a frequency overflows"):
+            kb.screw_synthesis(gamma, [1.0, 1e308])
 
     def test_s2_law_bin_quadrature_oracle(self):
         # density v s^2 on [c, d]: the integrand reduces to v sin^2(ts)

@@ -1,11 +1,16 @@
-"""The pytest configuration itself: a failing test must not end the pytest run."""
+"""The test tooling itself: the pytest configuration and the declared test dependencies."""
 
+import ast
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_a_failing_hypothesis_test_fails_normally(tmp_path):
@@ -29,3 +34,27 @@ def test_a_failing_hypothesis_test_fails_normally(tmp_path):
     assert "INTERNALERROR" not in out
     assert run.returncode == 1
     assert "1 failed, 1 passed" in out
+
+
+def imported_top_level_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one Python file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_every_third_party_test_import_is_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9._-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    local = {"kernelbridge"} | {path.stem for path in TESTS.glob("*.py")}
+    imported = set().union(*map(imported_top_level_modules, TESTS.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - local - {"__future__"}
+    assert third_party, "no third-party import found: the scan is broken"
+    assert sorted(third_party - declared) == []
