@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from .exceptions import KernelBridgeError, MathematicalRejection
 from .features import approximate_kernel, sample_frequencies, sample_product_frequencies
 from .gram import (DEFAULT_TOL, build_gram, euclidean_embedding, is_negative_definite,
                    is_positive_definite, nd_to_psd)
-from .measures import GammaMeasure, SpectralMeasure, _json_number, check_elements
+from .measures import GammaMeasure, SpectralMeasure, check_elements
 from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import (PROBE_GRID_SIZE, PROBE_GRID_SPAN, metric_from_kernel,
                        profile_from_samples, zoo, zoo_names)
@@ -79,22 +78,21 @@ def _add_kernel_source(parser, required: bool = True) -> None:
 def _named_kernel(name, params):
     """``zoo(name, **params)`` for a name and params read from JSON.
 
-    params must be an object of finite numbers; other shapes are a
-    ValueError, not a TypeError from inside ``zoo``.
+    params must be an object (``zoo`` checks its values); other shapes are
+    a ValueError, not a TypeError from inside ``zoo``.
     """
     if not isinstance(name, str):
         raise ValueError(f"kernel name must be a string, got {name!r}")
     if not isinstance(params, dict):
         raise ValueError(f"kernel params must be a JSON object of finite numbers, "
                          f"got {params!r}")
-    for key, value in params.items():
-        _json_number(value, f"kernel param {key!r}", finite=True)
     return zoo(name, **params)
 
 
 def _load_kernel(args):
     if args.kernel is not None:
-        return _named_kernel(args.kernel, json.loads(args.params) if args.params else {})
+        return _named_kernel(args.kernel,
+                             io.parse_json(args.params, "--params") if args.params else {})
     if args.profile is not None:
         descriptor = io.read_json(args.profile)
         if not isinstance(descriptor, dict):

@@ -22,7 +22,7 @@ __all__ = [
     "read_matrix_csv", "write_matrix_csv",
     "read_points_csv", "write_points_csv",
     "read_profile_csv", "write_profile_csv",
-    "read_json", "write_json", "dumps_json",
+    "parse_json", "read_json", "write_json", "dumps_json",
 ]
 
 FLOAT_FMT = "%.17g"
@@ -196,5 +196,16 @@ def write_json(path, data: dict) -> None:
     _strict_first(dump, data)
 
 
+def parse_json(text: str, source) -> dict:
+    """``json.loads(text)``; a document nested past the recursion limit is a ValueError.
+
+    ``source`` (a path or flag) names the text in the message.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply") from None
+
+
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return parse_json(Path(path).read_text(), path)

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import EvaluationError
+from .measures import _json_number
 
 __all__ = [
     "KernelProfile",
@@ -142,8 +143,9 @@ def zoo(name: str, /, **params: float) -> KernelProfile:
     """Construct a named kernel profile.
 
     Available: gaussian exp(-t^2/2), laplacian exp(-|t|), cauchy 2/(1+t^2),
-    cosine cos(omega t), constant c.  Scale-type parameters must be
-    positive; the constant must be non-negative.
+    cosine cos(omega t), constant c.  Every parameter must be a finite
+    number, not a bool; scale-type parameters must be positive, the
+    constant non-negative.
     """
     if name not in _ZOO:
         raise ValueError(f"unknown kernel name {name!r}; expected one of {zoo_names()}")
@@ -152,7 +154,7 @@ def zoo(name: str, /, **params: float) -> KernelProfile:
     for key, value in params.items():
         if key not in defaults:
             raise ValueError(f"kernel {name!r} takes no parameter {key!r}")
-        merged[key] = float(value)
+        merged[key] = _json_number(value, f"kernel param {key!r}", finite=True)
     if name == "constant":
         if merged["value"] < 0:
             raise ValueError("constant kernel requires value >= 0")
@@ -238,6 +240,8 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     values = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != values.shape or t.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
+    if not (np.isfinite(t).all() and np.isfinite(values).all()):
+        raise ValueError("samples must be finite")
     order = np.argsort(t)
     t, values = t[order], values[order]
     if t[0] < 0:

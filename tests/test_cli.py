@@ -773,6 +773,20 @@ LAG_SPANS = [("product-synth J --pairs C -o O", {"factors": [_WIDE]}, "1e308,-1e
              ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _WIDE, "-1e308,1e308\n")]
 
 
+#: a JSON document nested far past the parser's recursion limit
+DEEP_JSON = "[" * 10_000 + "]" * 10_000
+#: every command that parses JSON: the file J, or the --params text P
+JSON_COMMANDS = [
+    "synth J -o O", "screw J -o O", "gamma J -o O", "gamma J --k0 1 -o O",
+    "bound-check J --k0 1", "rff J -m 4 --seed 1 -o O", "product-synth J --pairs C -o O",
+    "zoo sample --profile J -o O", "gram --points C --profile J -o O",
+    "to-metric --profile J -o O", "invert --profile J -o O", "atom0 --profile J",
+    "zoo sample --kernel gaussian --params P -o O", "gram --points C --kernel gaussian "
+    "--params P -o O", "invert --kernel gaussian --params P -o O",
+    "atom0 --kernel gaussian --params P",
+]
+
+
 def with_examples(cases):
     """Add each (command, document, table) case as a hypothesis @example."""
     def add(test):
@@ -823,6 +837,32 @@ class TestMalformedInputs:
         assert code == 2
         assert "finite number" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", JSON_COMMANDS)
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
+        # ended in a RecursionError traceback with exit 1
+        files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv", "O": tmp_path / "out",
+                 "P": DEEP_JSON}
+        files["J"].write_text(DEEP_JSON)
+        files["C"].write_text("0,0\n")
+        code, err = exit_and_stderr(capsys, [files.get(w, w) for w in command.split()])
+        assert code == 2
+        source = "--params" if "P" in command.split() else files["J"]
+        assert err == f"error: {source}: JSON nested too deeply\n"
+        assert not files["O"].exists()
+
+    # inf in t exited 0: atom0 read 0.5055, zoo sample wrote a flat tail made up between
+    # t = 1 and inf; nan in t failed later, at a t the file does not hold
+    @pytest.mark.parametrize("command", ["atom0 --samples C --window 50",
+                                         "zoo sample --samples C --grid 0 3 4 -o O"])
+    @pytest.mark.parametrize("row", ["inf,0.2", "nan,0.2", "2,inf", "2,nan"])
+    def test_non_finite_samples_exit_2(self, tmp_path, capsys, command, row):
+        files = {"C": tmp_path / "f.csv", "O": tmp_path / "out.csv"}
+        files["C"].write_text(f"0,1\n0.5,0.8\n1,0.5\n{row}\n")
+        code, err = exit_and_stderr(capsys, [files.get(w, w) for w in command.split()])
+        assert code == 2
+        assert err == "error: samples must be finite\n"
+        assert not files["O"].exists()
 
     @pytest.mark.parametrize("command, table", BAD_TOLS)
     def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, command, table):
@@ -909,16 +949,20 @@ class TestMalformedInputs:
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # scipy.special is only needed for constant-law screw synthesis; its
-    # import would dominate the start-up of every command, s^2-law screw and
-    # synth included.  No command needs concurrent.futures (5-8 ms to
+    # no command needs scipy, constant-law screw synthesis included (Si's
+    # pieces come from numpy); its import would dominate the start-up of any
+    # command that loaded it.  No command needs concurrent.futures (5-8 ms to
     # import), and a CSV read or write must not load gzip, which numpy's
     # loadtxt imports when given a path.
     src = str(Path(kb.__file__).resolve().parents[1])
     measure = kb.gaussian_measure(n_bins=16)
     io.write_json(tmp_path / "mu.json", measure.to_dict())
     io.write_json(tmp_path / "gamma.json", kb.gamma_from_spectral(measure)[0].to_dict())
+    # the |t| metric: constant-law bins on both sides of the series crossover
+    io.write_json(tmp_path / "abs.json",
+                  kb.GammaMeasure(edges=[0.0, 1e4], values=[2.0 / np.pi]).to_dict())
     commands = [["screw", str(tmp_path / "gamma.json"), "-o", str(tmp_path / "d2.csv")],
+                ["screw", str(tmp_path / "abs.json"), "-o", str(tmp_path / "abs.csv")],
                 ["synth", str(tmp_path / "mu.json"), "-o", str(tmp_path / "k.csv")]]
     code = ("import sys, kernelbridge.cli; from kernelbridge import io; "
             f"io.write_matrix_csv({str(tmp_path / 'm.csv')!r}, [[1.0]]); "
@@ -929,4 +973,4 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout
     assert out.strip().splitlines()[-1] == "[]"
-    assert (tmp_path / "d2.csv").exists() and (tmp_path / "k.csv").exists()
+    assert all((tmp_path / name).exists() for name in ("d2.csv", "abs.csv", "k.csv"))

@@ -79,3 +79,14 @@ def test_numpy_non_finite_values_become_strings():
     text = io.dumps_json(data)
     assert text == '{"a": "inf", "b": "-inf", "d": ["nan", 1.5], "e": ["nan"]}'
     assert json.loads(text, parse_constant=pytest.fail) == json.loads(text)
+
+
+def test_deeply_nested_json_is_a_value_error(tmp_path):
+    # the parser's RecursionError is not a ValueError, so the CLI printed a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10_000 + "]" * 10_000)
+    with pytest.raises(ValueError, match="deep.json: JSON nested too deeply"):
+        io.read_json(path)
+    with pytest.raises(ValueError, match="^--params: JSON nested too deeply$"):
+        io.parse_json('{"a": ' * 10_000 + "1" + "}" * 10_000, "--params")
+    assert io.parse_json('{"a": [[1.5]]}', "--params") == {"a": [[1.5]]}

@@ -42,6 +42,22 @@ class TestZoo:
         with pytest.raises(ValueError):
             kb.zoo(name, **params)
 
+    # inf made the constant kernel 1, nan constructed, and True read as 1.0
+    @pytest.mark.parametrize("name, key", [("gaussian", "scale"), ("laplacian", "scale"),
+                                           ("cauchy", "scale"), ("cosine", "omega"),
+                                           ("constant", "value")])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, True, False, None, "2",
+                                       10 ** 400],
+                             ids=["inf", "-inf", "nan", "True", "False", "None", "str",
+                                  "int-past-float"])
+    def test_parameters_must_be_finite_numbers(self, name, key, value):
+        with pytest.raises(ValueError, match=f"kernel param '{key}' must be a finite number"):
+            kb.zoo(name, **{key: value})
+
+    def test_parameters_take_numpy_and_integer_numbers(self):
+        assert kb.zoo("gaussian", scale=np.float32(2.0)).params == {"scale": 2.0}
+        assert kb.zoo("cosine", omega=3).params == {"omega": 3.0}
+
     @pytest.mark.parametrize("name", ZOO_PSD)
     def test_evenness_on_probe_grid(self, name):
         k = kb.zoo(name)
@@ -196,3 +212,12 @@ class TestSampledProfiles:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             kb.profile_from_samples([-1.0, 0.0, 1.0], [0.5, 1.0, 0.5])
+
+    # an inf t made up a flat tail between the last finite sample and inf
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("column", ["t", "value"])
+    def test_non_finite_samples_rejected(self, column, bad):
+        t, values = np.array([0.0, 0.5, 1.0, 2.0]), np.array([1.0, 0.8, 0.5, 0.2])
+        (t if column == "t" else values)[-1] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            kb.profile_from_samples(t, values)

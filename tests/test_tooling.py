@@ -11,6 +11,7 @@ import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_a_failing_hypothesis_test_fails_normally(tmp_path):
@@ -47,14 +48,32 @@ def imported_top_level_modules(path: Path) -> set[str]:
     return names
 
 
-def test_every_third_party_test_import_is_declared():
+def project_table() -> dict:
     tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads(PYPROJECT.read_text())["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
-    declared = {re.match(r"[A-Za-z0-9._-]+", r).group().lower().replace("-", "_")
-                for r in requirements}
-    local = {"kernelbridge"} | {path.stem for path in TESTS.glob("*.py")}
-    imported = set().union(*map(imported_top_level_modules, TESTS.glob("*.py")))
+    return tomllib.loads(PYPROJECT.read_text())["project"]
+
+
+def package_names(requirements) -> set[str]:
+    """Import names of requirement strings such as ``"numpy>=2.0"``."""
+    return {re.match(r"[A-Za-z0-9._-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def third_party_imports(files, local: set[str]) -> set[str]:
+    imported = set().union(*map(imported_top_level_modules, files))
     third_party = imported - set(sys.stdlib_module_names) - local - {"__future__"}
     assert third_party, "no third-party import found: the scan is broken"
-    assert sorted(third_party - declared) == []
+    return third_party
+
+
+def test_every_third_party_test_import_is_declared():
+    project = project_table()
+    declared = package_names(project["dependencies"] + project["optional-dependencies"]["test"])
+    local = {"kernelbridge"} | {path.stem for path in TESTS.glob("*.py")}
+    assert sorted(third_party_imports(TESTS.glob("*.py"), local) - declared) == []
+
+
+def test_runtime_dependencies_are_exactly_the_package_imports():
+    # an undeclared import fails, and so does a dependency that nothing imports
+    imported = third_party_imports(SRC.rglob("*.py"), {"kernelbridge"})
+    assert imported == package_names(project_table()["dependencies"]) == {"numpy"}
