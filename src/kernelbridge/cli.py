@@ -150,9 +150,6 @@ def cmd_check_nd(args) -> int:
 
 def cmd_nd_to_psd(args) -> int:
     matrix = io.read_matrix_csv(args.matrix)
-    if not 0 <= args.base_index < matrix.shape[0]:
-        raise ValueError(f"--base-index {args.base_index} is out of range for "
-                         f"{matrix.shape[0]} rows")
     io.write_matrix_csv(args.output, nd_to_psd(matrix, base_index=args.base_index))
     _emit({"written": args.output, "base_index": args.base_index})
     return 0

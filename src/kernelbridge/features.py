@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import SpectralMeasure, check_elements
+from .measures import SpectralMeasure, _count, check_elements
 from .product import ProductSpectralMeasure
 from .spectral import _row_sums
 
@@ -125,8 +125,7 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
     sign coins, where the sign is a fair coin that realizes the mirrored
     half of the measure.  A single phase block closes the draw.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m, seed = _count(m, "m", 1), _count(seed, "seed", 0)
     check_elements(m * measure.dim, "m x d")
     rng = np.random.default_rng(seed)
     columns = []
@@ -140,7 +139,7 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
         total *= factor_total
     phases = rng.random(m) * (2.0 * np.pi)
     return FrequencySample(frequencies=np.column_stack(columns), phases=phases,
-                           total_mass=total, seed=int(seed))
+                           total_mass=total, seed=seed)
 
 
 def _points(sample: FrequencySample, x) -> tuple[np.ndarray, bool]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EigenSolverError, NotHilbertianError
-from .measures import check_elements
+from .measures import _count, _number, check_elements
 from .profiles import KernelProfile
 
 __all__ = [
@@ -107,12 +107,6 @@ class EmbeddingResult:
     residual: float  # max abs deviation of reconstructed squared distances
 
 
-def _check_tol(tol) -> None:
-    """Raise ValueError unless tol is a finite number >= 0."""
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-
-
 def _entries(matrix) -> np.ndarray:
     if isinstance(matrix, GramMatrix):
         return matrix.entries
@@ -148,7 +142,7 @@ def build_gram(profile: KernelProfile, points) -> GramMatrix:
 
 def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     """Spectral PSD test: min eigenvalue >= -tol * n * max|diag|."""
-    _check_tol(tol)
+    tol = _number(tol, "tol", 0)
     entries = _entries(gram)
     n = entries.shape[0]
     eigvals, eigvecs = _eigh(entries)
@@ -199,7 +193,7 @@ def is_negative_definite(matrix, tol: float = DEFAULT_TOL) -> DefinitenessVerdic
     diagonal.  A 1 x 1 matrix is rejected: the complement of the all-ones
     vector is then {0}, so there is no direction to test or witness.
     """
-    _check_tol(tol)
+    tol = _number(tol, "tol", 0)
     entries = _entries(matrix)
     if entries.shape[0] < 2:
         raise ValueError("negative definiteness needs a matrix of size >= 2")
@@ -212,13 +206,14 @@ def nd_to_psd(matrix, base_index: int = 0) -> np.ndarray:
     K(i, j) = (N(i, b) + N(j, b) - N(i, j) - N(b, b)) / 2.  Row and column
     b of the result are identically zero, and N is negative definite iff
     the result is positive definite.  The entries are halved first, so a
-    non-negative N gives a finite result; a result past the float range is
-    a ValueError.
+    non-negative N gives a finite result; a base_index outside 0 .. n - 1 and
+    a result past the float range are ValueErrors.
     """
     entries = _entries(matrix)
     n = entries.shape[0]
+    base_index = _count(base_index, "base_index")
     if not 0 <= base_index < n:
-        raise IndexError(f"base_index {base_index} out of range for n={n}")
+        raise ValueError(f"base_index {base_index} is out of range for n={n}")
     half = 0.5 * entries
     col = half[:, base_index]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,7 +235,7 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     -1/2 P D P; ``rank`` counts the directions above the rounding floor.
     The residual is recomputed from the coordinates, never assumed.
     """
-    _check_tol(tol)
+    tol = _number(tol, "tol", 0)
     entries = _entries(d2_matrix)
     scale = float(np.max(np.abs(entries)))
     if float(np.max(np.abs(np.diag(entries)))) > tol * scale:

@@ -25,6 +25,9 @@ j = 0 .. n, of one float width w, with top edge n w <= freq_max.  So the
 widths are equal bit for bit at every bin count, and the syntheses take
 their angle split on them; only measures read from files whose widths
 differ take the dense table.
+
+Every scalar parameter of the library is read by :func:`_number` or
+:func:`_count`, the one rule of what a valid scalar is.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ MAX_ELEMENTS = 2 ** 24
 def check_elements(count, what: str) -> None:
     """Raise ValueError when ``what`` needs more than MAX_ELEMENTS array elements."""
     if not count <= MAX_ELEMENTS:
-        raise ValueError(f"{what} needs {float(count):.4g} array elements, "
+        shown = count if count < 1e308 else math.inf  # an int past the float range
+        raise ValueError(f"{what} needs {shown:.4g} array elements, "
                          f"over the budget of {MAX_ELEMENTS}")
 
 
@@ -104,25 +108,29 @@ def _normalize_density(edges, values, what: str):
     return edges, values
 
 
-def _json_number(value, what: str, finite: bool = False) -> float:
-    """A JSON number (a finite one if ``finite``) as a float; ValueError for any other value."""
+def _number(value, what: str, low: float = -math.inf, above: bool = False) -> float:
+    """A finite real >= low (> low if ``above``), not a bool, as a float; else ValueError."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             number = float(value)
-        except OverflowError:  # an integer past float range
+        except OverflowError:  # an integer past the float range
             pass
         else:
-            if not finite or math.isfinite(number):
+            if math.isfinite(number) and (number > low if above else number >= low):
                 return number
-    raise ValueError(f"{what} must be a {'finite ' if finite else ''}number, got {value!r}")
+    raise ValueError(f"{what} must be a finite number{_bound(low, above)}, got {value!r}")
 
 
-def _positive_number(value, what: str) -> float:
-    """A finite number > 0 as a float; ValueError for any other value."""
-    number = _json_number(value, what, finite=True)
-    if not number > 0:
-        raise ValueError(f"{what} must be > 0, got {value!r}")
-    return number
+def _count(value, what: str, low: float = -math.inf) -> int:
+    """An integer >= low, not a bool, as an int; else ValueError."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low:
+        return int(value)
+    raise ValueError(f"{what} must be an integer{_bound(low, False)}, got {value!r}")
+
+
+def _bound(low, above: bool) -> str:
+    """The bound in the messages of _number and _count: '', ' >= low' or ' > low'."""
+    return "" if low == -math.inf else f" {'>' if above else '>='} {low:g}"
 
 
 def _json_numbers(values, what: str) -> np.ndarray:
@@ -195,8 +203,8 @@ class _BinnedMeasure:
             raise ValueError(f'{what} atoms must be a list of {{"loc", "mass"}} objects')
         if not isinstance(density, dict):
             raise ValueError(f"{what} density must be a JSON object")
-        return cls(atoms=[(_json_number(a.get("loc"), f"{what} atom loc"),
-                           _json_number(a.get("mass"), f"{what} atom mass"))
+        return cls(atoms=[(_number(a.get("loc"), f"{what} atom loc"),
+                           _number(a.get("mass"), f"{what} atom mass"))
                           for a in atoms],
                    edges=_json_numbers(density.get("edges", []), f"{what} density edges"),
                    values=_json_numbers(density.get("values", []),
@@ -300,15 +308,14 @@ def _bin_width(n_bins, freq_max) -> float:
     """freq_max / n_bins truncated to 52 - n_bins.bit_length() significant bits.
 
     Then j w and (2 j + 1) w fit in 53 bits for every j <= n_bins.
-    ValueError for a bool or non-integer n_bins, n_bins < 1, a freq_max that
-    is not a finite number > 0, and n_bins + 1 edges over the element budget.
+    ValueError for an n_bins that is not an integer >= 1, a freq_max that is
+    not a finite number > 0, and n_bins + 1 edges over the element budget.
     """
-    if isinstance(n_bins, bool) or not isinstance(n_bins, numbers.Integral) or n_bins < 1:
-        raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
-    freq_max = _positive_number(freq_max, "freq_max")
-    check_elements(int(n_bins) + 1, "n_bins + 1 bin edges")
-    bits = 52 - int(n_bins).bit_length()
-    mant, exp = math.frexp(freq_max / int(n_bins))
+    n_bins = _count(n_bins, "n_bins", 1)
+    freq_max = _number(freq_max, "freq_max", 0, above=True)
+    check_elements(n_bins + 1, "n_bins + 1 bin edges")
+    bits = 52 - n_bins.bit_length()
+    mant, exp = math.frexp(freq_max / n_bins)
     return math.ldexp(math.floor(math.ldexp(mant, bits)), exp - bits)
 
 
@@ -330,7 +337,7 @@ def _binned_measure(n_bins, freq_max, scale, density) -> SpectralMeasure:
 
     ``scale`` is the density's, checked to be a finite number > 0.
     """
-    _positive_number(scale, "scale")
+    _number(scale, "scale", 0, above=True)
     edges, centres = frequency_grid(n_bins, freq_max)
     return SpectralMeasure(edges=edges, values=density(centres))
 
@@ -357,13 +364,9 @@ def cauchy_measure(n_bins: int = N_BINS, freq_max: float = FREQ_MAX,
 
 def cosine_measure(omega: float = 1.0) -> SpectralMeasure:
     """Atomic measure of cos(omega t): one-sided mass 1/2 at omega."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    return SpectralMeasure(atoms=[(float(omega), 0.5)])
+    return SpectralMeasure(atoms=[(_number(omega, "omega", 0, above=True), 0.5)])
 
 
 def constant_measure(value: float = 1.0) -> SpectralMeasure:
     """Atomic measure of the constant kernel: mass `value` at frequency 0."""
-    if value < 0:
-        raise ValueError("value must be >= 0")
-    return SpectralMeasure(atoms=[(0.0, float(value))])
+    return SpectralMeasure(atoms=[(0.0, _number(value, "value", 0))])

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import EvaluationError
-from .measures import _json_number
+from .measures import _count, _number, check_elements
 
 __all__ = [
     "KernelProfile",
@@ -50,6 +50,8 @@ PROBE_GRID_SIZE = 201
 
 def probe_grid(span: float = PROBE_GRID_SPAN, n: int = PROBE_GRID_SIZE) -> np.ndarray:
     """Uniform symmetric grid used for evenness/invariance spot checks."""
+    span, n = _number(span, "span", 0, above=True), _count(n, "n", 2)
+    check_elements(n, "the probe grid")
     return np.linspace(-span, span, n)
 
 
@@ -143,9 +145,8 @@ def zoo(name: str, /, **params: float) -> KernelProfile:
     """Construct a named kernel profile.
 
     Available: gaussian exp(-t^2/2), laplacian exp(-|t|), cauchy 2/(1+t^2),
-    cosine cos(omega t), constant c.  Every parameter must be a finite
-    number, not a bool; scale-type parameters must be positive, the
-    constant non-negative.
+    cosine cos(omega t), constant c.  Every parameter is a finite number
+    (see ``measures._number``): ``value`` >= 0, ``scale`` and ``omega`` > 0.
     """
     if name not in _ZOO:
         raise ValueError(f"unknown kernel name {name!r}; expected one of {zoo_names()}")
@@ -154,15 +155,7 @@ def zoo(name: str, /, **params: float) -> KernelProfile:
     for key, value in params.items():
         if key not in defaults:
             raise ValueError(f"kernel {name!r} takes no parameter {key!r}")
-        merged[key] = _json_number(value, f"kernel param {key!r}", finite=True)
-    if name == "constant":
-        if merged["value"] < 0:
-            raise ValueError("constant kernel requires value >= 0")
-    elif name == "cosine":
-        if merged["omega"] <= 0:
-            raise ValueError("cosine kernel requires omega > 0")
-    elif merged["scale"] <= 0:
-        raise ValueError(f"kernel {name!r} requires scale > 0")
+        merged[key] = _number(value, f"kernel param {key!r}", 0, above=key != "value")
     return KernelProfile(fn=factory(**merged), name=name, params=merged)
 
 
@@ -185,6 +178,7 @@ def kernel_from_metric(metric: MetricProfile, base: float = 0.0) -> BivariateKer
     K(x, y) = (d2(x - base) + d2(y - base) - d2(x - y)) / 2.  The result is
     symmetric but in general not translation invariant.
     """
+    base = _number(base, "base")
     d2_0 = float(metric(0.0))
     if abs(d2_0) > 1e-12:
         raise ValueError(f"metric profile must vanish at 0, got d2(0) = {d2_0!r}")
@@ -210,6 +204,7 @@ class TranslationInvarianceReport:
 def check_translation_invariance(kernel: BivariateKernel, probes,
                                  tol: float = 1e-9) -> TranslationInvarianceReport:
     """Check |K(x+s, y+s) - K(x, y)| <= tol over the given (x, y, s) probes."""
+    tol = _number(tol, "tol", 0)
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 3 or probes.shape[0] == 0:
         raise ValueError("probes must be a non-empty list of (x, y, shift) triples")
@@ -225,7 +220,8 @@ def check_translation_invariance(kernel: BivariateKernel, probes,
 
 def grid_probes(span: float = 4.0, n: int = 7) -> np.ndarray:
     """All (x, y, shift) triples over a small uniform grid."""
-    g = np.linspace(-span, span, n)
+    check_elements(3 * _count(n, "n", 2) ** 3, "the probe triples")
+    g = probe_grid(span, n)
     x, y, s = np.meshgrid(g, g, g, indexing="ij")
     return np.column_stack([x.ravel(), y.ravel(), s.ravel()])
 

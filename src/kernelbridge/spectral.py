@@ -44,14 +44,13 @@ product past the float range is a ValueError, never a NaN.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
 from .measures import (FREQ_MAX, MAX_ELEMENTS, N_BINS, GammaMeasure, SpectralMeasure,
-                       _bin_width, check_elements, frequency_grid)
+                       _bin_width, _count, _number, check_elements, frequency_grid)
 from .profiles import KernelProfile
 
 __all__ = [
@@ -340,17 +339,16 @@ def int_bound_integral(gamma: GammaMeasure) -> float:
 def bound_report(integral: float, k0: float) -> dict:
     """Compare a quadratic-decay integral with the bound 4 k0.
 
-    ``ok`` says a bounded kernel with k(0) = k0 exists (integral <= 4 k0
-    up to ``BOUND_RTOL``); ``tight`` says the integral meets the bound, so
-    that kernel has no mass at frequency 0.  ``integral`` is the value of
-    :func:`int_bound_integral`, so the verdict compares two numbers only.
+    ``ok`` says a bounded kernel with k(0) = k0 exists (a finite integral
+    <= 4 k0 up to ``BOUND_RTOL``); ``tight`` says the integral meets the
+    bound, so that kernel has no mass at frequency 0.  ``integral`` is the
+    value of :func:`int_bound_integral`, so the verdict compares two numbers
+    only.  A bound 4 k0 past the float range reads inf: every finite
+    integral is ok under it, and none is tight.
     """
-    k0 = float(k0)
-    if not np.isfinite(k0) or k0 < 0:
-        raise ValueError("k0 must be finite and >= 0")
-    bound = 4.0 * k0
-    ok = bool(integral <= bound * (1.0 + BOUND_RTOL))
-    tight = bool(ok and np.isfinite(integral)
+    bound = 4.0 * _number(k0, "k0", 0)
+    ok = bool(math.isfinite(integral) and integral <= bound * (1.0 + BOUND_RTOL))
+    tight = bool(ok and math.isfinite(bound)
                  and abs(integral - bound) <= BOUND_RTOL * max(bound, 1.0))
     return {"integral": integral, "bound": bound, "ok": ok, "tight": tight}
 
@@ -370,7 +368,7 @@ def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
     gamma measures still define legitimate squared metrics (the |t| metric
     is the canonical example) but no bounded kernel.
     """
-    k0 = float(k0)
+    k0 = _number(k0, "k0", 0)
     report = bound_report(int_bound_integral(gamma), k0)
     if not report["ok"]:
         raise UnboundedMetricError(integral=report["integral"], bound=report["bound"])
@@ -402,9 +400,8 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
     Converges to the mass at frequency zero as the window grows; the
     non-atomic part contributes O(1/T).
     """
-    window, step = float(window), float(step)
-    if not (0.0 < window < np.inf and 0.0 < step < np.inf):
-        raise ValueError("window and step must be finite and > 0")
+    window = _number(window, "window", 0, above=True)
+    step = _number(step, "step", 0, above=True)
     check_elements(window / step + 1.0, "the zero-atom window / step")
     n = max(2, int(round(window / step)) + 1)
     t = np.linspace(0.0, window, n)
@@ -434,22 +431,12 @@ class InversionConfig:
 
     def __post_init__(self):
         _bin_width(self.n_bins, self.freq_max)  # validates both
-        for name in ("n_samples", "residual_points"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("t_max", "atom_window", "atom_step", "clamp_tol", "residual_span"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not np.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.t_max <= 0 or self.n_samples < 2:
-            raise ValueError("t_max, n_samples must be positive")
-        if self.atom_window <= 0 or self.atom_step <= 0:
-            raise ValueError("atom_window, atom_step must be positive")
-        if self.clamp_tol < 0 or self.residual_span < 0 or self.residual_points < 1:
-            raise ValueError("clamp_tol, residual_span must be >= 0 and "
-                             "residual_points >= 1")
+        _count(self.n_samples, "n_samples", 2)
+        _count(self.residual_points, "residual_points", 1)
+        for name in ("t_max", "atom_window", "atom_step"):
+            _number(getattr(self, name), name, 0, above=True)
+        for name in ("clamp_tol", "residual_span"):
+            _number(getattr(self, name), name, 0)
         # the chirp-z transform holds complex arrays of the FFT length
         check_elements(2 * _chirp_size(self.n_samples, self.n_bins),
                        "the inversion (n_samples, n_bins)")

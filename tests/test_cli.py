@@ -509,6 +509,22 @@ class TestSpectralCommands:
         assert code == 0
         assert payload["ok"] is False and payload["integral"] == "inf"
 
+    @pytest.mark.parametrize("gamma", [
+        {"density": {"edges": [0, 1e4], "values": [0.6366]}},  # the |t| metric
+        {"atoms": [{"loc": 1e-160, "mass": 1.0}]}])  # integral 1e320
+    @pytest.mark.parametrize("k0", ["4.4e307", "4.5e307", "1e308"])
+    def test_an_infinite_integral_is_never_ok(self, tmp_path, capsys, gamma, k0):
+        # from 4.5e307 on bound-check said ok with 4 k0 = inf, and gamma --k0 warned of
+        # a division by zero and exited 2 with "density must be finite"
+        gamma_path, out = tmp_path / "gamma.json", tmp_path / "mu.json"
+        gamma_path.write_text(json.dumps(gamma))
+        code, payload = run(capsys, "bound-check", gamma_path, "--k0", k0)
+        assert code == 0
+        assert payload["integral"] == "inf" and payload["ok"] is False
+        code, payload = run(capsys, "gamma", gamma_path, "--k0", k0, "-o", out)
+        assert code == 3 and payload["error"] == "UnboundedMetric"
+        assert not out.exists()
+
     def test_bound_check_rejects_nonfinite_k0(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.json"
         io.write_json(gamma_path, kb.GammaMeasure(atoms=[(0.5, 1.0)]).to_dict())
@@ -870,7 +886,7 @@ class TestMalformedInputs:
         files["C"].write_text(table)
         code, err = exit_and_stderr(capsys, [files.get(w, w) for w in command.split()])
         assert code == 2
-        assert "tol must be finite and >= 0" in err
+        assert "tol must be a finite number >= 0" in err
         assert not files["O"].exists()
 
     @pytest.mark.parametrize("index", ["-1", "3", "-4"])

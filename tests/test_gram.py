@@ -215,7 +215,7 @@ class TestNdToPsd:
             assert_allclose(out[:, b], 0.0, atol=1e-15)
 
     def test_bad_index(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             kb.nd_to_psd(COLLINEAR_D2, base_index=3)
 
     def test_overflowing_result_rejected(self):
@@ -396,7 +396,7 @@ class TestValidation:
     def test_tol_must_be_finite_and_non_negative(self, check, tol):
         # nan gave a NaN threshold, inf a psd verdict next to eigenvalue -4,
         # and -1 a "zero diagonal" error on a zero diagonal
-        with pytest.raises(ValueError, match="tol must be finite"):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
             check(COLLINEAR_D2, tol=tol)
 
     def test_one_by_one_nd_test_rejected(self):

@@ -252,3 +252,100 @@ class TestFrequencyGrid:
         config = kb.InversionConfig(n_samples=1001, n_bins=n, atom_window=20.0)
         assert np.array_equal(kb.bochner_inversion(kb.zoo("cauchy"), config).measure.bin_edges,
                               edges)
+
+
+_D2 = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+_GAUSSIAN_METRIC = kb.metric_from_kernel(kb.zoo("gaussian"))
+_MU = kb.cosine_measure()
+
+
+def _config(field):
+    return lambda value: kb.InversionConfig(**{field: value})
+
+
+def _atom(key):
+    return lambda value: kb.SpectralMeasure.from_dict(
+        {"atoms": [{"loc": 1.0, "mass": 1.0, key: value}]})
+
+
+#: every scalar parameter of the library: (call with the value, a valid value,
+#: the first value past its bound or None, whether it is an integer)
+SCALARS = {
+    "InversionConfig.t_max": (_config("t_max"), 20, 0.0, False),
+    "InversionConfig.freq_max": (_config("freq_max"), 8, 0.0, False),
+    "InversionConfig.atom_window": (_config("atom_window"), 20, 0.0, False),
+    "InversionConfig.atom_step": (_config("atom_step"), 1, 0.0, False),
+    "InversionConfig.clamp_tol": (_config("clamp_tol"), 0, -5e-324, False),
+    "InversionConfig.residual_span": (_config("residual_span"), 0, -5e-324, False),
+    "InversionConfig.n_samples": (_config("n_samples"), 2, 1, True),
+    "InversionConfig.n_bins": (_config("n_bins"), 1, 0, True),
+    "InversionConfig.residual_points": (_config("residual_points"), 1, 0, True),
+    "gaussian_measure.n_bins": (lambda v: kb.gaussian_measure(n_bins=v), 1, 0, True),
+    "gaussian_measure.freq_max": (lambda v: kb.gaussian_measure(8, freq_max=v), 8, 0.0, False),
+    "gaussian_measure.scale": (lambda v: kb.gaussian_measure(8, scale=v), 2, 0.0, False),
+    "cosine_measure.omega": (kb.cosine_measure, 3, 0.0, False),
+    "constant_measure.value": (kb.constant_measure, 0, -5e-324, False),
+    "from_dict.loc": (_atom("loc"), 0, -5e-324, False),
+    "from_dict.mass": (_atom("mass"), 0, -5e-324, False),
+    "zoo.scale": (lambda v: kb.zoo("laplacian", scale=v), 2, 0.0, False),
+    "zoo.omega": (lambda v: kb.zoo("cosine", omega=v), 3, 0.0, False),
+    "zoo.value": (lambda v: kb.zoo("constant", value=v), 0, -5e-324, False),
+    "is_positive_definite.tol": (lambda v: kb.is_positive_definite(_D2, v), 0, -5e-324, False),
+    "is_negative_definite.tol": (lambda v: kb.is_negative_definite(_D2, v), 0, -5e-324, False),
+    "euclidean_embedding.tol": (lambda v: kb.euclidean_embedding(_D2, v), 0, -5e-324, False),
+    "nd_to_psd.base_index": (lambda v: kb.nd_to_psd(_D2, v), 2, -1, True),
+    "bound_report.k0": (lambda v: kb.bound_report(4.0, v), 1, -5e-324, False),
+    "spectral_from_gamma.k0": (lambda v: kb.spectral_from_gamma(
+        kb.GammaMeasure(atoms=[(0.5, 1.0)]), v), 1, -5e-324, False),
+    "atom_at_zero.window": (lambda v: kb.atom_at_zero(kb.zoo("gaussian"), v, 1), 20, 0.0, False),
+    "atom_at_zero.step": (lambda v: kb.atom_at_zero(kb.zoo("gaussian"), 20, v), 1, 0.0, False),
+    "sample_frequencies.m": (lambda v: kb.sample_frequencies(_MU, v, 1), 1, 0, True),
+    "sample_frequencies.seed": (lambda v: kb.sample_frequencies(_MU, 4, v), 0, -1, True),
+    "sample_product_frequencies.m": (lambda v: kb.sample_product_frequencies(
+        kb.ProductSpectralMeasure(factors=(_MU, _MU)), v, 1), 1, 0, True),
+    "check_translation_invariance.tol": (lambda v: kb.check_translation_invariance(
+        kb.lift_metric(_GAUSSIAN_METRIC), kb.grid_probes(), v), 0, -5e-324, False),
+    "probe_grid.span": (lambda v: kb.probe_grid(span=v), 10, 0.0, False),
+    "probe_grid.n": (lambda v: kb.probe_grid(n=v), 2, 1, True),
+    "grid_probes.span": (lambda v: kb.grid_probes(span=v), 4, 0.0, False),
+    "grid_probes.n": (lambda v: kb.grid_probes(n=v), 2, 1, True),
+    "kernel_from_metric.base": (lambda v: kb.kernel_from_metric(_GAUSSIAN_METRIC, v),
+                                -3, None, False),
+}
+#: the reader's own rejections, for every parameter
+NOT_SCALARS = [True, "2", None, np.nan, np.inf, -np.inf]
+#: past the float range (an integer parameter runs past its element budget or
+#: its range instead) and the first value past each bound; numpy seeds from
+#: every integer >= 0, 10**400 included
+PAST_BOUNDS = [(name, value) for name, (_, _, low, _) in SCALARS.items()
+               for value in ([10 ** 400] if name != "sample_frequencies.seed" else [])
+               + ([low] if low is not None else [])]
+
+
+class TestScalarRule:
+    """One rule for every scalar parameter: ``measures._number`` and ``_count``."""
+
+    @pytest.mark.parametrize("value", NOT_SCALARS, ids=repr)
+    @pytest.mark.parametrize("name", SCALARS)
+    def test_anything_but_a_number_is_rejected_by_the_reader(self, name, value):
+        # True read as 1 and "2" as 2 in some, and NaN passed in the probe helpers
+        with pytest.raises(ValueError, match=r" must be (a finite number|an integer)\b"):
+            SCALARS[name][0](value)
+
+    @pytest.mark.parametrize("name, value", PAST_BOUNDS,
+                             ids=[f"{name}-{'10**400' if value == 10 ** 400 else value}"
+                                  for name, value in PAST_BOUNDS])
+    def test_values_past_the_float_range_or_the_bound_are_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            SCALARS[name][0](value)
+
+    @pytest.mark.parametrize("name", SCALARS)
+    def test_numpy_and_plain_numbers_are_accepted(self, name):
+        call, valid, _, integer = SCALARS[name]
+        call(np.int64(valid))
+        call(int(valid))
+        if integer:
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(np.float64(valid))
+        else:
+            call(np.float64(valid))

@@ -517,6 +517,22 @@ class TestIntBoundIntegral:
             with pytest.raises(ValueError):
                 kb.bound_report(1.0, k0)
 
+    @pytest.mark.parametrize("gamma", [
+        kb.GammaMeasure(edges=[0.0, 1e4], values=[0.6366]),  # the |t| metric
+        kb.GammaMeasure(atoms=[(1e-160, 1.0)])])  # integral 1e320
+    @pytest.mark.parametrize("k0", [4.4e307, 4.5e307, 1e308])
+    def test_an_infinite_integral_is_never_ok(self, gamma, k0):
+        # from k0 = 4.5e307 on the bound 4 k0 reads inf, and inf <= inf was ok:
+        # spectral_from_gamma then divided by a bin edge at 0
+        assert kb.bound_report(kb.int_bound_integral(gamma), k0)["ok"] is False
+        with pytest.raises(kb.UnboundedMetricError):
+            kb.spectral_from_gamma(gamma, k0)
+
+    def test_a_finite_integral_is_below_an_infinite_bound(self):
+        # 4 k0 past the float range exceeds every finite integral, which never meets it
+        assert kb.bound_report(1.0, 1e308) == {"integral": 1.0, "bound": np.inf,
+                                               "ok": True, "tight": False}
+
 
 class TestSpectralFromGamma:
     def test_round_trip_atom(self):

@@ -77,3 +77,28 @@ def test_runtime_dependencies_are_exactly_the_package_imports():
     # an undeclared import fails, and so does a dependency that nothing imports
     imported = third_party_imports(SRC.rglob("*.py"), {"kernelbridge"})
     assert imported == package_names(project_table()["dependencies"]) == {"numpy"}
+
+
+
+def bool_tests(node) -> list:
+    """The ``isinstance(..., bool)`` calls under an ast node."""
+    return [call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+            and any(getattr(name, "id", None) == "bool" for name in ast.walk(call.args[-1]))]
+
+
+def test_one_reader_decides_what_a_valid_scalar_is():
+    # the modules' own scalar checks disagreed (True, "2" and NaN passed some):
+    # only measures imports numbers, and only its two readers test for a bool
+    importers, everywhere, in_readers = set(), [], []
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if "numbers" in imported_top_level_modules(path):
+            importers.add(path.name)
+        everywhere += [(path.name, call.lineno) for call in bool_tests(tree)]
+        if path.name == "measures.py":
+            in_readers += [(path.name, call.lineno) for node in tree.body
+                           if isinstance(node, ast.FunctionDef)
+                           and node.name in ("_number", "_count") for call in bool_tests(node)]
+    assert importers == {"measures.py"}
+    assert len(in_readers) == 2 and sorted(everywhere) == sorted(in_readers)
