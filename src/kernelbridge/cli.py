@@ -20,7 +20,7 @@ from .exceptions import KernelBridgeError, MathematicalRejection
 from .features import approximate_kernel, sample_frequencies, sample_product_frequencies
 from .gram import (DEFAULT_TOL, build_gram, euclidean_embedding, is_negative_definite,
                    is_positive_definite, nd_to_psd)
-from .measures import GammaMeasure, SpectralMeasure, check_elements
+from .measures import GammaMeasure, SpectralMeasure, _numbers, check_elements
 from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import (PROBE_GRID_SIZE, PROBE_GRID_SPAN, metric_from_kernel,
                        profile_from_samples, zoo, zoo_names)
@@ -232,11 +232,9 @@ def cmd_atom0(args) -> int:
 
 def _read_pairs(path, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The x and y halves of a --pairs CSV of finite rows x_1..x_d,y_1..y_d, and x - y."""
-    pairs = io.read_matrix_csv(path)
+    pairs = _numbers(io.read_matrix_csv(path), "--pairs entries")
     if pairs.shape[1] != 2 * d:
         raise ValueError(f"--pairs rows must have {2 * d} columns (x then y)")
-    if not np.isfinite(pairs).all():
-        raise ValueError("--pairs entries must be finite")
     xs, ys = pairs[:, :d], pairs[:, d:]
     with np.errstate(over="ignore"):
         lags = xs - ys

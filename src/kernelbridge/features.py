@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import SpectralMeasure, _count, check_elements
+from .measures import SpectralMeasure, _count, _number, _numbers, check_elements
 from .product import ProductSpectralMeasure
 from .spectral import _row_sums
 
@@ -56,12 +56,15 @@ class FrequencySample:
     seed: int
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
-        phases = np.asarray(self.phases, dtype=float)
+        freqs = _numbers(self.frequencies, "frequencies")
+        phases = _numbers(self.phases, "phases")
         if freqs.shape[0] != phases.shape[0] or freqs.shape[0] < 1:
             raise ValueError("frequencies and phases must share a positive length")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "total_mass", _number(self.total_mass, "total_mass", 0,
+                                                       above=True))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
     @property
     def m(self) -> int:
@@ -73,8 +76,8 @@ class FrequencySample:
 
     def to_dict(self) -> dict:
         return {
-            "seed": int(self.seed),
-            "total_mass": float(self.total_mass),
+            "seed": self.seed,
+            "total_mass": self.total_mass,
             "freqs": self.frequencies.tolist(),
             "phases": self.phases.tolist(),
         }
@@ -148,13 +151,11 @@ def _points(sample: FrequencySample, x) -> tuple[np.ndarray, bool]:
     A single point is a scalar (d = 1) or a length-d vector; a batch is an
     (n,) array of points on the line or an (n, d) array.
     """
-    x = np.asarray(x, dtype=float)
+    x = _numbers(x, "points")
     one = x.ndim == 0 or (x.ndim == 1 and sample.frequencies.ndim == 2)
     if x.ndim > 2:
         raise ValueError(f"points must be a scalar, a vector or an (n, d) array, "
                          f"got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("points must be finite")
     points = x.reshape(1, -1) if one else x.reshape(x.shape[0], -1)
     if points.shape[1] != sample.dim:
         raise ValueError(f"point has dimension {points.shape[1]}, expected {sample.dim}")

@@ -7,7 +7,8 @@ from squared-distance matrices.
 
 Definiteness of an n x n sample is decided spectrally with a relative
 tolerance: a matrix counts as positive semidefinite when its smallest
-eigenvalue is >= -tol * n * max|diag|.  Negative definiteness is tested
+eigenvalue is >= -tol * n * max|diag|, or the solver's rounding floor
+-eps * n^2 * max|diag| where that is lower.  Negative definiteness is tested
 on the subspace orthogonal to the all-ones vector by projecting,
 P = I - (1/n) 1 1^T, and eigen-testing P N P (with the all-ones direction
 deflated away so it can never masquerade as a witness), against
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EigenSolverError, NotHilbertianError
-from .measures import _count, _number, check_elements
+from .measures import _count, _number, _numbers, check_elements
 from .profiles import KernelProfile
 
 __all__ = [
@@ -42,13 +43,11 @@ SYMMETRY_RTOL = 1e-12
 
 
 def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
-    entries = np.asarray(entries, dtype=float)
+    entries = _numbers(entries, what)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"{what} must be square, got shape {entries.shape}")
     if entries.size == 0:
         raise ValueError(f"{what} is empty (0 x 0)")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError(f"{what} has non-finite entries")
     scale = float(np.max(np.abs(entries)))
     asym = float(np.max(np.abs(entries - entries.T)))
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -64,7 +63,7 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float).ravel()
+        points = _numbers(self.points, "points").ravel()
         entries = _check_symmetric(self.entries, "Gram matrix")
         if entries.shape[0] != points.size:
             raise ValueError("points and entries are inconsistently sized")
@@ -130,18 +129,20 @@ def _eigh(entries: np.ndarray):
 
 def build_gram(profile: KernelProfile, points) -> GramMatrix:
     """Gram matrix of a translation-invariant kernel over sample points."""
-    points = np.asarray(points, dtype=float).ravel()
+    points = _numbers(points, "points").ravel()
     if points.size == 0:
         raise ValueError("points must be non-empty")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
     check_elements(points.size ** 2, "the Gram matrix of the points")
     diff = points[:, None] - points[None, :]
     return GramMatrix(points=points, entries=profile(diff))
 
 
 def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
-    """Spectral PSD test: min eigenvalue >= -tol * n * max|diag|."""
+    """Spectral PSD test: min eigenvalue >= -max(tol, eps n) * n * max|diag|.
+
+    eps n^2 max|diag| is the solver's rounding floor, that of
+    :func:`is_negative_definite` without its deflation term.
+    """
     tol = _number(tol, "tol", 0)
     entries = _entries(gram)
     n = entries.shape[0]
@@ -149,7 +150,7 @@ def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     scale = float(np.max(np.abs(np.diag(entries))))
     if scale == 0.0:  # degenerate all-zero diagonal, fall back to entry scale
         scale = float(np.max(np.abs(entries)))
-    threshold = -tol * n * scale
+    threshold = -max(tol * n * scale, float(np.finfo(float).eps) * n * n * scale)
     return DefinitenessVerdict(float(eigvals[0]), eigvecs[:, 0], threshold,
                                float(eigvals[0]) - threshold)
 

@@ -27,7 +27,9 @@ their angle split on them; only measures read from files whose widths
 differ take the dense table.
 
 Every scalar parameter of the library is read by :func:`_number` or
-:func:`_count`, the one rule of what a valid scalar is.
+:func:`_count`, the one rule of what a valid scalar is, and every array it
+reads as data (lags, points, matrices, atoms, bins, frequency samples) by
+:func:`_numbers`, the one rule of what a valid array is.
 """
 
 from __future__ import annotations
@@ -68,37 +70,31 @@ def check_elements(count, what: str) -> None:
 
 
 def _normalize_atoms(atoms, allow_zero_location: bool, what: str):
-    locs, masses = [], []
-    for pair in atoms:
-        loc, mass = pair
-        locs.append(float(loc))
-        masses.append(float(mass))
-    locs = np.asarray(locs, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    if locs.size:
-        if not np.all(np.isfinite(locs)) or not np.all(np.isfinite(masses)):
-            raise ValueError(f"{what} atoms must be finite")
-        if np.any(masses < 0):
-            raise ValueError(f"{what} atom masses must be >= 0")
-        if allow_zero_location:
-            if np.any(locs < 0):
-                raise ValueError(f"{what} atom locations must be >= 0")
-        elif np.any(locs <= 0):
-            raise ValueError(f"{what} has no discrete component at 0: "
-                             "atom locations must be > 0")
+    pairs = _numbers(list(atoms), f"{what} atoms")
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError(f"{what} atoms must be (location, mass) pairs")
+    locs, masses = pairs.reshape(-1, 2).T
+    if np.any(masses < 0):
+        raise ValueError(f"{what} atom masses must be >= 0")
+    if allow_zero_location:
+        if np.any(locs < 0):
+            raise ValueError(f"{what} atom locations must be >= 0")
+    elif np.any(locs <= 0):
+        raise ValueError(f"{what} has no discrete component at 0: "
+                         "atom locations must be > 0")
     order = np.argsort(locs, kind="stable")
     return locs[order], masses[order]
 
 
 def _normalize_density(edges, values, what: str):
-    edges = np.asarray(edges, dtype=float).ravel()
-    values = np.asarray(values, dtype=float).ravel()
+    edges = _numbers(edges, f"{what} density edges")
+    values = _numbers(values, f"{what} density values")
+    if edges.ndim != 1 or values.ndim != 1:
+        raise ValueError(f"{what} density edges and values must be 1-d")
     if edges.size == 0 and values.size == 0:
         return edges, values
     if edges.size != values.size + 1:
         raise ValueError(f"{what} density needs len(edges) == len(values) + 1")
-    if not np.all(np.isfinite(edges)) or not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} density must be finite")
     if edges[0] < 0:
         raise ValueError(f"{what} density edges must be >= 0")
     if np.any(np.diff(edges) <= 0):
@@ -133,21 +129,30 @@ def _bound(low, above: bool) -> str:
     return "" if low == -math.inf else f" {'>' if above else '>='} {low:g}"
 
 
-def _json_numbers(values, what: str) -> np.ndarray:
-    """A JSON list of numbers as a 1-d float array; ValueError for anything else.
+def _numbers(values, what: str) -> np.ndarray:
+    """Finite real numbers in any rectangular nesting, as a float64 array of its
+    shape; else ValueError.
 
-    A list holding strings, nulls, objects or integers past 64 bits gets a
-    non-numeric dtype from numpy, and a nested list more than one dimension.
+    numpy gives bools, strings, None, objects, complex numbers, datetimes and
+    integers past 64 bits a dtype kind other than i, u and f.  A bool among
+    numbers it upcasts, so the leaves of a list or tuple are searched once.
     """
-    array = None
-    if isinstance(values, (list, tuple)):
-        try:
-            array = np.asarray(values)
-        except ValueError:  # ragged nesting
-            pass
-    if array is None or array.ndim != 1 or (array.size and array.dtype.kind not in "iuf"):
-        raise ValueError(f"{what} must be a list of numbers")
-    return array.astype(float)
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or isinstance(values, (list, tuple)) \
+            and {bool, np.bool_} & set(map(type, np.asarray(values, dtype=object).flat)):
+        raise ValueError(f"{what} must be real numbers")
+    array = np.asarray(array, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} must be finite")
+    return array
+
+
+def _tau(tau) -> float:
+    """A frequency argument: +-inf, or a finite number read by _number."""
+    return float(tau) if tau in (math.inf, -math.inf) else _number(tau, "tau")
 
 
 class _BinnedMeasure:
@@ -172,8 +177,8 @@ class _BinnedMeasure:
         return np.diff(self.bin_edges)
 
     def density_at(self, tau: float) -> float:
-        """Density at tau under the measure's law (0 outside all bins)."""
-        tau = float(tau)
+        """Density at tau under the measure's law (0 outside all bins, +-inf included)."""
+        tau = _tau(tau)
         if self.bin_edges.size == 0 or tau < self.bin_edges[0] or tau > self.bin_edges[-1]:
             return 0.0
         idx = int(np.searchsorted(self.bin_edges, tau, side="right")) - 1
@@ -206,9 +211,7 @@ class _BinnedMeasure:
         return cls(atoms=[(_number(a.get("loc"), f"{what} atom loc"),
                            _number(a.get("mass"), f"{what} atom mass"))
                           for a in atoms],
-                   edges=_json_numbers(density.get("edges", []), f"{what} density edges"),
-                   values=_json_numbers(density.get("values", []),
-                                        f"{what} density values"),
+                   edges=density.get("edges", []), values=density.get("values", []),
                    law=density.get("law", "constant"))
 
     def __eq__(self, other):
@@ -283,9 +286,9 @@ class GammaMeasure(_BinnedMeasure):
         Exact for both laws.  Returns inf when a constant-law bin with
         positive value touches 0; an s^2-law bin integrates to v (d - c).
         An atom's m/s^2 is formed as (m/s)/s, never through s^2, which
-        underflows below s ~ 1e-154.
+        underflows below s ~ 1e-154.  ``alpha(inf)`` is the whole integral.
         """
-        tau = float(tau)
+        tau = _tau(tau)
         pos = (self.atom_locations > 0.0) & (self.atom_locations <= tau)
         locs = self.atom_locations[pos]
         total = float(np.sum(self.atom_masses[pos] / locs / locs))

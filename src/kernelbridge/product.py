@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SpectralMeasure
+from .measures import SpectralMeasure, _numbers
 from .profiles import KernelProfile
 from .spectral import bochner_synthesis
 
@@ -76,7 +76,7 @@ class ProductSpectralMeasure:
 
 
 def _check_dim(expected: int, vec, name: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float).ravel()
+    vec = _numbers(vec, name).ravel()
     if vec.size != expected:
         raise ValueError(f"{name} has dimension {vec.size}, expected {expected}")
     return vec
@@ -99,7 +99,7 @@ def product_synthesis(measure: ProductSpectralMeasure, t):
     lag vectors, giving n values from one :func:`bochner_synthesis` call
     per factor.
     """
-    lags = np.asarray(t, dtype=float)
+    lags = _numbers(t, "t")
     one = lags.ndim < 2
     if one:
         lags = _check_dim(measure.dim, lags, "t")[None]

@@ -19,13 +19,14 @@ it returns a :class:`BivariateKernel` rather than a profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import EvaluationError
-from .measures import _count, _number, check_elements
+from .measures import _count, _number, _numbers, check_elements
 
 __all__ = [
     "KernelProfile",
@@ -49,8 +50,13 @@ PROBE_GRID_SIZE = 201
 
 
 def probe_grid(span: float = PROBE_GRID_SPAN, n: int = PROBE_GRID_SIZE) -> np.ndarray:
-    """Uniform symmetric grid used for evenness/invariance spot checks."""
+    """Uniform symmetric grid used for evenness/invariance spot checks.
+
+    ``span`` is a finite number > 0 whose double 2 span is finite too.
+    """
     span, n = _number(span, "span", 0, above=True), _count(n, "n", 2)
+    if not math.isfinite(2.0 * span):
+        raise ValueError(f"span must be at most half the float maximum, got {span!r}")
     check_elements(n, "the probe grid")
     return np.linspace(-span, span, n)
 
@@ -205,7 +211,7 @@ def check_translation_invariance(kernel: BivariateKernel, probes,
                                  tol: float = 1e-9) -> TranslationInvarianceReport:
     """Check |K(x+s, y+s) - K(x, y)| <= tol over the given (x, y, s) probes."""
     tol = _number(tol, "tol", 0)
-    probes = np.asarray(probes, dtype=float)
+    probes = _numbers(probes, "probes")
     if probes.ndim != 2 or probes.shape[1] != 3 or probes.shape[0] == 0:
         raise ValueError("probes must be a non-empty list of (x, y, shift) triples")
     x, y, s = probes[:, 0], probes[:, 1], probes[:, 2]
@@ -232,12 +238,9 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     Evaluation uses |t|; asking for |t| beyond the sampled range raises an
     :class:`EvaluationError` rather than extrapolating.
     """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
+    t, values = _numbers(t, "samples"), _numbers(values, "samples")
     if t.ndim != 1 or t.shape != values.shape or t.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
-    if not (np.isfinite(t).all() and np.isfinite(values).all()):
-        raise ValueError("samples must be finite")
     order = np.argsort(t)
     t, values = t[order], values[order]
     if t[0] < 0:

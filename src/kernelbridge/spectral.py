@@ -50,7 +50,8 @@ import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
 from .measures import (FREQ_MAX, MAX_ELEMENTS, N_BINS, GammaMeasure, SpectralMeasure,
-                       _bin_width, _count, _number, check_elements, frequency_grid)
+                       _bin_width, _count, _number, _numbers, check_elements,
+                       frequency_grid)
 from .profiles import KernelProfile
 
 __all__ = [
@@ -73,13 +74,6 @@ BOUND_RTOL = 1e-12
 #: chunk size (in rows x columns) for the dense trig evaluations: small
 #: enough that a chunk's temporaries stay in cache
 _CHUNK = 2 ** 14
-
-
-def _as_t_array(t):
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("t must be finite")
-    return t, t.ndim == 0
 
 
 def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
@@ -216,8 +210,8 @@ def bochner_synthesis(mu: SpectralMeasure, t):
     k(t) = m0 + sum 2 m cos(t tau) + sum over bins of the exact cosine
     integral 2 v (sin(t b) - sin(t a)) / t.  Accepts scalar or array t.
     """
-    t, scalar = _as_t_array(t)
-    tt = np.atleast_1d(t).ravel()
+    t = _numbers(t, "t")
+    tt = t.ravel()
     out = np.full(tt.shape, mu.zero_atom)
 
     locs, masses, edges, values = mu.positive_part()
@@ -225,7 +219,7 @@ def bochner_synthesis(mu: SpectralMeasure, t):
         out += _row_sums(tt, locs.size, lambda ts: 2.0 * _cos_sin(ts, locs)[0] @ masses)
     if values.size:
         out += _density_part(tt, edges, values)
-    return float(out[0]) if scalar else out.reshape(t.shape)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 #: x = 2 t e from which _screw_antiderivative takes f, g from their continued fraction
@@ -282,8 +276,8 @@ def screw_synthesis(gamma: GammaMeasure, t):
     float range) is a ValueError, as is a lag whose product with a
     frequency does (see _cos_sin).
     """
-    t, scalar = _as_t_array(t)
-    tt = np.abs(np.atleast_1d(t).ravel())
+    t = _numbers(t, "t")
+    tt = np.abs(t.ravel())
     out = np.zeros(tt.shape)
 
     locs, masses = gamma.atom_locations, gamma.atom_masses
@@ -308,7 +302,7 @@ def screw_synthesis(gamma: GammaMeasure, t):
         out[nz] += _row_sums(tt[nz], values.size, rows)
     if not np.isfinite(out).all():
         raise ValueError("squared metric overflows the float range")
-    return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def gamma_from_spectral(mu: SpectralMeasure) -> tuple[GammaMeasure, float]:

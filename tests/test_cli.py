@@ -220,6 +220,18 @@ class TestMatrixCommands:
         assert payload[key] is verdict
         assert (payload["margin"] >= 0.0) is verdict
 
+    def test_check_psd_and_check_nd_agree_at_zero_tol(self, tmp_path, capsys):
+        # check-psd said false on the centred matrix, for a rounding-noise witness
+        # (-8.3e-15) under the threshold -0.0: its test had no rounding floor
+        x = np.random.default_rng(1).uniform(-20, 20, 200)
+        d2, k = tmp_path / "d2.csv", tmp_path / "k.csv"
+        io.write_matrix_csv(d2, kb.metric_from_kernel(kb.zoo("gaussian"))(x[:, None] - x[None, :]))
+        code, nd = run(capsys, "check-nd", d2, "--tol", "0")
+        assert code == 0 and nd["nd"] is True
+        assert main(["nd-to-psd", str(d2), "-o", str(k)]) == 0
+        code, psd = run(capsys, "check-psd", k, "--tol", "0")
+        assert code == 0 and psd["psd"] is True and psd["threshold"] < 0.0
+
     @pytest.mark.parametrize("matrix", [COLLINEAR, QUARTIC, 1e-20 * QUARTIC,
                                         1e100 * QUARTIC, NEAR_BOUNDARY[17],
                                         NEAR_BOUNDARY[46]],
@@ -841,6 +853,19 @@ class TestMalformedInputs:
         code, err = exit_and_stderr(capsys, argv.split())
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth {} -o {}", "gamma {} -o {}"])
+    @pytest.mark.parametrize("density", ['{"edges": [0.0, true], "values": [0.5]}',
+                                         '{"edges": [0.0, 1.0], "values": [true]}',
+                                         '{"edges": [0.0, "1"], "values": [0.5]}'])
+    def test_a_measure_file_holds_only_numbers(self, tmp_path, capsys, command, density):
+        # true was read as 1.0 among floats
+        path, out = tmp_path / "in.json", tmp_path / "out"
+        path.write_text(f'{{"density": {density}}}')
+        code, err = exit_and_stderr(capsys, command.format(path, out).split())
+        assert code == 2
+        assert err.endswith(" must be real numbers\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("params", ["[1]", '{"scale": null}', '{"scale": "2"}',

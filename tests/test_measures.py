@@ -269,57 +269,64 @@ def _atom(key):
 
 
 #: every scalar parameter of the library: (call with the value, a valid value,
-#: the first value past its bound or None, whether it is an integer)
+#: the values past its bound, whether it is an integer)
 SCALARS = {
-    "InversionConfig.t_max": (_config("t_max"), 20, 0.0, False),
-    "InversionConfig.freq_max": (_config("freq_max"), 8, 0.0, False),
-    "InversionConfig.atom_window": (_config("atom_window"), 20, 0.0, False),
-    "InversionConfig.atom_step": (_config("atom_step"), 1, 0.0, False),
-    "InversionConfig.clamp_tol": (_config("clamp_tol"), 0, -5e-324, False),
-    "InversionConfig.residual_span": (_config("residual_span"), 0, -5e-324, False),
-    "InversionConfig.n_samples": (_config("n_samples"), 2, 1, True),
-    "InversionConfig.n_bins": (_config("n_bins"), 1, 0, True),
-    "InversionConfig.residual_points": (_config("residual_points"), 1, 0, True),
-    "gaussian_measure.n_bins": (lambda v: kb.gaussian_measure(n_bins=v), 1, 0, True),
-    "gaussian_measure.freq_max": (lambda v: kb.gaussian_measure(8, freq_max=v), 8, 0.0, False),
-    "gaussian_measure.scale": (lambda v: kb.gaussian_measure(8, scale=v), 2, 0.0, False),
-    "cosine_measure.omega": (kb.cosine_measure, 3, 0.0, False),
-    "constant_measure.value": (kb.constant_measure, 0, -5e-324, False),
-    "from_dict.loc": (_atom("loc"), 0, -5e-324, False),
-    "from_dict.mass": (_atom("mass"), 0, -5e-324, False),
-    "zoo.scale": (lambda v: kb.zoo("laplacian", scale=v), 2, 0.0, False),
-    "zoo.omega": (lambda v: kb.zoo("cosine", omega=v), 3, 0.0, False),
-    "zoo.value": (lambda v: kb.zoo("constant", value=v), 0, -5e-324, False),
-    "is_positive_definite.tol": (lambda v: kb.is_positive_definite(_D2, v), 0, -5e-324, False),
-    "is_negative_definite.tol": (lambda v: kb.is_negative_definite(_D2, v), 0, -5e-324, False),
-    "euclidean_embedding.tol": (lambda v: kb.euclidean_embedding(_D2, v), 0, -5e-324, False),
-    "nd_to_psd.base_index": (lambda v: kb.nd_to_psd(_D2, v), 2, -1, True),
-    "bound_report.k0": (lambda v: kb.bound_report(4.0, v), 1, -5e-324, False),
+    "InversionConfig.t_max": (_config("t_max"), 20, (0.0,), False),
+    "InversionConfig.freq_max": (_config("freq_max"), 8, (0.0,), False),
+    "InversionConfig.atom_window": (_config("atom_window"), 20, (0.0,), False),
+    "InversionConfig.atom_step": (_config("atom_step"), 1, (0.0,), False),
+    "InversionConfig.clamp_tol": (_config("clamp_tol"), 0, (-5e-324,), False),
+    "InversionConfig.residual_span": (_config("residual_span"), 0, (-5e-324,), False),
+    "InversionConfig.n_samples": (_config("n_samples"), 2, (1,), True),
+    "InversionConfig.n_bins": (_config("n_bins"), 1, (0,), True),
+    "InversionConfig.residual_points": (_config("residual_points"), 1, (0,), True),
+    "gaussian_measure.n_bins": (lambda v: kb.gaussian_measure(n_bins=v), 1, (0,), True),
+    "gaussian_measure.freq_max": (lambda v: kb.gaussian_measure(8, freq_max=v), 8, (0.0,),
+                                  False),
+    "gaussian_measure.scale": (lambda v: kb.gaussian_measure(8, scale=v), 2, (0.0,), False),
+    "cosine_measure.omega": (kb.cosine_measure, 3, (0.0,), False),
+    "constant_measure.value": (kb.constant_measure, 0, (-5e-324,), False),
+    "from_dict.loc": (_atom("loc"), 0, (-5e-324,), False),
+    "from_dict.mass": (_atom("mass"), 0, (-5e-324,), False),
+    "zoo.scale": (lambda v: kb.zoo("laplacian", scale=v), 2, (0.0,), False),
+    "zoo.omega": (lambda v: kb.zoo("cosine", omega=v), 3, (0.0,), False),
+    "zoo.value": (lambda v: kb.zoo("constant", value=v), 0, (-5e-324,), False),
+    "is_positive_definite.tol": (lambda v: kb.is_positive_definite(_D2, v), 0, (-5e-324,),
+                                 False),
+    "is_negative_definite.tol": (lambda v: kb.is_negative_definite(_D2, v), 0, (-5e-324,),
+                                 False),
+    "euclidean_embedding.tol": (lambda v: kb.euclidean_embedding(_D2, v), 0, (-5e-324,), False),
+    "nd_to_psd.base_index": (lambda v: kb.nd_to_psd(_D2, v), 2, (-1,), True),
+    "bound_report.k0": (lambda v: kb.bound_report(4.0, v), 1, (-5e-324,), False),
     "spectral_from_gamma.k0": (lambda v: kb.spectral_from_gamma(
-        kb.GammaMeasure(atoms=[(0.5, 1.0)]), v), 1, -5e-324, False),
-    "atom_at_zero.window": (lambda v: kb.atom_at_zero(kb.zoo("gaussian"), v, 1), 20, 0.0, False),
-    "atom_at_zero.step": (lambda v: kb.atom_at_zero(kb.zoo("gaussian"), 20, v), 1, 0.0, False),
-    "sample_frequencies.m": (lambda v: kb.sample_frequencies(_MU, v, 1), 1, 0, True),
-    "sample_frequencies.seed": (lambda v: kb.sample_frequencies(_MU, 4, v), 0, -1, True),
+        kb.GammaMeasure(atoms=[(0.5, 1.0)]), v), 1, (-5e-324,), False),
+    "atom_at_zero.window": (lambda v: kb.atom_at_zero(kb.zoo("gaussian"), v, 1), 20, (0.0,),
+                            False),
+    "atom_at_zero.step": (lambda v: kb.atom_at_zero(kb.zoo("gaussian"), 20, v), 1, (0.0,),
+                          False),
+    "sample_frequencies.m": (lambda v: kb.sample_frequencies(_MU, v, 1), 1, (0,), True),
+    "sample_frequencies.seed": (lambda v: kb.sample_frequencies(_MU, 4, v), 0, (-1,), True),
+    "FrequencySample.total_mass": (lambda v: kb.FrequencySample([1.0], [0.0], v, 0), 1,
+                                   (0.0,), False),
+    "FrequencySample.seed": (lambda v: kb.FrequencySample([1.0], [0.0], 1.0, v), 0, (-1,), True),
     "sample_product_frequencies.m": (lambda v: kb.sample_product_frequencies(
-        kb.ProductSpectralMeasure(factors=(_MU, _MU)), v, 1), 1, 0, True),
+        kb.ProductSpectralMeasure(factors=(_MU, _MU)), v, 1), 1, (0,), True),
     "check_translation_invariance.tol": (lambda v: kb.check_translation_invariance(
-        kb.lift_metric(_GAUSSIAN_METRIC), kb.grid_probes(), v), 0, -5e-324, False),
-    "probe_grid.span": (lambda v: kb.probe_grid(span=v), 10, 0.0, False),
-    "probe_grid.n": (lambda v: kb.probe_grid(n=v), 2, 1, True),
-    "grid_probes.span": (lambda v: kb.grid_probes(span=v), 4, 0.0, False),
-    "grid_probes.n": (lambda v: kb.grid_probes(n=v), 2, 1, True),
+        kb.lift_metric(_GAUSSIAN_METRIC), kb.grid_probes(), v), 0, (-5e-324,), False),
+    "probe_grid.span": (lambda v: kb.probe_grid(span=v), 10, (0.0, 1e308), False),
+    "probe_grid.n": (lambda v: kb.probe_grid(n=v), 2, (1,), True),
+    "grid_probes.span": (lambda v: kb.grid_probes(span=v), 4, (0.0, 1e308), False),
+    "grid_probes.n": (lambda v: kb.grid_probes(n=v), 2, (1,), True),
     "kernel_from_metric.base": (lambda v: kb.kernel_from_metric(_GAUSSIAN_METRIC, v),
-                                -3, None, False),
+                                -3, (), False),
 }
 #: the reader's own rejections, for every parameter
 NOT_SCALARS = [True, "2", None, np.nan, np.inf, -np.inf]
 #: past the float range (an integer parameter runs past its element budget or
-#: its range instead) and the first value past each bound; numpy seeds from
-#: every integer >= 0, 10**400 included
-PAST_BOUNDS = [(name, value) for name, (_, _, low, _) in SCALARS.items()
-               for value in ([10 ** 400] if name != "sample_frequencies.seed" else [])
-               + ([low] if low is not None else [])]
+#: its range instead) and the values past each bound (a probe span also may not
+#: double past it); numpy seeds from every integer >= 0, 10**400 included
+PAST_BOUNDS = [(name, value) for name, (_, _, past, _) in SCALARS.items()
+               for value in ([10 ** 400] if not name.endswith(".seed") else []) + list(past)]
 
 
 class TestScalarRule:
@@ -349,3 +356,126 @@ class TestScalarRule:
                 call(np.float64(valid))
         else:
             call(np.float64(valid))
+
+    @pytest.mark.parametrize("tau", [np.nan, True, "2", None])
+    def test_a_frequency_argument_is_a_number_or_an_infinity(self, tau):
+        # density_at(nan) read the last bin's value and alpha(nan) read 0
+        mu = kb.SpectralMeasure(edges=[0.0, 1.0, 2.0], values=[0.5, 0.25])
+        gamma = kb.GammaMeasure(atoms=[(0.5, 1.0)], edges=[1.0, 2.0], values=[1.0])
+        for call in (mu.density_at, gamma.density_at, gamma.alpha):
+            with pytest.raises(ValueError, match="tau must be a finite number"):
+                call(tau)
+        assert mu.density_at(np.inf) == mu.density_at(-np.inf) == 0.0
+        assert gamma.alpha(np.inf) == kb.int_bound_integral(gamma) == 4.5
+        assert gamma.alpha(-np.inf) == 0.0
+
+
+def _density(key):
+    """The other density array valid, and ``key`` the value."""
+    return lambda value: {"edges": [0.0, 1.0, 2.0], "values": [1.0, 2.0], key: value}
+
+
+_PRODUCT = kb.ProductSpectralMeasure(factors=(_MU, _MU))
+_SAMPLE = kb.sample_product_frequencies(_PRODUCT, 4, 1)
+
+
+def _as_is(value):
+    return value
+
+
+def _one_row(value):
+    return [value]
+
+
+#: every array the library reads as data: (call with the array, the array's
+#: shape around a row of numbers, a valid row)
+ARRAYS = {
+    "SpectralMeasure.atoms": (lambda v: kb.SpectralMeasure(atoms=v), _one_row, [1.0, 2.0]),
+    "SpectralMeasure.edges": (lambda v: kb.SpectralMeasure(**_density("edges")(v)), _as_is,
+                              [0.0, 1.0, 2.0]),
+    "SpectralMeasure.values": (lambda v: kb.SpectralMeasure(**_density("values")(v)), _as_is,
+                               [1.0, 2.0]),
+    "from_dict.edges": (lambda v: kb.SpectralMeasure.from_dict(
+        {"density": _density("edges")(v)}), _as_is, [0.0, 1.0, 2.0]),
+    "from_dict.values": (lambda v: kb.SpectralMeasure.from_dict(
+        {"density": _density("values")(v)}), _as_is, [1.0, 2.0]),
+    "GammaMeasure.from_dict.edges": (lambda v: kb.GammaMeasure.from_dict(
+        {"density": _density("edges")(v)}), _as_is, [0.0, 1.0, 2.0]),
+    "bochner_synthesis.t": (lambda v: kb.bochner_synthesis(_MU, v), _as_is, [0.0, 1.0]),
+    "screw_synthesis.t": (lambda v: kb.screw_synthesis(
+        kb.GammaMeasure(atoms=[(0.5, 1.0)]), v), _as_is, [0.0, 1.0]),
+    "product_synthesis.t": (lambda v: kb.product_synthesis(_PRODUCT, v), _as_is, [0.0, 1.0]),
+    "separable_eval.x": (lambda v: kb.separable_eval(
+        kb.SeparableKernel((kb.zoo("gaussian"),) * 2), v, [0.0, 0.0]), _as_is, [0.0, 1.0]),
+    "FrequencySample.frequencies": (lambda v: kb.FrequencySample(v, [0.0, 1.0], 1.0, 0),
+                                    _as_is, [1.0, 2.0]),
+    "FrequencySample.phases": (lambda v: kb.FrequencySample([1.0, 2.0], v, 1.0, 0),
+                               _as_is, [0.0, 1.0]),
+    "feature_matrix.x": (lambda v: kb.feature_matrix(_SAMPLE, v), _as_is, [0.0, 1.0]),
+    "GramMatrix.points": (lambda v: kb.GramMatrix(v, [[1.0]]), _as_is, [0.0]),
+    "GramMatrix.entries": (lambda v: kb.GramMatrix([0.0], v), _one_row, [1.0]),
+    "build_gram.points": (lambda v: kb.build_gram(kb.zoo("gaussian"), v), _as_is, [0.0, 1.0]),
+    "is_positive_definite.matrix": (kb.is_positive_definite, _one_row, [1.0]),
+    "nd_to_psd.matrix": (kb.nd_to_psd, _one_row, [0.0]),
+    "profile_from_samples.t": (lambda v: kb.profile_from_samples(v, [1.0, 0.0]), _as_is,
+                               [0.0, 1.0]),
+    "profile_from_samples.values": (lambda v: kb.profile_from_samples([0.0, 1.0], v), _as_is,
+                                    [1.0, 0.0]),
+    "check_translation_invariance.probes": (lambda v: kb.check_translation_invariance(
+        kb.lift_metric(_GAUSSIAN_METRIC), v), _one_row, [0.0, 1.0, 2.0]),
+}
+#: rows the reader rejects, each with the end of its message; the shape of a
+#: parameter is built around the row, or around None and the ragged nesting
+NOT_ARRAYS = [(["1"], "real numbers"), ([True], "real numbers"),
+              ([0.5, True], "real numbers"), ([1 + 5j], "real numbers"),
+              ([10 ** 400], "real numbers"), ([[1.0], [1.0, 2.0]], "real numbers"),
+              (None, "real numbers"), ([np.nan], "finite"), ([np.inf], "finite")]
+
+
+class TestArrayRule:
+    """One rule for every array the library reads: ``measures._numbers``."""
+
+    @pytest.mark.parametrize("row, message", NOT_ARRAYS, ids=[repr(r) for r, _ in NOT_ARRAYS])
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_anything_but_finite_real_numbers_is_rejected_by_the_reader(self, name, row,
+                                                                         message):
+        # "1" read as 1.0, True as 1.0 (also among floats), 1+5j as 1.0 with a
+        # ComplexWarning, 10**400 an OverflowError, NaN a wrong message or none
+        call, shape, _ = ARRAYS[name]
+        with pytest.raises(ValueError, match=f" must be {message}$"):
+            call(shape(row))
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_lists_and_numpy_arrays_are_accepted(self, name):
+        call, shape, valid = ARRAYS[name]
+        call(shape(valid))
+        call(np.asarray(shape(valid), dtype=np.float32))
+        call(np.asarray(shape(valid), dtype=np.int64))
+
+    @pytest.mark.parametrize("call", [
+        lambda: kb.bochner_synthesis(_MU, 10 ** 400),
+        lambda: kb.bochner_synthesis(_MU, np.array([1 + 5j])),
+        lambda: kb.screw_synthesis(kb.GammaMeasure(atoms=[(0.5, 1.0)]), True),
+        lambda: kb.SpectralMeasure(atoms=[(10 ** 400, 0.5)]),
+        lambda: kb.SpectralMeasure(atoms=[(0.5, True)]),
+    ], ids=["t=10**400", "t=complex-array", "t=True", "atom-loc=10**400", "atom-mass=True"])
+    def test_scalars_and_ndarrays_take_the_same_rule(self, call):
+        with pytest.raises(ValueError, match=" must be real numbers$"):
+            call()
+
+    def test_a_nan_frequency_is_named(self):
+        # was "a point times a frequency overflows the float range", at the first use
+        with pytest.raises(ValueError, match="^frequencies must be finite$"):
+            kb.FrequencySample([np.nan], [0.0], 1.0, 0)
+
+    def test_density_arrays_are_not_ravelled(self):
+        # the 2 x 2 edges were read as 4 edges of 3 bins
+        with pytest.raises(ValueError, match="must be 1-d"):
+            kb.SpectralMeasure(edges=[[0, 1], [2, 3]], values=[[0.5], [0.25], [0.1]])
+
+    def test_atoms_are_pairs(self):
+        for atoms in ([1.0, 0.5], [(1.0, 0.5, 0.2)]):
+            with pytest.raises(ValueError, match="atoms must be \\(location, mass\\) pairs"):
+                kb.SpectralMeasure(atoms=atoms)
+        assert kb.SpectralMeasure(atoms=iter([(2.0, 0.5), (1.0, 0.25)])).atom_locations \
+            .tolist() == [1.0, 2.0]

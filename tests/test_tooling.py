@@ -102,3 +102,49 @@ def test_one_reader_decides_what_a_valid_scalar_is():
                            and node.name in ("_number", "_count") for call in bool_tests(node)]
     assert importers == {"measures.py"}
     assert len(in_readers) == 2 and sorted(everywhere) == sorted(in_readers)
+
+
+#: where a np.asarray, np.array or .astype to float may stand: the array reader,
+#: and conversions of what the library itself computes (profile values and the
+#: closures that build them, the tables it writes)
+FLOAT_CONVERSIONS = {("measures.py", "_numbers"), ("profiles.py", "_evaluate"),
+                     ("profiles.py", "BivariateKernel.__call__"),
+                     ("profiles.py", "_ZOO"),  # the constant kernel's closure
+                     ("profiles.py", "profile_from_samples.fn"), ("io.py", "_write_table")}
+
+
+def converts_to_float(call) -> bool:
+    """Whether an ast call is ``asarray``, ``array`` or ``astype`` to float."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    dtypes = [kw.value for kw in call.keywords if kw.arg == "dtype"]
+    if name == "astype":
+        dtypes += call.args[:1]
+    return name in ("asarray", "array", "astype") and any(
+        ast.unparse(dtype) in ("float", "np.float64", "numpy.float64") for dtype in dtypes)
+
+
+def float_conversions(tree) -> list[str]:
+    """The scopes (``Class.method``, ``function.closure`` or a module-level
+    name) of the float conversions in a module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not scope:
+            scope = ast.unparse(node.targets[0] if isinstance(node, ast.Assign) else node.target)
+        if isinstance(node, ast.Call) and converts_to_float(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_reader_decides_what_a_valid_array_is():
+    # the modules read arrays by two rules: from_dict rejected "1" and True,
+    # every np.asarray(..., dtype=float) took both and dropped 1+5j's imaginary part
+    found = {(path.name, scope) for path in SRC.rglob("*.py")
+             for scope in float_conversions(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == FLOAT_CONVERSIONS
