@@ -145,13 +145,13 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
                            total_mass=total, seed=seed)
 
 
-def _points(sample: FrequencySample, x) -> tuple[np.ndarray, bool]:
-    """x as an (n, d) array of points, and whether it was a single point.
+def _points(sample: FrequencySample, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """x, read by _numbers, as an (n, d) array of points, and whether it was a
+    single point.
 
     A single point is a scalar (d = 1) or a length-d vector; a batch is an
     (n,) array of points on the line or an (n, d) array.
     """
-    x = _numbers(x, "points")
     one = x.ndim == 0 or (x.ndim == 1 and sample.frequencies.ndim == 2)
     if x.ndim > 2:
         raise ValueError(f"points must be a scalar, a vector or an (n, d) array, "
@@ -214,7 +214,7 @@ def _cos(a: np.ndarray) -> np.ndarray:
 
 def feature_matrix(sample: FrequencySample, x) -> np.ndarray:
     """phi(x): the length-m randomized cosine feature vector of one point."""
-    points, _ = _points(sample, x)
+    points, _ = _points(sample, _numbers(x, "points"))
     if len(points) != 1:
         raise ValueError(f"feature_matrix takes one point, got {len(points)}")
     scale = np.sqrt(2.0 * sample.total_mass / sample.m)
@@ -231,9 +231,9 @@ def approximate_kernel(sample: FrequencySample, x, y):
     array), giving the n values of the pairs (x_i, y_i).  A batch is
     evaluated on chunks of pairs (see ``spectral._row_sums``).
     """
-    if np.shape(x) != np.shape(y):
-        raise ValueError(f"x and y must have the same shape, got {np.shape(x)} "
-                         f"and {np.shape(y)}")
+    x, y = _numbers(x, "points"), _numbers(y, "points")
+    if x.shape != y.shape:
+        raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
     xs, one = _points(sample, x)
     ys, _ = _points(sample, y)
     d, phases = sample.dim, sample.phases

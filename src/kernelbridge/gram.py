@@ -121,7 +121,6 @@ def _eigh(entries: np.ndarray):
             "n": int(entries.shape[0]),
             "max_abs_entry": scale,
             "max_asymmetry": float(np.max(np.abs(entries - entries.T))),
-            "has_nonfinite": bool(not np.all(np.isfinite(entries))),
         }
         raise EigenSolverError(f"eigensolver failed to converge: {exc}",
                                diagnostics=diagnostics) from exc

@@ -219,6 +219,14 @@ class TestBatchedApproximateKernel:
             with pytest.raises(ValueError, match="points must be finite"):
                 kb.approximate_kernel(sample, x, np.zeros(np.shape(x)))
 
+    def test_ragged_points_are_not_numbers(self):
+        # x and y are read before their shapes are compared
+        sample = kb.sample_frequencies(GAUSS, m=16, seed=0)
+        for x, y in (([[1.0], [1.0, 2.0]], [[1.0], [1.0, 2.0]]), ([[1.0], [1.0, 2.0]], [0.0, 0.0]),
+                     ([0.0, 0.0], [[1.0], [1.0, 2.0]])):
+            with pytest.raises(ValueError, match="^points must be real numbers$"):
+                kb.approximate_kernel(sample, x, y)
+
 
 class TestProductSampling:
     def test_separable_gaussian_approximation(self):

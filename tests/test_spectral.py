@@ -18,11 +18,13 @@ from kernelbridge.spectral import MAX_ELEMENTS, _midpoint_cosine_sums
 GRID = kb.probe_grid()
 
 
-def dense_cosine_sums(g, t_max, freq_max, n_bins):
-    """Oracle: sum_i g_i cos(t_i tau_j) over a dense table, one bin at a time."""
+def dense_cosine_sums(g, t_max, freq_max, n_bins, bins=None):
+    """Oracle: sum_i g_i cos(t_i tau_j) over a dense table, one bin at a time.
+
+    ``bins`` picks the j to sum (default: all n_bins)."""
     t = np.linspace(0.0, t_max, g.size)
-    mid = (np.arange(n_bins) + 0.5) * (freq_max / n_bins)
-    return np.array([g @ np.cos(t * tau) for tau in mid])
+    j = np.arange(n_bins) if bins is None else np.asarray(bins)
+    return np.array([g @ np.cos(t * tau) for tau in (j + 0.5) * (freq_max / n_bins)])
 
 
 def chirp_z_cosine_sums(g, t_max, freq_max, n_bins):
@@ -639,6 +641,28 @@ class TestChirpZCosineSums:
         assert fast.shape == (n_bins,)
         assert np.max(np.abs(fast - dense)) <= 1e-11 * np.sum(np.abs(g))
 
+    @settings(max_examples=100, deadline=None)
+    @given(n_bins=st.integers(1, 5000), blocks=st.integers(0, 3), shift=st.integers(-1, 1),
+           t_max=st.floats(1e-2, 200.0), freq_max=st.floats(1e-2, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_bins=2048, blocks=8, shift=0, t_max=40.0, freq_max=8.0, seed=0)
+    @example(n_bins=2049, blocks=2, shift=1, t_max=40.0, freq_max=8.0, seed=0)
+    @example(n_bins=5000, blocks=0, shift=0, t_max=40.0, freq_max=8.0, seed=0)
+    def test_blocks_match_dense_sum(self, n_bins, blocks, shift, t_max, freq_max, seed):
+        # n at k L - 1, k L and k L + 1 for blocks of L samples, on both sides
+        # of the least FFT length; blocks = 0 draws n below n_bins instead
+        rng = np.random.default_rng(seed)
+        block = spectral._block_fft_size(n_bins) - n_bins + 1
+        n = max(2, blocks * block + shift if blocks else int(rng.integers(2, max(3, n_bins))))
+        g = rng.standard_normal(n)
+        fast = chirp_z_cosine_sums(g, t_max, freq_max, n_bins)
+        assert fast.shape == (n_bins,)
+        # every sample enters each bin's sum: the first and last bins and a
+        # random draw of the others see every block
+        bins = np.unique(np.r_[0:4, n_bins - 4:n_bins, rng.integers(0, n_bins, 24)] % n_bins)
+        dense = dense_cosine_sums(g, t_max, freq_max, n_bins, bins)
+        assert np.max(np.abs(fast[bins] - dense)) <= 1e-11 * np.sum(np.abs(g))
+
     def test_long_grid_matches_dense_sum(self):
         # the chirp phases reach ~1e6 rad here; round-off must not grow with them
         g = np.random.default_rng(400001).standard_normal(400001)
@@ -802,36 +826,50 @@ class TestElementBudget:
     """Sizes over MAX_ELEMENTS are rejected from their estimate, unallocated."""
 
     @staticmethod
-    def assert_rejected_without_allocating(call):
+    def traced_peak(call):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="budget"):
-                call()
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+
+    @classmethod
+    def assert_rejected_without_allocating(cls, call):
+        def rejected():
+            with pytest.raises(ValueError, match="budget"):
+                call()
+        assert cls.traced_peak(rejected) < 2 ** 20
 
     def test_budget_edge(self):
         spectral.check_elements(MAX_ELEMENTS, "at the budget")
         with pytest.raises(ValueError, match="budget"):
             spectral.check_elements(MAX_ELEMENTS + 1, "over the budget")
 
-    def test_inversion_estimate_is_the_chirp_fft_length(self):
-        defaults = kb.InversionConfig()
-        size = spectral._chirp_size(defaults.n_samples, defaults.n_bins)
-        assert size >= defaults.n_samples + defaults.n_bins - 1
-        assert size < 2 * (defaults.n_samples + defaults.n_bins - 1)
-        assert 2 * spectral._chirp_size(MAX_ELEMENTS // 2, 2048) > MAX_ELEMENTS
+    @pytest.mark.parametrize("sizes", [{"n_samples": 200001}, {"n_bins": 8192}])
+    def test_inversion_estimate_bounds_its_traced_peak(self, sizes):
+        # per sample the lags, the values and one temporary; per slot of the
+        # block FFT 16 floats: the complex buffer, filter and chirp tables
+        config = kb.InversionConfig(**sizes)
+        estimate = 3 * config.n_samples + 16 * spectral._block_fft_size(config.n_bins)
+        peak = self.traced_peak(lambda: kb.bochner_inversion(kb.zoo("gaussian"), config))
+        assert peak <= 8 * estimate
+
+    def test_default_inversion_peak(self):
+        # one 4096-long complex buffer serves every block of samples; one
+        # transform over all 16,001 samples would take 32,768-long buffers
+        assert spectral._block_fft_size(kb.InversionConfig().n_bins) == 4096
+        assert self.traced_peak(lambda: kb.bochner_inversion(kb.zoo("gaussian"))) < 2 * 2 ** 20
 
     @pytest.mark.parametrize("sizes", [{"n_samples": 10 ** 12}, {"n_bins": MAX_ELEMENTS},
-                                       {"n_samples": MAX_ELEMENTS // 2, "n_bins": 2},
+                                       {"n_samples": (MAX_ELEMENTS - 16 * 4096) // 3 + 1,
+                                        "n_bins": 2},
                                        {"residual_points": MAX_ELEMENTS + 1}])
     def test_inversion_config(self, sizes):
         self.assert_rejected_without_allocating(lambda: kb.InversionConfig(**sizes))
 
     def test_largest_inversion_within_budget_is_accepted(self):
-        kb.InversionConfig(n_samples=MAX_ELEMENTS // 4 - 2048, n_bins=2048)
+        kb.InversionConfig(n_samples=(MAX_ELEMENTS - 16 * 4096) // 3, n_bins=2048)
 
     @pytest.mark.parametrize("window,step", [(1e7, 1e-3), (1e300, 1e-300),
                                              (float(MAX_ELEMENTS), 1.0)])
