@@ -8,12 +8,16 @@ paired with uniform phases; the feature map
 makes <phi(x), phi(y)> an unbiased Monte Carlo estimate of the kernel
 synthesized by the measure.
 
-Reproducibility is part of the contract: all draws come from
-``numpy.random.default_rng(seed)`` (PCG64) in a frozen order -- for each
+Reproducibility is part of the contract: all draws come from one stream,
+numpy's PCG64 under ``SeedSequence(seed)``, in a frozen order -- for each
 factor of a product measure, component selectors, in-bin positions and
-sign coins, then one block of phases, each a block of m uniforms.  A
-measure on the line is drawn as the one-factor product.  Identical
-(measure, m, seed) triples therefore yield bit-identical samples.
+sign coins, then one block of phases, each a block of m uniforms.  The
+stream is computed in the package (``_pcg64``) and equals
+``numpy.random.default_rng(seed).random`` bit for bit (tested), so samples
+do not depend on numpy's ``Generator`` code, and sampling does not import
+``numpy.random``.  A measure on the line is drawn as the one-factor
+product.  Identical (measure, m, seed) triples therefore yield
+bit-identical samples.
 """
 
 from __future__ import annotations
@@ -130,17 +134,19 @@ def sample_product_frequencies(measure: ProductSpectralMeasure, m: int,
     """
     m, seed = _count(m, "m", 1), _count(seed, "seed", 0)
     check_elements(m * measure.dim, "m x d")
-    rng = np.random.default_rng(seed)
+    from ._pcg64 import _uniforms  # compiled only by the commands that sample
+
+    random = _uniforms(seed)
     columns = []
     total = 1.0
     for factor in measure.factors:
-        u_component = rng.random(m)
-        u_position = rng.random(m)
-        u_sign = rng.random(m)
+        u_component = random(m)
+        u_position = random(m)
+        u_sign = random(m)
         freqs, factor_total = _draw_abs_frequencies(factor, u_component, u_position)
         columns.append(freqs * np.where(u_sign < 0.5, -1.0, 1.0))
         total *= factor_total
-    phases = rng.random(m) * (2.0 * np.pi)
+    phases = random(m) * (2.0 * np.pi)
     return FrequencySample(frequencies=np.column_stack(columns), phases=phases,
                            total_mass=total, seed=seed)
 

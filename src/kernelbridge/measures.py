@@ -29,7 +29,9 @@ differ take the dense table.
 Every scalar parameter of the library is read by :func:`_number` or
 :func:`_count`, the one rule of what a valid scalar is, and every array it
 reads as data (lags, points, matrices, atoms, bins, frequency samples) by
-:func:`_numbers`, the one rule of what a valid array is.
+:func:`_numbers`, the one rule of what a valid array is.  The arguments of
+profile and kernel call operators, which may hold +-inf, are read by
+:func:`_reals`, the same rule without the finite check.
 """
 
 from __future__ import annotations
@@ -129,9 +131,9 @@ def _bound(low, above: bool) -> str:
     return "" if low == -math.inf else f" {'>' if above else '>='} {low:g}"
 
 
-def _numbers(values, what: str) -> np.ndarray:
-    """Finite real numbers in any rectangular nesting, as a float64 array of its
-    shape; else ValueError.
+def _reals(values, what: str) -> np.ndarray:
+    """Real numbers, +-inf and NaN included, in any rectangular nesting, as a
+    float64 array of its shape; else ValueError.
 
     numpy gives bools, strings, None, objects, complex numbers, datetimes and
     integers past 64 bits a dtype kind other than i, u and f.  A bool among
@@ -144,7 +146,12 @@ def _numbers(values, what: str) -> np.ndarray:
     if array is None or array.dtype.kind not in "iuf" or isinstance(values, (list, tuple)) \
             and {bool, np.bool_} & set(map(type, np.asarray(values, dtype=object).flat)):
         raise ValueError(f"{what} must be real numbers")
-    array = np.asarray(array, dtype=float)
+    return np.asarray(array, dtype=float)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """Finite real numbers: what _reals reads, with no NaN or +-inf; else ValueError."""
+    array = _reals(values, what)
     if not np.isfinite(array).all():
         raise ValueError(f"{what} must be finite")
     return array

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import EvaluationError
-from .measures import _count, _number, _numbers, check_elements
+from .measures import _count, _number, _numbers, _reals, check_elements
 
 __all__ = [
     "KernelProfile",
@@ -62,7 +62,7 @@ def probe_grid(span: float = PROBE_GRID_SPAN, n: int = PROBE_GRID_SIZE) -> np.nd
 
 
 def _evaluate(fn: Callable, t, what: str) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
+    t = _reals(t, f"the argument of {what}")
     with np.errstate(all="ignore"):  # a non-finite value is an EvaluationError below
         out = np.asarray(fn(t), dtype=float)
     if not np.all(np.isfinite(out)):
@@ -127,8 +127,8 @@ class BivariateKernel:
     name: str = "custom"
 
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        what = f"the arguments of kernel {self.name!r}"
+        x, y = _reals(x, what), _reals(y, what)
         return np.asarray(self.fn(x, y), dtype=float)
 
 
@@ -138,8 +138,7 @@ _ZOO: dict[str, tuple[Callable[..., Callable], dict]] = {
     "laplacian": (lambda scale: lambda t: np.exp(-np.abs(t) / scale), {"scale": 1.0}),
     "cauchy": (lambda scale: lambda t: 2.0 / (1.0 + (t / scale) ** 2), {"scale": 1.0}),
     "cosine": (lambda omega: lambda t: np.cos(omega * t), {"omega": 1.0}),
-    "constant": (lambda value: lambda t: np.full_like(np.asarray(t, dtype=float), value),
-                 {"value": 1.0}),
+    "constant": (lambda value: lambda t: np.full_like(t, value), {"value": 1.0}),
 }
 
 
@@ -248,7 +247,7 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     t_max = float(t[-1])
 
     def fn(u):
-        u = np.abs(np.asarray(u, dtype=float))
+        u = np.abs(u)
         if np.any(u > t_max * (1 + 1e-12)):
             bad = float(np.max(u))
             raise EvaluationError(

@@ -989,29 +989,43 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
+def test_commands_leave_heavy_modules_unloaded(tmp_path):
     # no command needs scipy, constant-law screw synthesis included (Si's
     # pieces come from numpy); its import would dominate the start-up of any
     # command that loaded it.  No command needs concurrent.futures (5-8 ms to
     # import), and a CSV read or write must not load gzip, which numpy's
-    # loadtxt imports when given a path.
+    # loadtxt imports when given a path.  rff draws from the package's own
+    # PCG64 stream: numpy.random's import (~6 MB of peak memory) also loads
+    # secrets, hashlib and OpenSSL.
     src = str(Path(kb.__file__).resolve().parents[1])
     measure = kb.gaussian_measure(n_bins=16)
     io.write_json(tmp_path / "mu.json", measure.to_dict())
+    io.write_json(tmp_path / "prod.json", {"factors": [measure.to_dict()] * 3})
     io.write_json(tmp_path / "gamma.json", kb.gamma_from_spectral(measure)[0].to_dict())
     # the |t| metric: constant-law bins on both sides of the series crossover
     io.write_json(tmp_path / "abs.json",
                   kb.GammaMeasure(edges=[0.0, 1e4], values=[2.0 / np.pi]).to_dict())
+    for d in (1, 3):
+        io.write_matrix_csv(tmp_path / f"pairs{d}.csv", np.linspace(-1.0, 1.0, 8 * d)
+                            .reshape(4, 2 * d))
     commands = [["screw", str(tmp_path / "gamma.json"), "-o", str(tmp_path / "d2.csv")],
                 ["screw", str(tmp_path / "abs.json"), "-o", str(tmp_path / "abs.csv")],
                 ["synth", str(tmp_path / "mu.json"), "-o", str(tmp_path / "k.csv")]]
+    commands += [["rff", str(tmp_path / measure_file), "-m", "300", "--seed", "2",
+                  "--pairs", str(tmp_path / f"pairs{d}.csv"),
+                  "--errors-out", str(tmp_path / f"errors{d}.csv"),
+                  "-o", str(tmp_path / f"sample{d}.json")]
+                 for d, measure_file in ((1, "mu.json"), (3, "prod.json"))]
+    heavy = ("scipy", "concurrent", "gzip", "numpy.random", "secrets", "hashlib", "_hashlib")
     code = ("import sys, kernelbridge.cli; from kernelbridge import io; "
             f"io.write_matrix_csv({str(tmp_path / 'm.csv')!r}, [[1.0]]); "
             f"io.read_matrix_csv({str(tmp_path / 'm.csv')!r}); "
             f"assert not any(kernelbridge.cli.main(argv) for argv in {commands!r}); "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'concurrent', 'gzip')))")
+            f"if any(m == name or m.startswith(name + '.') for name in {heavy!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout
     assert out.strip().splitlines()[-1] == "[]"
-    assert all((tmp_path / name).exists() for name in ("d2.csv", "abs.csv", "k.csv"))
+    assert all((tmp_path / name).exists() for name in (
+        "d2.csv", "abs.csv", "k.csv", "errors1.csv", "sample1.json", "errors3.csv",
+        "sample3.json"))

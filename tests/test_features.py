@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import kernelbridge as kb
 from kernelbridge import features
+from kernelbridge._pcg64 import _uniforms
 
 GAUSS = kb.gaussian_measure()
 
@@ -287,3 +289,22 @@ class TestProductSampling:
         sample = kb.sample_product_frequencies(measure, m=16, seed=0)
         with pytest.raises(ValueError):
             kb.approximate_kernel(sample, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+class TestStream:
+    """The in-package PCG64 stream against numpy's own ``default_rng``."""
+
+    @given(seed=st.integers(0, 2 ** 130),
+           sizes=st.lists(st.integers(0, 3 * 256 + 1), min_size=1, max_size=4))
+    @example(seed=0, sizes=[1])
+    @example(seed=2 ** 32 - 1, sizes=[255, 257])
+    @example(seed=2 ** 32, sizes=[511, 513, 767, 769])
+    @example(seed=2 ** 64, sizes=[4 * 4096])  # the d = 1 draw at m = 4096, in one call
+    @example(seed=2 ** 128 + 1, sizes=[4096] * 10)  # the d = 3 draw: 10 blocks of m
+    @example(seed=5, sizes=[10 * 4096])
+    def test_draws_are_default_rngs_bit_for_bit(self, seed, sizes):
+        # every seed word past SeedSequence's pool of four is mixed in too, and
+        # a call that ends inside a row of 256 lanes leaves the stream there
+        random, rng = _uniforms(seed), np.random.default_rng(seed)
+        for n in sizes:
+            assert_array_equal(random(n), rng.random(n), strict=True)

@@ -430,6 +430,17 @@ NOT_ARRAYS = [(["1"], "real numbers"), ([True], "real numbers"),
               ([0.5, True], "real numbers"), ([1 + 5j], "real numbers"),
               ([10 ** 400], "real numbers"), ([[1.0], [1.0, 2.0]], "real numbers"),
               (None, "real numbers"), ([np.nan], "finite"), ([np.inf], "finite")]
+#: the arguments of the profile and kernel call operators, read by
+#: ``measures._reals``: the array rule, where a profile may take +-inf
+CALL_ARGUMENTS = {
+    "KernelProfile.__call__": (kb.zoo("gaussian"), _as_is, [0.0, 1.0]),
+    "MetricProfile.__call__": (_GAUSSIAN_METRIC, _as_is, [0.0, 1.0]),
+    "BivariateKernel.__call__.x": (lambda v: kb.lift_metric(_GAUSSIAN_METRIC)(v, 0.0), _as_is,
+                                   [0.0, 1.0]),
+    "BivariateKernel.__call__.y": (lambda v: kb.lift_metric(_GAUSSIAN_METRIC)(0.0, v), _as_is,
+                                   [0.0, 1.0]),
+}
+NOT_REALS = [(row, message) for row, message in NOT_ARRAYS if message != "finite"]
 
 
 class TestArrayRule:
@@ -451,6 +462,26 @@ class TestArrayRule:
         call(shape(valid))
         call(np.asarray(shape(valid), dtype=np.float32))
         call(np.asarray(shape(valid), dtype=np.int64))
+
+    @pytest.mark.parametrize("row, message", NOT_REALS, ids=[repr(r) for r, _ in NOT_REALS])
+    @pytest.mark.parametrize("name", CALL_ARGUMENTS)
+    def test_call_operators_take_the_rule_but_infinities(self, name, row, message):
+        # "1" and True were read as k(1), 1+5j as k(1) with a ComplexWarning
+        call, shape, _ = CALL_ARGUMENTS[name]
+        with pytest.raises(ValueError, match=f" must be {message}$"):
+            call(shape(row))
+
+    @pytest.mark.parametrize("name", CALL_ARGUMENTS)
+    def test_call_operators_accept_numbers_and_infinities(self, name):
+        call, shape, valid = CALL_ARGUMENTS[name]
+        expected = call(shape(valid))
+        for dtype in (np.float32, np.int64):
+            assert_allclose(call(np.asarray(shape(valid), dtype=dtype)), expected)
+        assert np.isfinite(call(shape([np.inf, -np.inf]))).all()
+
+    def test_a_nan_argument_is_an_evaluation_error(self):
+        with pytest.raises(kb.EvaluationError, match="non-finite value at t=nan"):
+            kb.zoo("gaussian")([np.nan])
 
     @pytest.mark.parametrize("call", [
         lambda: kb.bochner_synthesis(_MU, 10 ** 400),

@@ -1,6 +1,8 @@
-"""The test tooling itself: the pytest configuration and the declared test dependencies."""
+"""The test tooling itself: the pytest configuration, the declared test
+dependencies and the benchmark's tracer."""
 
 import ast
+import importlib.util
 import re
 import subprocess
 import sys
@@ -9,9 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import kernelbridge as kb
+from kernelbridge import cli
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
+BENCH = TESTS.parent / "bench"
 
 
 def test_a_failing_hypothesis_test_fails_normally(tmp_path):
@@ -105,12 +111,10 @@ def test_one_reader_decides_what_a_valid_scalar_is():
 
 
 #: where a np.asarray, np.array or .astype to float may stand: the array reader,
-#: and conversions of what the library itself computes (profile values and the
-#: closures that build them, the tables it writes)
-FLOAT_CONVERSIONS = {("measures.py", "_numbers"), ("profiles.py", "_evaluate"),
-                     ("profiles.py", "BivariateKernel.__call__"),
-                     ("profiles.py", "_ZOO"),  # the constant kernel's closure
-                     ("profiles.py", "profile_from_samples.fn"), ("io.py", "_write_table")}
+#: and conversions of what the library itself computes (profile and kernel
+#: values, the tables it writes)
+FLOAT_CONVERSIONS = {("measures.py", "_reals"), ("profiles.py", "_evaluate"),
+                     ("profiles.py", "BivariateKernel.__call__"), ("io.py", "_write_table")}
 
 
 def converts_to_float(call) -> bool:
@@ -148,3 +152,34 @@ def test_one_reader_decides_what_a_valid_array_is():
     found = {(path.name, scope) for path in SRC.rglob("*.py")
              for scope in float_conversions(ast.parse(path.read_text(), filename=str(path)))}
     assert found == FLOAT_CONVERSIONS
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
+    # a traced benchmark run exits 1 when the tracer meets a library name that
+    # is gone, or when cli stops calling a patched name through its own
+    # attribute (the layer's metric reads NaN): the rff path is checked here
+    spec = importlib.util.spec_from_file_location("tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    measure = kb.gaussian_measure(n_bins=16)
+    kb.io.write_json(tmp_path / "mu.json", measure.to_dict())
+    kb.io.write_json(tmp_path / "prod.json", {"factors": [measure.to_dict()] * 3})
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(kb)
+        # only a class may gain a name, one it inherits (from_dict, to_dict)
+        added = [(owner, attr) for owner, attr, old in tracer._saved if old is tracing._MISSING]
+        assert all(isinstance(owner, type) and any(attr in vars(base)
+                                                   for base in owner.__mro__[1:])
+                   for owner, attr in added), added
+        for d, measure_file in ((1, "mu.json"), (3, "prod.json")):
+            kb.io.write_matrix_csv(tmp_path / "pairs.csv", [[0.5] * 2 * d])
+            assert cli.main([
+                "rff", str(tmp_path / measure_file), "-m", "64", "--seed", "1",
+                "--pairs", str(tmp_path / "pairs.csv"), "--errors-out",
+                str(tmp_path / "errors.csv"), "-o", str(tmp_path / "sample.json")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    assert {"features.sample_frequencies", "features.sample_product_frequencies",
+            "features.approximate_kernel", "product.product_synthesis"} <= names
