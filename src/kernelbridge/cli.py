@@ -207,13 +207,20 @@ def cmd_screw(args) -> int:
 def cmd_gamma(args) -> int:
     data = io.read_json(args.measure)
     if args.k0 is None:
-        gamma, atom0 = gamma_from_spectral(SpectralMeasure.from_dict(data))
+        measure = SpectralMeasure.from_dict(data)
+        gamma, atom0 = gamma_from_spectral(measure)
         io.write_json(args.output, gamma.to_dict())
-        _emit({"written": args.output, "atom0": atom0})
+        # the exact identity int s^-2 dgamma = 4 (mu(R) - mu{0}), as computed; two
+        # sides past the float range agree (inf - inf would read nan)
+        integral, four_mass = int_bound_integral(gamma), 4.0 * (measure.total_mass() - atom0)
+        gap = 0.0 if integral == four_mass else abs(integral - four_mass)
+        _emit({"written": args.output, "atom0": atom0, "identity_gap": gap})
     else:
-        measure = spectral_from_gamma(GammaMeasure.from_dict(data), k0=args.k0)
+        gamma = GammaMeasure.from_dict(data)
+        measure = spectral_from_gamma(gamma, k0=args.k0)
         io.write_json(args.output, measure.to_dict())
-        _emit({"written": args.output, "atom0": measure.zero_atom})
+        margin = bound_report(int_bound_integral(gamma), args.k0)["margin"]
+        _emit({"written": args.output, "atom0": measure.zero_atom, "margin": margin})
     return 0
 
 

@@ -6,10 +6,12 @@ The pipeline implemented here:
   atoms + piecewise-constant representation: each bin integrates cosines
   in closed form).
 * ``screw_synthesis``    -- gamma measure -> squared-metric values: s^2-law
-  bins as the Bochner density sum of their spectral bins (below),
-  constant-law bins through the antiderivative of sin^2(ts)/s^2 (a power
-  series, then Si's auxiliary functions from a continued fraction), in a
-  form that does not cancel at large lags.
+  bins as the Bochner density sum of their spectral bins (below), and at
+  small lags, where that difference cancels, as a series of their even
+  moments with positive terms; constant-law bins through the
+  antiderivative of sin^2(ts)/s^2 (a power series, then Si's auxiliary
+  functions from a continued fraction), in a form that does not cancel at
+  large lags.
 * ``gamma_from_spectral`` / ``spectral_from_gamma`` -- the change of
   variables linking the two representations: a component of the measure
   at frequency tau > 0 with one-sided mass m corresponds to a gamma
@@ -20,7 +22,8 @@ The pipeline implemented here:
   A density bin [a, b] with value v becomes the s^2-law gamma bin
   [a/2, b/2] with value 16 v, i.e. density 16 v s^2; the map is exact and,
   its factors being powers of two, inverts bit for bit; for a measure
-  without atoms, the identity above holds bit for bit.
+  without atoms, the identity above holds bit for bit at every lag t with
+  |t| (top edge) > 1/2.
 * ``int_bound_integral`` -- the quadratic-decay integral of a gamma
   measure; a bounded translation-invariant kernel with value k0 at the
   origin exists iff it is <= 4 k0.
@@ -292,14 +295,57 @@ def _screw_antiderivative(ts: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray
     return phi, high
 
 
+#: |t| times the top spectral edge up to which s^2-law rows take _even_moments
+_SMALL_LAG = 0.5
+#: terms of the even-moment series: at |t| T <= 1/2 the ninth is < 1e-20 of the first
+_MOMENT_TERMS = 8
+
+
+def _even_moments(ts: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per t, 4 sum over bins [a, b] with value v of int_a^b (1 - cos(t tau)) dtau,
+    as its even-moment series, for |t| T <= 1/2 with T = edges[-1].
+
+    That is 4 sum_k (-1)^(k+1) x^(2k)/(2k)! Q_k with x = t T and Q_k = sum v
+    int_a^b (tau/T)^(2k) dtau.  Each moment is formed from the bin's centre
+    c and half-width h with positive terms only: int_{c-h}^{c+h} tau^(2k) =
+    2/(2k+1) sum_{j odd} C(2k+1, j) c^(2k+1-j) h^j, scaled by T^(2k) so
+    nothing overflows.  As Q_(k+1) <= Q_k, each term is at most 1/48 of the
+    one before, and the sum (Horner's rule in x^2) cancels nothing.  Every
+    value is >= 0, unlike 2 D(0) - 2 D(t), which cancels to eps D(0).
+    """
+    top = edges[-1]
+    centre2 = (0.5 * (edges[1:] + edges[:-1]) / top) ** 2
+    half = 0.5 * (edges[1:] - edges[:-1]) / top
+    half2 = half * half
+    # sums[i, j] = sum over bins of v (b - a)/T (c/T)^(2i) (h/T)^(2j), i + j <= terms
+    sums = np.zeros((_MOMENT_TERMS + 1, _MOMENT_TERMS + 1))
+    weighted = 2.0 * half * values
+    for i in range(_MOMENT_TERMS + 1):
+        term = weighted.copy()
+        for j in range(_MOMENT_TERMS + 1 - i):
+            sums[i, j] = term.sum()
+            term *= half2
+        weighted *= centre2
+    moments = [sum(math.comb(2 * k + 1, 2 * j + 1) * sums[k - j, j] for j in range(k + 1))
+               / ((2 * k + 1) * math.factorial(2 * k)) for k in range(1, _MOMENT_TERMS + 1)]
+    x = ts * top
+    series = np.full(ts.shape, moments[-1])
+    for moment in reversed(moments[:-1]):
+        series = moment - x * x * series
+    # top * series <= sum v (b - a), and x <= 1/2: nothing overflows or underflows
+    # before the value itself does
+    return 4.0 * x * (x * (top * series))
+
+
 @np.errstate(all="ignore")  # a value past the float range is reported at the end
 def screw_synthesis(gamma: GammaMeasure, t):
     """Evaluate the squared metric synthesized from a gamma measure.
 
     d2(t) = sum m sin^2(t s)/s^2 + the binned density integrated in closed
     form: 2 D(0) - 2 D(t) of the Bochner density sum D of the spectral bins
-    for s^2-law bins, the antiderivative Phi (_screw_antiderivative) for
-    constant-law bins.
+    for s^2-law bins, or their even-moment series (_even_moments) where |t|
+    times the top spectral edge is <= 1/2 and that difference cancels; the
+    antiderivative Phi (_screw_antiderivative) for constant-law bins.
     Even in t; d2(0) = 0.  A non-finite value (the weight overflows the
     float range) is a ValueError, as is a lag whose product with a
     frequency does (see _cos_sin).
@@ -318,7 +364,10 @@ def screw_synthesis(gamma: GammaMeasure, t):
         # the spectral bin [2c, 2d] with value g/16 (see module docstring):
         # 2 k(0) - 2 k(t) of it is int_c^d g s^2 sin^2(ts)/s^2 ds
         bins = (2.0 * edges, values / 16.0)
-        out += 2.0 * (_density_part(np.zeros(1), *bins) - _density_part(tt, *bins))
+        rows = 2.0 * (_density_part(np.zeros(1), *bins) - _density_part(tt, *bins))
+        small = tt * bins[0][-1] <= _SMALL_LAG  # where that difference cancels
+        rows[small] = _even_moments(tt[small], *bins)
+        out += rows
     elif values.size:
         nz = _resolved(tt, np.diff(edges))
         # one antiderivative per edge: adjacent bins share their inner edges
@@ -366,13 +415,17 @@ def bound_report(integral: float, k0: float) -> dict:
     bound, so that kernel has no mass at frequency 0.  ``integral`` is the
     value of :func:`int_bound_integral`, so the verdict compares two numbers
     only.  A bound 4 k0 past the float range reads inf: every finite
-    integral is ok under it, and none is tight.
+    integral is ok under it, and none is tight.  ``margin = 4 k0 (1 +
+    BOUND_RTOL) - integral`` is >= 0 exactly when ``ok``, and -inf for an
+    infinite integral, also under an infinite bound.
     """
     bound = 4.0 * _number(k0, "k0", 0)
-    ok = bool(math.isfinite(integral) and integral <= bound * (1.0 + BOUND_RTOL))
+    ceiling = bound * (1.0 + BOUND_RTOL)
+    ok = bool(math.isfinite(integral) and integral <= ceiling)
     tight = bool(ok and math.isfinite(bound)
                  and abs(integral - bound) <= BOUND_RTOL * max(bound, 1.0))
-    return {"integral": integral, "bound": bound, "ok": ok, "tight": tight}
+    margin = ceiling - integral if math.isfinite(integral) else -math.inf
+    return {"integral": integral, "bound": bound, "ok": ok, "tight": tight, "margin": margin}
 
 
 def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:

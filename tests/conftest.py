@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import kernelbridge as kb
 
@@ -43,6 +44,26 @@ def near_boundary_squared_distances(count, seed=11):
                     + 0.5 * (noise + noise.T))
         np.fill_diagonal(d2, 0.0)
         yield d2
+
+
+@st.composite
+def gamma_measures(draw):
+    """Gamma measures of either law: up to 3 atoms and 6 bins, every scale
+    log-uniform over 1e-3 .. 1e3, some bin values 0.  s^2-law bins reach a
+    relative width of 1e-6; a constant-law bin is at least as wide as its
+    lower edge, since narrower ones cancel (see
+    test_spectral.py::test_constant_law_bin_matches_mpmath).
+    """
+    law = draw(st.sampled_from(["s2", "constant"]))
+    scale = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    widening = st.floats(-6.0 if law == "s2" else 0.0, 1.0).map(lambda e: 10.0 ** e)
+    n = draw(st.integers(0, 6))
+    edges = [draw(st.just(0.0) | scale)]
+    for _ in range(n):
+        edges.append(edges[-1] * (1.0 + draw(widening)) if edges[-1] else draw(scale))
+    values = draw(st.lists(st.just(0.0) | scale, min_size=n, max_size=n))
+    atoms = draw(st.lists(st.tuples(scale, scale), max_size=3))
+    return kb.GammaMeasure(atoms=atoms, edges=edges if n else [], values=values, law=law)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import kernelbridge as kb
-from conftest import near_boundary_squared_distances
+from conftest import gamma_measures, near_boundary_squared_distances
 from kernelbridge import io
 from kernelbridge.cli import main
 
@@ -443,6 +443,30 @@ class TestSpectralCommands:
         assert_array_equal(back.bin_edges, mu.bin_edges)
         assert_array_equal(back.bin_values, mu.bin_values)
 
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_gamma_reports_identity_gap_and_margin(self, tmp_path, capsys, name):
+        mu = kb.bochner_inversion(kb.zoo(name)).measure
+        measure_path, gamma_path = tmp_path / "mu.json", tmp_path / "gamma.json"
+        io.write_json(measure_path, mu.to_dict())
+        code, payload = run(capsys, "gamma", measure_path, "-o", gamma_path)
+        assert code == 0 and list(payload) == ["written", "atom0", "identity_gap"]
+        gamma, atom0 = kb.gamma_from_spectral(mu)
+        gap = abs(kb.int_bound_integral(gamma) - 4.0 * (mu.total_mass() - atom0))
+        assert payload["identity_gap"] == gap <= 1e-13 * mu.total_mass()
+        k0 = 1.5 * mu.total_mass()
+        code, payload = run(capsys, "gamma", gamma_path, "--k0", k0, "-o", tmp_path / "m.json")
+        assert code == 0 and list(payload) == ["written", "atom0", "margin"]
+        report = kb.bound_report(kb.int_bound_integral(gamma), k0)
+        assert payload["margin"] == report["margin"] > 0.0
+
+    def test_identity_gap_past_the_float_range_is_zero(self, tmp_path, capsys):
+        # mass 8e307: both sides of the identity read inf, and inf - inf gave nan
+        measure_path = tmp_path / "mu.json"
+        io.write_json(measure_path, kb.SpectralMeasure(edges=[0.0, 4.0],
+                                                       values=[1e307]).to_dict())
+        code, payload = run(capsys, "gamma", measure_path, "-o", tmp_path / "gamma.json")
+        assert code == 0 and payload["identity_gap"] == 0.0
+
     def test_gamma_inverse_rejects_unbounded(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.json"
         io.write_json(gamma_path, kb.GammaMeasure(edges=[0.0, 1e4],
@@ -462,6 +486,29 @@ class TestSpectralCommands:
         t, v = io.read_profile_csv(out)
         assert_allclose(v, 2.0 - 2.0 * np.cos(t), atol=1e-12)
 
+    def test_screw_of_the_inverted_gaussian_is_never_negative(self, tmp_path, capsys):
+        # wrote 34 values of -2.2e-16 on this grid, at t = +-1.6e-8 and +-1.7e-8
+        mu, gamma, out = tmp_path / "mu.json", tmp_path / "gamma.json", tmp_path / "d2.csv"
+        assert run(capsys, "invert", "--kernel", "gaussian", "-o", mu)[0] == 0
+        assert run(capsys, "gamma", mu, "-o", gamma)[0] == 0
+        assert run(capsys, "screw", gamma, "--grid", "-1e-6", "1e-6", "2001", "-o", out)[0] == 0
+        t, d2 = io.read_profile_csv(out)
+        assert t.size == 2001 and (d2 >= 0.0).all() and (d2[t != 0.0] > 0.0).all()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gamma=gamma_measures(), low=st.floats(-12.0, 4.0), high=st.floats(-12.0, 4.0),
+           n=st.integers(1, 64))
+    def test_screw_is_never_negative_where_it_exits_0(self, tmp_path, capsys, gamma, low,
+                                                       high, n):
+        gamma_path, out = tmp_path / "gamma.json", tmp_path / "d2.csv"
+        io.write_json(gamma_path, gamma.to_dict())
+        code, _ = run(capsys, "screw", gamma_path, "--grid", -10.0 ** low, 10.0 ** high, n,
+                      "-o", out)
+        assert code in (0, 2)
+        if code == 0:
+            assert (io.read_profile_csv(out)[1] >= 0.0).all()
+
     def test_screw_reads_constant_law_file_without_law_key(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.json"
         gamma_path.write_text(json.dumps(
@@ -480,7 +527,8 @@ class TestSpectralCommands:
         io.write_json(gamma_path, kb.GammaMeasure(atoms=[(0.5, 1.0)]).to_dict())
         code, payload = run(capsys, "bound-check", gamma_path, "--k0", "1.0")
         assert code == 0
-        assert payload == {"integral": 4.0, "bound": 4.0, "ok": True, "tight": True}
+        assert payload == {"integral": 4.0, "bound": 4.0, "ok": True, "tight": True,
+                           "margin": 4.0 * (1.0 + kb.spectral.BOUND_RTOL) - 4.0}
 
     def test_bound_check_unbounded_reports_inf(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.json"
@@ -533,6 +581,7 @@ class TestSpectralCommands:
         code, payload = run(capsys, "bound-check", gamma_path, "--k0", k0)
         assert code == 0
         assert payload["integral"] == "inf" and payload["ok"] is False
+        assert payload["margin"] == "-inf"  # not inf - inf = nan under the bound 4e308
         code, payload = run(capsys, "gamma", gamma_path, "--k0", k0, "-o", out)
         assert code == 3 and payload["error"] == "UnboundedMetric"
         assert not out.exists()

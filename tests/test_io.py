@@ -51,7 +51,7 @@ JSON_TREES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(data=JSON_TREES)
 def test_write_json_matches_the_indented_encoder(tmp_path_factory, data):
-    # write_json joins float lists itself; the bytes must be json.dump's
+    # the bytes of json.dump after the strict pass: sanitized only where non-finite
     path = tmp_path_factory.mktemp("json") / "out.json"
     io.write_json(path, data)
     assert path.read_text() == sanitized(data, indent=2) + "\n"

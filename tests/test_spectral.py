@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import kernelbridge as kb
-from conftest import random_spectral_measure
+from conftest import gamma_measures, random_spectral_measure
 from kernelbridge import spectral
 from kernelbridge.spectral import MAX_ELEMENTS, _midpoint_cosine_sums
 
@@ -248,6 +248,59 @@ def atom_free(mu):
     return kb.SpectralMeasure(edges=mu.bin_edges, values=mu.bin_values)
 
 
+def small_lag_oracle(gamma, t):
+    """Oracle: screw_synthesis(gamma, t) at 40 digits, for 2 |t| (top edge) <= 1/2.
+
+    Atoms are m sin^2(ts)/s^2 and constant-law bins t (F(t d) - F(t c)) with
+    F(u) = Si(2u) - sin^2(u)/u.  An s^2-law bin, g int_c^d sin^2(ts) ds, is
+    the Taylor series of sin^2 integrated term by term, g sum_k (-1)^(k+1)
+    2^(2k-1) t^(2k) (d^(2k+1) - c^(2k+1)) / ((2k)! (2k+1)) (its closed form
+    cancels to (t d)^2), whose moments are exact in integers: the edges and
+    values over powers of two.  At 2 |t| d <= 1/2, 12 terms leave < 1e-33 of
+    it, and fewer at smaller lags.
+    """
+    if not np.any(t):
+        return np.zeros(np.shape(t))
+    with mpmath.workdps(40):
+        atoms = list(zip(map(mpmath.mpf, gamma.atom_locations),
+                         map(mpmath.mpf, gamma.atom_masses)))
+        bins, moments = [], []
+        if gamma.law == "constant":
+            edges = list(map(mpmath.mpf, gamma.bin_edges))
+            bins = list(zip(edges[:-1], edges[1:], map(mpmath.mpf, gamma.bin_values)))
+        elif gamma.bin_values.size:
+            x = 2 * mpmath.mpf(np.max(np.abs(t))) * mpmath.mpf(gamma.bin_edges[-1])
+            (edge_ints, edge_scale), (value_ints, value_scale) = map(
+                as_integers, (gamma.bin_edges, gamma.bin_values))
+            for k in range(1, 13):
+                p = 2 * k + 1
+                powers = [n ** p for n in edge_ints]
+                exact = sum(g * (d - c) for g, c, d in zip(value_ints, powers, powers[1:]))
+                moments.append(mpmath.mpf(exact) / (value_scale * edge_scale ** p)
+                               * 2 ** (2 * k - 1) / (mpmath.factorial(2 * k) * p))
+                if x ** (2 * k) / mpmath.factorial(2 * k) < 1e-34 * x ** 2:
+                    break  # the later terms are below 1e-33 of the first
+
+        def antiderivative(u):
+            return mpmath.si(2 * u) - mpmath.sin(u) ** 2 / u if u > 0 else mpmath.mpf(0)
+
+        out = []
+        for ti in map(mpmath.mpf, np.abs(t)):
+            terms = [m * mpmath.sin(ti * s) ** 2 / s ** 2 for s, m in atoms]
+            terms += [(-1) ** k * ti ** (2 * k + 2) * moment for k, moment in enumerate(moments)]
+            terms += [g * ti * (antiderivative(ti * d) - antiderivative(ti * c))
+                      for c, d, g in bins]
+            out.append(float(mpmath.fsum(terms)))
+    return np.array(out)
+
+
+def as_integers(floats):
+    """Integers n_i and one power of two N with floats_i = n_i / N exactly."""
+    ratios = [x.as_integer_ratio() for x in map(float, floats)]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
+
+
 def bochner_identity(mu, t):
     """The two sides of screw(gamma(mu), t) = 2 k(0) - 2 k(t)."""
     gamma, _ = kb.gamma_from_spectral(mu)
@@ -262,8 +315,14 @@ class TestOneDensitySum:
     @given(mu=binned_measures().map(atom_free),
            t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20).map(np.array))
     def test_identity_is_bit_exact_without_atoms(self, mu, t):
+        # bit for bit past the small lags; below, 2 k(0) - 2 k(t) cancels to eps k(0),
+        # and screw takes a series without cancellation: it meets the oracle instead
         screw, bochner = bochner_identity(mu, t)
-        assert_array_equal(screw, bochner)
+        small = np.abs(t) * mu.bin_edges[-1] <= spectral._SMALL_LAG
+        assert_array_equal(screw[~small], bochner[~small])
+        # relative where the value is a normal float
+        assert_allclose(screw[small], small_lag_oracle(kb.gamma_from_spectral(mu)[0], t[small]),
+                        rtol=1e-14, atol=np.finfo(float).tiny)
 
     @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
     def test_identity_is_bit_exact_on_inverted_measures(self, name):
@@ -397,6 +456,28 @@ class TestScrewSynthesis:
         with pytest.raises(ValueError, match="a lag times a frequency overflows"):
             kb.screw_synthesis(gamma, [1.0, 1e308])
 
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=gamma_measures(),
+           exponents=st.lists(st.floats(-60.0, 0.0), min_size=1, max_size=6))
+    def test_small_lags_match_mpmath(self, gamma, exponents):
+        # lags up to |t| (top spectral edge) = 1/2, where the s^2-law rows take the
+        # even-moment series
+        top = 2.0 * gamma.bin_edges[-1] if gamma.bin_edges.size else 1.0
+        t = 0.5 / top * 10.0 ** np.array(exponents) * (-1.0) ** np.arange(len(exponents))
+        value = kb.screw_synthesis(gamma, t)
+        assert (value >= 0.0).all()
+        assert_allclose(value, small_lag_oracle(gamma, t), rtol=1e-14)
+
+    def test_inverted_gaussian_is_accurate_at_small_lags(self):
+        # 2 D(0) - 2 D(t) was negative at 816 of these lags, and read -4.4e-16 at
+        # t = 1e-8 on gaussian_measure(), where d2 is 1e-16
+        for mu in (kb.bochner_inversion(kb.zoo("gaussian")).measure, kb.gaussian_measure()):
+            gamma, _ = kb.gamma_from_spectral(mu)
+            t = np.logspace(-12.0, -2.0, 2001)
+            value = kb.screw_synthesis(gamma, t)
+            assert (value > 0.0).all()
+            assert_allclose(value[::40], small_lag_oracle(gamma, t[::40]), rtol=1e-14)
+
     def test_s2_law_bin_quadrature_oracle(self):
         # density v s^2 on [c, d]: the integrand reduces to v sin^2(ts)
         gamma = kb.GammaMeasure(edges=[0.0, 0.3, 1.7], values=[2.0, 0.5], law="s2")
@@ -512,7 +593,8 @@ class TestIntBoundIntegral:
 
     def test_bound_report(self):
         assert kb.bound_report(4.0, 1.0) == {"integral": 4.0, "bound": 4.0,
-                                             "ok": True, "tight": True}
+                                             "ok": True, "tight": True,
+                                             "margin": 4.0 * (1.0 + spectral.BOUND_RTOL) - 4.0}
         assert kb.bound_report(3.0, 1.0)["tight"] is False
         assert kb.bound_report(np.inf, 1.0)["ok"] is False
         for k0 in (-1.0, np.nan, np.inf):
@@ -533,7 +615,15 @@ class TestIntBoundIntegral:
     def test_a_finite_integral_is_below_an_infinite_bound(self):
         # 4 k0 past the float range exceeds every finite integral, which never meets it
         assert kb.bound_report(1.0, 1e308) == {"integral": 1.0, "bound": np.inf,
-                                               "ok": True, "tight": False}
+                                               "ok": True, "tight": False, "margin": np.inf}
+
+    @given(integral=st.floats(0.0) | st.sampled_from([np.inf, 4.0, 4.0 + 4e-12, 4.0 + 5e-12]),
+           k0=st.floats(0.0, allow_infinity=False) | st.just(1.0))
+    def test_margin_is_non_negative_exactly_when_ok(self, integral, k0):
+        report = kb.bound_report(integral, k0)
+        assert (report["margin"] >= 0.0) == report["ok"]
+        assert report["margin"] == (-np.inf if integral == np.inf
+                                    else 4.0 * k0 * (1.0 + spectral.BOUND_RTOL) - integral)
 
 
 class TestSpectralFromGamma:

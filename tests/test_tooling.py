@@ -157,13 +157,20 @@ def test_one_reader_decides_what_a_valid_array_is():
 def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
     # a traced benchmark run exits 1 when the tracer meets a library name that
     # is gone, or when cli stops calling a patched name through its own
-    # attribute (the layer's metric reads NaN): the rff path is checked here
+    # attribute (the layer's metric reads NaN): the commands of the
+    # spectral-chain, sample-calculus and feature-map workloads are checked here
     spec = importlib.util.spec_from_file_location("tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     measure = kb.gaussian_measure(n_bins=16)
     kb.io.write_json(tmp_path / "mu.json", measure.to_dict())
     kb.io.write_json(tmp_path / "prod.json", {"factors": [measure.to_dict()] * 3})
+    (tmp_path / "d2.csv").write_text("0,1,4\n1,0,1\n4,1,0\n")  # (x - y)^2 of 0, 1, 2
+    spectral_chain = ["invert --kernel cauchy -o inverted.json", "gamma mu.json -o gamma.json",
+                      "gamma gamma.json --k0 1 -o back.json", "screw gamma.json -o screw.csv",
+                      "synth mu.json -o k.csv", "bound-check gamma.json --k0 1"]
+    sample_calculus = ["check-nd d2.csv", "nd-to-psd d2.csv -o centered.csv",
+                       "check-psd centered.csv", "embed d2.csv -o coords.csv"]
     tracer = tracing.Tracer()
     try:
         tracer.install(kb)
@@ -172,6 +179,9 @@ def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
         assert all(isinstance(owner, type) and any(attr in vars(base)
                                                    for base in owner.__mro__[1:])
                    for owner, attr in added), added
+        for command in spectral_chain + sample_calculus:
+            argv = [str(tmp_path / word) if "." in word else word for word in command.split()]
+            assert cli.main(argv) == 0, command
         for d, measure_file in ((1, "mu.json"), (3, "prod.json")):
             kb.io.write_matrix_csv(tmp_path / "pairs.csv", [[0.5] * 2 * d])
             assert cli.main([
@@ -181,5 +191,12 @@ def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
     finally:
         tracer.uninstall()
     names = {span.name for span in tracer.spans}
+    assert {"spectral.bochner_inversion", "spectral.atom_at_zero",
+            "spectral.bochner_synthesis", "spectral.gamma_from_spectral",
+            "spectral.spectral_from_gamma", "spectral.screw_synthesis",
+            "spectral.int_bound_integral", "measures.from_dict", "measures.to_dict",
+            "io.read_json", "io.write_json", "io.dumps_json", "io.write_profile_csv"} <= names
+    assert {"gram.is_negative_definite", "gram.nd_to_psd", "gram.is_positive_definite",
+            "gram.euclidean_embedding", "io.read_matrix_csv", "io.write_matrix_csv"} <= names
     assert {"features.sample_frequencies", "features.sample_product_frequencies",
             "features.approximate_kernel", "product.product_synthesis"} <= names
