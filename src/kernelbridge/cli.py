@@ -20,7 +20,7 @@ from .exceptions import KernelBridgeError, MathematicalRejection
 from .features import approximate_kernel, sample_frequencies, sample_product_frequencies
 from .gram import (DEFAULT_TOL, build_gram, euclidean_embedding, is_negative_definite,
                    is_positive_definite, nd_to_psd)
-from .measures import GammaMeasure, SpectralMeasure, _numbers, check_elements
+from .measures import GammaMeasure, SpectralMeasure, _in_range, _numbers, check_elements
 from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import (PROBE_GRID_SIZE, PROBE_GRID_SPAN, metric_from_kernel,
                        profile_from_samples, zoo, zoo_names)
@@ -243,11 +243,7 @@ def _read_pairs(path, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if pairs.shape[1] != 2 * d:
         raise ValueError(f"--pairs rows must have {2 * d} columns (x then y)")
     xs, ys = pairs[:, :d], pairs[:, d:]
-    with np.errstate(over="ignore"):
-        lags = xs - ys
-    if not np.isfinite(lags).all():
-        raise ValueError("--pairs lags x - y overflow the float range")
-    return xs, ys, lags
+    return xs, ys, _in_range(lambda: xs - ys, "a --pairs lag x - y")
 
 
 def cmd_rff(args) -> int:

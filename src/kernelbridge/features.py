@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import SpectralMeasure, _count, _number, _numbers, check_elements
+from .measures import SpectralMeasure, _count, _in_range, _number, _numbers, check_elements
 from .product import ProductSpectralMeasure
 from .spectral import _row_sums
 
@@ -176,19 +176,6 @@ def _projections(sample: FrequencySample, points: np.ndarray) -> np.ndarray:
     return points @ freqs.T
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """Feature values, or a ValueError where one is not finite.
-
-    The values are built from cosines of projections, so one is NaN exactly
-    when a projection w . x went past the float range (its cosine is NaN).
-    The callers compute them with those warnings off and check the result
-    once, here, rather than every chunk of projections.
-    """
-    if not np.isfinite(values).all():
-        raise ValueError("a point times a frequency overflows the float range")
-    return values
-
-
 def _cos(a: np.ndarray) -> np.ndarray:
     """cos(a), computed in place in a float64 array and returned.
 
@@ -223,10 +210,11 @@ def feature_matrix(sample: FrequencySample, x) -> np.ndarray:
     points, _ = _points(sample, _numbers(x, "points"))
     if len(points) != 1:
         raise ValueError(f"feature_matrix takes one point, got {len(points)}")
-    scale = np.sqrt(2.0 * sample.total_mass / sample.m)
-    with np.errstate(over="ignore", invalid="ignore"):  # see _finite
-        features = _cos(_projections(sample, points)[0] + sample.phases)
-    return scale * _finite(features)
+    # a cosine is NaN exactly where its projection w . x went past the float range
+    features = _in_range(lambda: _cos(_projections(sample, points)[0] + sample.phases),
+                         "a point times a frequency")
+    return _in_range(lambda: np.sqrt(2.0 * sample.total_mass / sample.m) * features,
+                     "a feature sqrt(2 total_mass / m) cos(w x + b)")
 
 
 def approximate_kernel(sample: FrequencySample, x, y):
@@ -253,7 +241,8 @@ def approximate_kernel(sample: FrequencySample, x, y):
         cx *= _cos(cy)
         return cx.sum(axis=1)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # see _finite
-        inner = _row_sums(np.hstack([xs, ys]), sample.m, rows)
-    values = 2.0 * sample.total_mass / sample.m * _finite(inner)
+    inner = _in_range(lambda: _row_sums(np.hstack([xs, ys]), sample.m, rows),
+                      "a point times a frequency")
+    values = _in_range(lambda: 2.0 * sample.total_mass / sample.m * inner,
+                       "an estimate 2 total_mass / m <phi(x), phi(y)>")
     return float(values[0]) if one else values

@@ -19,12 +19,13 @@ when the negative definiteness test fails, under the same ``tol``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import EigenSolverError, NotHilbertianError
-from .measures import _count, _number, _numbers, check_elements
+from .measures import _count, _in_range, _number, _numbers, check_elements
 from .profiles import KernelProfile
 
 __all__ = [
@@ -174,12 +175,10 @@ def _projected_eigh(entries: np.ndarray, tol: float):
     beta = (n + 1) * scale or 1.0
     eigvals, eigvecs = _eigh(projected - beta * np.outer(ones, ones))
     # the deflation term has norm beta, so allow its backward-error noise
-    floor = float(np.finfo(float).eps) * n * beta
-    with np.errstate(over="ignore"):  # inf: a huge tol's threshold, or rejected below
-        eigvals[1:] = np.ldexp(eigvals[1:], exponent)
-        floor, threshold = np.ldexp([floor, tol * n * scale + floor], exponent).tolist()
-    if not np.isfinite(eigvals[1:]).all():
-        raise ValueError("projected matrix has an eigenvalue past the float range")
+    floor = math.ldexp(float(np.finfo(float).eps) * n * beta, exponent)
+    eigvals[1:] = _in_range(lambda: np.ldexp(eigvals[1:], exponent),
+                            "an eigenvalue of the projected matrix")
+    threshold = tol * n * math.ldexp(scale, exponent) + floor  # inf for a huge tol
     verdict = DefinitenessVerdict(float(eigvals[-1]), eigvecs[:, -1], threshold,
                                   threshold - float(eigvals[-1]))
     return verdict, eigvals, eigvecs, floor
@@ -216,12 +215,11 @@ def nd_to_psd(matrix, base_index: int = 0) -> np.ndarray:
         raise ValueError(f"base_index {base_index} is out of range for n={n}")
     half = 0.5 * entries
     col = half[:, base_index]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = col[:, None] + col[None, :] - half - half[base_index, base_index]
+    # row and column b, zeroed below, are 0 up to rounding: never past the range
+    out = _in_range(lambda: col[:, None] + col[None, :] - half - half[base_index, base_index],
+                    "the centred matrix")
     out[base_index, :] = 0.0
     out[:, base_index] = 0.0
-    if not np.isfinite(out).all():
-        raise ValueError("the centred matrix overflows the float range")
     return out
 
 

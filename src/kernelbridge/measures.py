@@ -31,7 +31,11 @@ Every scalar parameter of the library is read by :func:`_number` or
 reads as data (lags, points, matrices, atoms, bins, frequency samples) by
 :func:`_numbers`, the one rule of what a valid array is.  The arguments of
 profile and kernel call operators, which may hold +-inf, are read by
-:func:`_reals`, the same rule without the finite check.
+:func:`_reals`, the same rule without the finite check.  A value the
+library computes from them is checked by :func:`_in_range`, the one rule
+of what a value past the float range is: a ValueError, never an inf, a NaN
+or a numpy warning.  The inputs being finite, a value that is not went
+past the range on the way.
 """
 
 from __future__ import annotations
@@ -157,6 +161,16 @@ def _numbers(values, what: str) -> np.ndarray:
     return array
 
 
+def _in_range(compute, what: str):
+    """``compute()``, run with numpy's overflow, invalid and divide warnings off;
+    ValueError ``<what> overflows the float range`` if a value it returns is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = compute()
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} overflows the float range")
+    return value
+
+
 def _tau(tau) -> float:
     """A frequency argument: +-inf, or a finite number read by _number."""
     return float(tau) if tau in (math.inf, -math.inf) else _number(tau, "tau")
@@ -242,10 +256,7 @@ class SpectralMeasure(_BinnedMeasure):
 
     def __init__(self, atoms=(), edges=(), values=(), law="constant"):
         super().__init__(atoms, edges, values, law)
-        with np.errstate(over="ignore", invalid="ignore"):  # a Bochner measure is finite
-            total = self.total_mass()
-        if not math.isfinite(total):
-            raise ValueError(f"{self._what} total mass overflows: {total!r}")
+        _in_range(self.total_mass, f"{self._what} total mass")  # a Bochner measure is finite
 
     @property
     def zero_atom(self) -> float:
@@ -260,7 +271,7 @@ class SpectralMeasure(_BinnedMeasure):
         component counts for the pair at +-tau.
         """
         at_zero = self.atom_locations == 0.0
-        return np.concatenate([np.where(at_zero, self.atom_masses, 2.0 * self.atom_masses),
+        return np.concatenate([np.where(at_zero, 1.0, 2.0) * self.atom_masses,
                                2.0 * self.bin_values * self.bin_widths])
 
     def total_mass(self) -> float:

@@ -8,12 +8,11 @@ as a d-dimensional grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SpectralMeasure, _numbers
+from .measures import SpectralMeasure, _in_range, _numbers
 from .profiles import KernelProfile
 from .spectral import bochner_synthesis
 
@@ -49,8 +48,7 @@ class ProductSpectralMeasure:
         if len(factors) < 1:
             raise ValueError("need at least one factor")
         object.__setattr__(self, "factors", factors)
-        if not math.isfinite(total := self.total_mass()):  # float products overflow quietly
-            raise ValueError(f"product measure total mass overflows: {total!r}")
+        _in_range(self.total_mass, "product measure total mass")
 
     @property
     def dim(self) -> int:

@@ -23,7 +23,7 @@ The pipeline implemented here:
   [a/2, b/2] with value 16 v, i.e. density 16 v s^2; the map is exact and,
   its factors being powers of two, inverts bit for bit; for a measure
   without atoms, the identity above holds bit for bit at every lag t with
-  |t| (top edge) > 1/2.
+  |t| (top edge of the last bin with a value) > 1/2.
 * ``int_bound_integral`` -- the quadratic-decay integral of a gamma
   measure; a bounded translation-invariant kernel with value k0 at the
   origin exists iff it is <= 4 k0.
@@ -55,7 +55,7 @@ import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
 from .measures import (FREQ_MAX, MAX_ELEMENTS, N_BINS, GammaMeasure, SpectralMeasure,
-                       _bin_width, _count, _number, _numbers, check_elements,
+                       _bin_width, _count, _in_range, _number, _numbers, check_elements,
                        frequency_grid)
 from .profiles import KernelProfile
 
@@ -176,10 +176,7 @@ def _cos_sin(ts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |p| ~ 2**53, where |e| may exceed 1/2, the angle is p as it stands.
     A product past the float range is a ValueError, not a NaN.
     """
-    with np.errstate(over="ignore"):
-        p = np.outer(ts, x)
-    if not np.isfinite(p).all():
-        raise ValueError("a lag times a frequency overflows the float range")
+    p = _in_range(lambda: np.outer(ts, x), "a lag times a frequency")
     t_head, x_head = _head(ts), _head(x)
     t_tail, x_tail = ts - t_head, x - x_head
     e = ((np.outer(t_head, x_head) - p) + np.outer(t_head, x_tail)
@@ -295,7 +292,8 @@ def _screw_antiderivative(ts: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray
     return phi, high
 
 
-#: |t| times the top spectral edge up to which s^2-law rows take _even_moments
+#: |t| times the top spectral edge of the last bin with a value, up to which
+#: s^2-law rows take _even_moments
 _SMALL_LAG = 0.5
 #: terms of the even-moment series: at |t| T <= 1/2 the ninth is < 1e-20 of the first
 _MOMENT_TERMS = 8
@@ -337,23 +335,26 @@ def _even_moments(ts: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.n
     return 4.0 * x * (x * (top * series))
 
 
-@np.errstate(all="ignore")  # a value past the float range is reported at the end
 def screw_synthesis(gamma: GammaMeasure, t):
     """Evaluate the squared metric synthesized from a gamma measure.
 
     d2(t) = sum m sin^2(t s)/s^2 + the binned density integrated in closed
     form: 2 D(0) - 2 D(t) of the Bochner density sum D of the spectral bins
     for s^2-law bins, or their even-moment series (_even_moments) where |t|
-    times the top spectral edge is <= 1/2 and that difference cancels; the
-    antiderivative Phi (_screw_antiderivative) for constant-law bins.
-    Even in t; d2(0) = 0.  A non-finite value (the weight overflows the
-    float range) is a ValueError, as is a lag whose product with a
-    frequency does (see _cos_sin).
+    times the top spectral edge of the last bin with a value is <= 1/2 and
+    that difference cancels; the antiderivative Phi (_screw_antiderivative)
+    for constant-law bins.  Even in t; d2(0) = 0.  A value past the float
+    range (the weight overflows it) is a ValueError, and so is a lag whose
+    product with a frequency passes it (see _cos_sin).
     """
     t = _numbers(t, "t")
-    tt = np.abs(t.ravel())
-    out = np.zeros(tt.shape)
+    out = _in_range(lambda: _squared_metric(gamma, np.abs(t.ravel())), "squared metric")
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
+
+def _squared_metric(gamma: GammaMeasure, tt: np.ndarray) -> np.ndarray:
+    """d2 at the lags tt >= 0: the sums of :func:`screw_synthesis`."""
+    out = np.zeros(tt.shape)
     locs, masses = gamma.atom_locations, gamma.atom_masses
     if locs.size:
         # m (sin(ts)/s)^2, not (m/s^2) sin^2(ts): s^2 underflows below ~1e-154
@@ -365,8 +366,11 @@ def screw_synthesis(gamma: GammaMeasure, t):
         # 2 k(0) - 2 k(t) of it is int_c^d g s^2 sin^2(ts)/s^2 ds
         bins = (2.0 * edges, values / 16.0)
         rows = 2.0 * (_density_part(np.zeros(1), *bins) - _density_part(tt, *bins))
-        small = tt * bins[0][-1] <= _SMALL_LAG  # where that difference cancels
-        rows[small] = _even_moments(tt[small], *bins)
+        # the series takes the bins up to the last with a value: those past it add nothing
+        nonzero = np.flatnonzero(values)
+        last = nonzero[-1] + 1 if nonzero.size else values.size
+        small = tt * bins[0][last] <= _SMALL_LAG
+        rows[small] = _even_moments(tt[small], bins[0][:last + 1], bins[1][:last])
         out += rows
     elif values.size:
         nz = _resolved(tt, np.diff(edges))
@@ -377,9 +381,7 @@ def screw_synthesis(gamma: GammaMeasure, t):
                     + (0.5 * np.pi) * ts[:, None] * np.diff(high, axis=1)) @ values
 
         out[nz] += _row_sums(tt[nz], values.size, rows)
-    if not np.isfinite(out).all():
-        raise ValueError("squared metric overflows the float range")
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+    return out
 
 
 def gamma_from_spectral(mu: SpectralMeasure) -> tuple[GammaMeasure, float]:
@@ -391,8 +393,9 @@ def gamma_from_spectral(mu: SpectralMeasure) -> tuple[GammaMeasure, float]:
     become s^2-law bins (see module docstring).
     """
     locs, masses, edges, values = mu.positive_part()
-    atoms = [(0.5 * loc, 2.0 * loc * (loc * mass)) for loc, mass in zip(locs, masses)]
-    gamma = GammaMeasure(atoms=atoms, edges=0.5 * edges, values=16.0 * values,
+    masses = _in_range(lambda: 2.0 * locs * (locs * masses), "a gamma atom mass 8 s^2 m")
+    gamma = GammaMeasure(atoms=np.column_stack((0.5 * locs, masses)), edges=0.5 * edges,
+                         values=_in_range(lambda: 16.0 * values, "a gamma bin value 16 v"),
                          law="s2")
     return gamma, mu.zero_atom
 
@@ -448,16 +451,18 @@ def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
     if not report["ok"]:
         raise UnboundedMetricError(integral=report["integral"], bound=report["bound"])
 
-    atoms = [(2.0 * s, m / s / s / 8.0)  # never s^2, which underflows below ~1e-154
-             for s, m in zip(gamma.atom_locations, gamma.atom_masses)]
-    edges = 2.0 * gamma.bin_edges
+    s, m = gamma.atom_locations, gamma.atom_masses  # m/(8 s^2) <= the integral: finite
+    atoms = np.column_stack((_in_range(lambda: 2.0 * s, "a spectral atom location 2 s"),
+                             m / s / s / 8.0))  # never s^2, which underflows below ~1e-154
+    edges = _in_range(lambda: 2.0 * gamma.bin_edges, "a spectral bin edge 2 s")
     if gamma.law == "s2":
         values = gamma.bin_values / 16.0
     else:
         lo, hi = gamma.bin_edges[:-1], gamma.bin_edges[1:]
         values = np.zeros_like(gamma.bin_values)
         nz = gamma.bin_values > 0  # zero-value bins stay zero even at lo == 0
-        values[nz] = gamma.bin_values[nz] / (16.0 * lo[nz] * hi[nz])
+        values[nz] = _in_range(lambda: gamma.bin_values[nz] / (16.0 * lo[nz] * hi[nz]),
+                               "a spectral bin value g / (16 c d)")
 
     measure = SpectralMeasure(atoms=atoms, edges=edges, values=values)
     zero_mass = k0 - measure.total_mass()  # kept >= 0 by the precondition, up to rounding
@@ -481,7 +486,7 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
     n = max(2, int(round(window / step)) + 1)
     t = np.linspace(0.0, window, n)
     values = kernel(t)
-    return float(np.trapezoid(values, t) / window)
+    return float(_in_range(lambda: np.trapezoid(values, t) / window, "the zero-atom average"))
 
 
 @dataclass(frozen=True)

@@ -821,7 +821,12 @@ FILE_COMMANDS = [
 
 _HUGE = {"density": {"edges": [0, 1e300], "values": [1e300]}}  # mass 2e600
 _LARGE = {"density": {"edges": [0, 1e100], "values": [1e100]}}  # mass 2e200
-#: measures whose mass, or metric, is past the float range: command, JSON, CSV
+_CONSTANT = {"name": "constant", "params": {"value": 1e308}}
+_DENSE = {"density": {"edges": [0, 1], "values": [5e307]}}  # mass 1e308; 16 v overflows
+#: computed values past the float range: command, JSON, CSV.  The first five are a
+#: measure's mass or metric; of the rest, atom0 and rff exited 0 with inf, and every
+#: other printed a RuntimeWarning before its error (g / (16 c d) was called a density
+#: value that is not finite)
 OVERFLOWS = [
     ("synth J --grid -1 1 5 -o O", _HUGE, ""),
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _HUGE, "0,0\n"),
@@ -829,6 +834,16 @@ OVERFLOWS = [
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", {"factors": [_LARGE] * 4},
      "0,0,0,0,1,1,1,1\n"),
     ("screw J --grid -1 1 5 -o O", {"density": {**_HUGE["density"], "law": "s2"}}, ""),
+    ("atom0 --profile J", _CONSTANT, ""),
+    ("invert --profile J -o O", _CONSTANT, ""),
+    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O",
+     {"atoms": [{"loc": 0, "mass": 1e308}]}, "0.5,0.25\n"),
+    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _DENSE, "0.5,0.25\n"),
+    ("gamma J -o O", _DENSE, ""),
+    ("gamma J -o O", {"atoms": [{"loc": 1e200, "mass": 1e200}]}, ""),
+    ("gamma J --k0 1e200 -o O", {"density": {"edges": [1e-200, 2e-200], "values": [1]}}, ""),
+    ("gamma J --k0 1 -o O", {"atoms": [{"loc": 1e308, "mass": 1}]}, ""),
+    ("gamma J --k0 1 -o O", {"density": {"edges": [1, 1e308], "values": [1e-300]}}, ""),
 ]
 
 
@@ -976,7 +991,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, document, table, message",
         [(*case, "a lag times a frequency overflows the float range") for case in LAG_OVERFLOWS]
-        + [(*case, "--pairs lags x - y overflow the float range") for case in LAG_SPANS]
+        + [(*case, "a --pairs lag x - y overflows the float range") for case in LAG_SPANS]
         # constant-law bins: called a squared-metric overflow
         + [("screw J --grid 1e308 1.5e308 3 -o O", _WIDE, "",
             "a lag times a frequency overflows the float range")])
@@ -996,14 +1011,16 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("command, document, table", OVERFLOWS)
     def test_overflowing_measures_exit_2(self, tmp_path, capsys, command, document, table):
-        # each used to exit 0 with inf or nan in its output and a RuntimeWarning
+        # each used to exit 0 with inf or nan in its output, or print a RuntimeWarning
+        # (an error under this suite's warning filter)
         files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv",
                  "O": tmp_path / "out", "E": tmp_path / "errors.csv"}
         files["J"].write_text(json.dumps(document))
         files["C"].write_text(table)
         code, err = exit_and_stderr(capsys, [files.get(w, w) for w in command.split()])
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(" overflows the float range\n") and "Warning" not in err
         assert not files["O"].exists() and not files["E"].exists()
 
     @settings(max_examples=300, deadline=None,
@@ -1036,6 +1053,85 @@ class TestMalformedInputs:
         code, err = exit_and_stderr(capsys, argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
+
+
+#: log-uniform over 1e-300 .. 1e308: masses, locations and edges the float range holds
+EXTREME = st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def extreme_gammas(draw):
+    """A gamma measure file of either law: up to 2 atoms and 3 bins, every
+    location, mass, edge and value log-uniform over 1e-300 .. 1e308, some
+    values 0 and some first edges 0."""
+    edges = sorted(set(draw(st.lists(EXTREME, max_size=4))))
+    if edges and draw(st.booleans()):
+        edges[0] = 0.0
+    values = draw(st.lists(st.just(0.0) | EXTREME, min_size=max(len(edges) - 1, 0),
+                           max_size=max(len(edges) - 1, 0)))
+    atoms = draw(st.lists(st.tuples(EXTREME, EXTREME), max_size=2))
+    return {"atoms": [{"loc": loc, "mass": mass} for loc, mass in atoms],
+            "density": {"edges": edges if values else [], "values": values,
+                        "law": draw(st.sampled_from(["s2", "constant"]))}}
+
+
+def finite_summary(command, summary, k0):
+    """Whether every number of a summary line is finite, but for the documented
+    non-finite readings of the bound: a bound 4 k0 past the float range reads
+    inf, an integral inf (a constant-law bin at 0, or past the range), and
+    the margin -inf for an infinite integral, else inf under an infinite bound."""
+    readings = {key: float(value) for key, value in summary.items()
+                if key not in ("written", "errors_written")}
+    bound_inf = not np.isfinite(4.0 * k0)
+    if command.startswith("bound-check"):
+        integral = readings.pop("integral")
+        assert integral == np.inf or np.isfinite(integral)
+        assert readings.pop("bound") == (np.inf if bound_inf else 4.0 * k0)
+        margin = readings.pop("margin")
+        assert margin == (-np.inf if integral == np.inf else np.inf if bound_inf else margin)
+    elif "--k0" in command:
+        margin = readings.pop("margin")
+        assert margin == (np.inf if bound_inf else margin)
+    return all(np.isfinite(value) for value in readings.values())
+
+
+class TestOverflowRule:
+    """Measures across the float range: a value past it exits 2, never 0 with inf or
+    with a RuntimeWarning (an error under this suite's warning filter)."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=extreme_gammas(), k0=EXTREME)
+    @example(document={"atoms": [{"loc": 1e-8, "mass": 1e308}]}, k0=1.0)
+    @example(document={"density": {"edges": [0.0, 1.0], "values": [8e307]}}, k0=1e308)
+    @example(document={"density": {"edges": [1.0, 2.0], "values": [1.0], "law": "s2"}},
+             k0=1e308)  # margin inf under the bound inf
+    def test_extreme_measures_exit_0_with_finite_numbers_or_2_or_3(self, tmp_path, capsys,
+                                                                   document, k0):
+        spectral = {"atoms": document.get("atoms", []),
+                    "density": {key: value for key, value in document.get("density", {}).items()
+                                if key != "law"}}
+        files = {"G": tmp_path / "gamma.json", "M": tmp_path / "mu.json",
+                 "C": tmp_path / "pairs.csv", "O": tmp_path / "out", "E": tmp_path / "e.csv",
+                 "K": repr(k0)}
+        files["G"].write_text(json.dumps(document))
+        files["M"].write_text(json.dumps(spectral))
+        files["C"].write_text("0.5,0.25\n-1e-3,2\n")
+        for command in ("gamma M -o O", "gamma G --k0 K -o O", "screw G --grid -2 2 9 -o O",
+                        "synth M --grid -2 2 9 -o O", "bound-check G --k0 K",
+                        "rff M -m 4 --seed 1 --pairs C --errors-out E -o O"):
+            for path in (files["O"], files["E"]):
+                path.unlink(missing_ok=True)
+            code = exit_code([files.get(w, w) for w in command.split()])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3), (command, err)
+            assert "Warning" not in err
+            if code == 0:
+                assert finite_summary(command, json.loads(out), k0), (command, out)
+                for path in (files["O"], files["E"]):
+                    if path.exists():
+                        text = path.read_text().lower()
+                        assert "inf" not in text and "nan" not in text, (command, text)
 
 
 def test_commands_leave_heavy_modules_unloaded(tmp_path):

@@ -248,15 +248,21 @@ def atom_free(mu):
     return kb.SpectralMeasure(edges=mu.bin_edges, values=mu.bin_values)
 
 
+def top_with_a_value(edges, values):
+    """The top edge of the bins up to the last one with a value (of all, if none has)."""
+    return edges[len(np.trim_zeros(values, "b")) or len(values)]
+
+
 def small_lag_oracle(gamma, t):
-    """Oracle: screw_synthesis(gamma, t) at 40 digits, for 2 |t| (top edge) <= 1/2.
+    """Oracle: screw_synthesis(gamma, t) at 40 digits, for 2 |t| T <= 1/2, T the
+    top edge of the bins up to the last with a value.
 
     Atoms are m sin^2(ts)/s^2 and constant-law bins t (F(t d) - F(t c)) with
     F(u) = Si(2u) - sin^2(u)/u.  An s^2-law bin, g int_c^d sin^2(ts) ds, is
     the Taylor series of sin^2 integrated term by term, g sum_k (-1)^(k+1)
     2^(2k-1) t^(2k) (d^(2k+1) - c^(2k+1)) / ((2k)! (2k+1)) (its closed form
     cancels to (t d)^2), whose moments are exact in integers: the edges and
-    values over powers of two.  At 2 |t| d <= 1/2, 12 terms leave < 1e-33 of
+    values over powers of two.  At 2 |t| T <= 1/2, 12 terms leave < 1e-33 of
     it, and fewer at smaller lags.
     """
     if not np.any(t):
@@ -268,10 +274,12 @@ def small_lag_oracle(gamma, t):
         if gamma.law == "constant":
             edges = list(map(mpmath.mpf, gamma.bin_edges))
             bins = list(zip(edges[:-1], edges[1:], map(mpmath.mpf, gamma.bin_values)))
-        elif gamma.bin_values.size:
-            x = 2 * mpmath.mpf(np.max(np.abs(t))) * mpmath.mpf(gamma.bin_edges[-1])
+        elif gamma.bin_values.size:  # the bins past T add nothing
+            top = top_with_a_value(gamma.bin_edges, gamma.bin_values)
+            x = 2 * mpmath.mpf(np.max(np.abs(t))) * mpmath.mpf(top)
             (edge_ints, edge_scale), (value_ints, value_scale) = map(
-                as_integers, (gamma.bin_edges, gamma.bin_values))
+                as_integers, (gamma.bin_edges[gamma.bin_edges <= top],
+                              gamma.bin_values[gamma.bin_edges[1:] <= top]))
             for k in range(1, 13):
                 p = 2 * k + 1
                 powers = [n ** p for n in edge_ints]
@@ -318,7 +326,7 @@ class TestOneDensitySum:
         # bit for bit past the small lags; below, 2 k(0) - 2 k(t) cancels to eps k(0),
         # and screw takes a series without cancellation: it meets the oracle instead
         screw, bochner = bochner_identity(mu, t)
-        small = np.abs(t) * mu.bin_edges[-1] <= spectral._SMALL_LAG
+        small = np.abs(t) * top_with_a_value(mu.bin_edges, mu.bin_values) <= spectral._SMALL_LAG
         assert_array_equal(screw[~small], bochner[~small])
         # relative where the value is a normal float
         assert_allclose(screw[small], small_lag_oracle(kb.gamma_from_spectral(mu)[0], t[small]),
@@ -462,10 +470,20 @@ class TestScrewSynthesis:
     def test_small_lags_match_mpmath(self, gamma, exponents):
         # lags up to |t| (top spectral edge) = 1/2, where the s^2-law rows take the
         # even-moment series
-        top = 2.0 * gamma.bin_edges[-1] if gamma.bin_edges.size else 1.0
+        top = 2.0 * top_with_a_value(gamma.bin_edges, gamma.bin_values) \
+            if gamma.bin_edges.size else 1.0
         t = 0.5 / top * 10.0 ** np.array(exponents) * (-1.0) ** np.arange(len(exponents))
         value = kb.screw_synthesis(gamma, t)
         assert (value >= 0.0).all()
+        assert_allclose(value, small_lag_oracle(gamma, t), rtol=1e-14)
+
+    def test_small_lags_below_an_empty_top_bin_match_mpmath(self):
+        # the threshold came from the top edge 1: past t = 0.25, 2 D(0) - 2 D(t)
+        # read 14 zeros and steps of 8.3e-25, where d2 is ~2.3e-24 t^2
+        gamma = kb.GammaMeasure(edges=[1e-8, 2e-8, 1.0], values=[1.0, 0.0], law="s2")
+        t = np.linspace(0.25, 3.0, 400)
+        value = kb.screw_synthesis(gamma, t)
+        assert (value > 0.0).all()
         assert_allclose(value, small_lag_oracle(gamma, t), rtol=1e-14)
 
     def test_inverted_gaussian_is_accurate_at_small_lags(self):

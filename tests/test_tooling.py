@@ -154,6 +154,56 @@ def test_one_reader_decides_what_a_valid_array_is():
     assert found == FLOAT_CONVERSIONS
 
 
+#: where numpy's float warnings may be turned off, or a value that is not finite
+#: raise: the overflow rule; the scalar and array readers, a probe grid's span
+#: (its double must be finite) and the --grid flag; a profile's value (an
+#: EvaluationError naming its argument); alpha, whose integral past the float
+#: range is inf on purpose; and the mask of the lags whose products resolve
+OVERFLOW_CHECKS = {("measures.py", "_in_range"), ("measures.py", "_number"),
+                   ("measures.py", "_numbers"), ("profiles.py", "probe_grid"),
+                   ("cli.py", "_grid"), ("profiles.py", "_evaluate"),
+                   ("measures.py", "GammaMeasure.alpha"), ("spectral.py", "_resolved")}
+
+
+def own_nodes(function):
+    """The ast nodes of a function's decorators and body, not of the classes or
+    functions it defines."""
+    stack = [*function.decorator_list, *function.body]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def overflow_checks(tree) -> list[str]:
+    """The scopes of the functions in a module that name np.errstate, or that
+    test a value with isfinite, isinf or isnan and raise."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.FunctionDef):
+            nodes = list(own_nodes(node))
+            names = {getattr(n, "attr", getattr(n, "id", None)) for n in nodes}
+            if "errstate" in names or names & {"isfinite", "isinf", "isnan"} \
+                    and any(isinstance(n, ast.Raise) for n in nodes):
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_rule_decides_what_a_value_past_the_float_range_is():
+    # eight hand-written checks worded five ways, and none at five more sites: a
+    # zero-atom average and an rff estimate past the float range exited 0 with inf
+    found = {(path.name, scope) for path in SRC.rglob("*.py")
+             for scope in overflow_checks(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == OVERFLOW_CHECKS
+
 def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
     # a traced benchmark run exits 1 when the tracer meets a library name that
     # is gone, or when cli stops calling a patched name through its own
