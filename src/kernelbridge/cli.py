@@ -24,9 +24,11 @@ from .measures import GammaMeasure, SpectralMeasure, _in_range, _numbers, check_
 from .product import ProductSpectralMeasure, product_synthesis
 from .profiles import (PROBE_GRID_SIZE, PROBE_GRID_SPAN, metric_from_kernel,
                        profile_from_samples, zoo, zoo_names)
-from .spectral import (InversionConfig, atom_at_zero, bochner_inversion,
-                       bochner_synthesis, bound_report, gamma_from_spectral,
-                       int_bound_integral, screw_synthesis, spectral_from_gamma)
+# atom_at_zero is unused here, but bench/tracing.py times it through this module's name
+from .spectral import (InversionConfig, _estimate_zero_atom, atom_at_zero,
+                       bochner_inversion, bochner_synthesis, bound_report,
+                       gamma_from_spectral, int_bound_integral, screw_synthesis,
+                       spectral_from_gamma)
 
 DEFAULT_GRID = (-PROBE_GRID_SPAN, PROBE_GRID_SPAN, PROBE_GRID_SIZE)
 
@@ -102,14 +104,10 @@ def _load_kernel(args):
     return profile_from_samples(t, values)
 
 
-def _verdict_dict(key: str, verdict) -> dict:
-    return {
-        key: verdict.verdict,
-        "witness_eigenvalue": verdict.witness_eigenvalue,
-        "witness_vector": verdict.witness_vector,
-        "threshold": verdict.threshold,
-        "margin": verdict.margin,
-    }
+def _readings(record, *payload: str) -> dict:
+    """A result record's fields in their order, less its payload fields:
+    the readings its summary line carries after the first key."""
+    return {name: value for name, value in vars(record).items() if name not in payload}
 
 
 def cmd_zoo(args) -> int:
@@ -138,13 +136,15 @@ def cmd_gram(args) -> int:
 
 def cmd_check_psd(args) -> int:
     matrix = io.read_matrix_csv(args.matrix)
-    _emit(_verdict_dict("psd", is_positive_definite(matrix, tol=args.tol)))
+    verdict = is_positive_definite(matrix, tol=args.tol)
+    _emit({"psd": verdict.verdict, **_readings(verdict)})
     return 0
 
 
 def cmd_check_nd(args) -> int:
     matrix = io.read_matrix_csv(args.matrix)
-    _emit(_verdict_dict("nd", is_negative_definite(matrix, tol=args.tol)))
+    verdict = is_negative_definite(matrix, tol=args.tol)
+    _emit({"nd": verdict.verdict, **_readings(verdict)})
     return 0
 
 
@@ -159,7 +159,7 @@ def cmd_embed(args) -> int:
     matrix = io.read_matrix_csv(args.matrix)
     result = euclidean_embedding(matrix, tol=args.tol)
     io.write_matrix_csv(args.output, result.coordinates)
-    _emit({"written": args.output, "rank": result.rank, "residual": result.residual})
+    _emit({"written": args.output, **_readings(result, "coordinates")})
     return 0
 
 
@@ -179,11 +179,7 @@ def cmd_invert(args) -> int:
                              atom_window=args.window, atom_step=args.step)
     result = bochner_inversion(kernel, config)
     io.write_json(args.output, result.measure.to_dict())
-    _emit({"written": args.output, "atom0": result.atom0,
-           "residual": result.residual, "clamped_mass": result.clamped_mass,
-           "min_density": result.min_density, "mass_gap": result.mass_gap,
-           "nyquist_margin": result.nyquist_margin,
-           "atom_window_gap": result.atom_window_gap, "tail_gap": result.tail_gap})
+    _emit({"written": args.output, **_readings(result, "measure", "config")})
     return 0
 
 
@@ -231,9 +227,8 @@ def cmd_bound_check(args) -> int:
 
 
 def cmd_atom0(args) -> int:
-    kernel = _load_kernel(args)
-    _emit({"atom0": atom_at_zero(kernel, window=args.window, step=args.step),
-           "window": args.window})
+    atom0, gap = _estimate_zero_atom(_load_kernel(args), args.window, args.step)
+    _emit({"atom0": atom0, "window": args.window, "atom_window_gap": gap})
     return 0
 
 

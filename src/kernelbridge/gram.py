@@ -82,7 +82,8 @@ class DefinitenessVerdict:
 
     ``margin``, the witness eigenvalue's signed distance from ``threshold``,
     is >= 0 exactly when the verdict holds; otherwise the witness vector
-    reproduces a quadratic form of the wrong sign beyond tolerance.
+    reproduces a quadratic form of the wrong sign beyond tolerance.  The fields are
+    the readings of ``check-psd``, ``check-nd`` and :class:`NotHilbertianError`.
     """
 
     witness_eigenvalue: float
@@ -100,7 +101,8 @@ class DefinitenessVerdict:
 
 @dataclass(frozen=True)
 class EmbeddingResult:
-    """Euclidean coordinates recovered from a squared-distance sample."""
+    """Euclidean coordinates recovered from a squared-distance sample; ``rank``
+    and ``residual`` are the readings of the ``embed`` summary line."""
 
     coordinates: np.ndarray  # n x r, row i is the image of point i
     rank: int
@@ -245,9 +247,7 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     if not nd.verdict:
         raise NotHilbertianError(
             "sample is not a Hilbertian squared-distance matrix "
-            f"(projected matrix has eigenvalue {nd.witness_eigenvalue!r})",
-            witness_eigenvalue=nd.witness_eigenvalue, witness_vector=nd.witness_vector,
-            threshold=nd.threshold, margin=nd.margin)
+            f"(projected matrix has eigenvalue {nd.witness_eigenvalue!r})", **vars(nd))
 
     # past the deflated eigenpair 0 the eigenvalues ascend: -1/2 of them descend
     keep = eigvals[1:] < -floor

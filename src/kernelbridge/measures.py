@@ -272,7 +272,7 @@ class SpectralMeasure(_BinnedMeasure):
         """
         at_zero = self.atom_locations == 0.0
         return np.concatenate([np.where(at_zero, 1.0, 2.0) * self.atom_masses,
-                               2.0 * self.bin_values * self.bin_widths])
+                               2.0 * (self.bin_values * self.bin_widths)])
 
     def total_mass(self) -> float:
         """Two-sided total mass, the sum of the component masses; equals the

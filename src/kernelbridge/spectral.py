@@ -160,6 +160,17 @@ def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray
     return (sums * chirp[:n_out]).real
 
 
+def _exponent_above_one(values: np.ndarray) -> int:
+    """The least e >= 0 with max |values| / 2**e < 1.
+
+    Scaled by 2**-e, the values are below 1, so n of them times factors of
+    at most 1 sum to less than n; the scaling and its inverse are exact.
+    So a sum of values near the float maximum, taken on the scaled values
+    and scaled back, passes the range only if its result does.
+    """
+    return max(0, int(np.frexp(np.max(np.abs(values)))[1]))
+
+
 def _head(x: np.ndarray) -> np.ndarray:
     """x truncated to 26 significant bits: a product of two heads is exact."""
     mant, exp = np.frexp(x)
@@ -216,19 +227,23 @@ def _density_part(tt: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.n
 
     That is 4 v cos(t c) sin(t h) / t with centre c and half-width h, stable
     near 0.  Bins of one width, as every grid of ``frequency_grid`` has,
-    take the split cosine sum; other bins the dense table.
+    take the split cosine sum; other bins the dense table.  The sums run on
+    the values scaled by _exponent_above_one.
     """
     a, b = edges[:-1], edges[1:]
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     nz = _resolved(tt, half)
     out = np.full(tt.shape, float(2.0 * np.sum(values * (b - a))))
     ts = tt[nz]
+    exponent = _exponent_above_one(values)
+    values = np.ldexp(values, -exponent)
     if (half == half[0]).all():
-        out[nz] = 4.0 * _cos_sin(ts, half[:1])[1][:, 0] / ts * _split_cosine_sums(
+        sums = 4.0 * _cos_sin(ts, half[:1])[1][:, 0] / ts * _split_cosine_sums(
             ts, center, 2.0 * half[0], values)
     else:
-        out[nz] = _row_sums(ts, values.size, lambda ts: 2.0 * (
+        sums = _row_sums(ts, values.size, lambda ts: 2.0 * (
             2.0 * _cos_sin(ts, center)[0] * _cos_sin(ts, half)[1] / ts[:, None]) @ values)
+    out[nz] = np.ldexp(sums, exponent)
     return out
 
 
@@ -458,10 +473,13 @@ def spectral_from_gamma(gamma: GammaMeasure, k0: float) -> SpectralMeasure:
     if gamma.law == "s2":
         values = gamma.bin_values / 16.0
     else:
-        lo, hi = gamma.bin_edges[:-1], gamma.bin_edges[1:]
         values = np.zeros_like(gamma.bin_values)
         nz = gamma.bin_values > 0  # zero-value bins stay zero even at lo == 0
-        values[nz] = _in_range(lambda: gamma.bin_values[nz] / (16.0 * lo[nz] * hi[nz]),
+        # on the mantissas, then the exponents: 16 c d leaves the float range
+        # for edges below ~1e-154 or above ~1e154
+        (g, eg), (c, ec), (d, ed) = (np.frexp(x[nz]) for x in (
+            gamma.bin_values, gamma.bin_edges[:-1], gamma.bin_edges[1:]))
+        values[nz] = _in_range(lambda: np.ldexp(g / (16.0 * c * d), eg - ec - ed),
                                "a spectral bin value g / (16 c d)")
 
     measure = SpectralMeasure(atoms=atoms, edges=edges, values=values)
@@ -478,7 +496,8 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
     """Long-run average (1/2T) int_{-T}^{T} k(t) dt by trapezoid quadrature.
 
     Converges to the mass at frequency zero as the window grows; the
-    non-atomic part contributes O(1/T).
+    non-atomic part contributes O(1/T).  The sum runs on the values scaled
+    by _exponent_above_one, so the average of a constant kernel is finite.
     """
     window = _number(window, "window", 0, above=True)
     step = _number(step, "step", 0, above=True)
@@ -486,7 +505,10 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
     n = max(2, int(round(window / step)) + 1)
     t = np.linspace(0.0, window, n)
     values = kernel(t)
-    return float(_in_range(lambda: np.trapezoid(values, t) / window, "the zero-atom average"))
+    exponent = _exponent_above_one(values)
+    return float(_in_range(lambda: np.ldexp(
+        np.trapezoid(np.ldexp(values, -exponent), t) / window, exponent),
+        "the zero-atom average"))
 
 
 @dataclass(frozen=True)
@@ -528,9 +550,13 @@ class InversionConfig:
 class InversionResult:
     """Recovered measure plus honesty metadata.
 
+    The fields after ``measure``, less ``config``, are the readings of the
+    ``invert`` summary line, in this order.  ``atom0`` is the two-window
+    zero-atom estimate (0 within the noise floor ``clamp_tol |k(0)|``).
     ``residual`` is the sup difference between the re-synthesized kernel
     and the input on the residual grid; ``clamped_mass`` is the total
-    (two-sided) mass removed by clamping small negative density values.
+    (two-sided) mass removed by clamping small negative density values,
+    and ``min_density`` the least density before clamping.
     Three health readings name what the measure leaves out:
     ``mass_gap = k(0) - measure.total_mass()`` is the mass lost, mostly the
     spectral tail above the top edge; ``nyquist_margin = pi/dt - n_bins w``
@@ -554,15 +580,19 @@ class InversionResult:
     tail_gap: float
 
 
-def _estimate_zero_atom(kernel: KernelProfile,
-                        config: InversionConfig) -> tuple[float, float]:
-    """The zero-atom estimate and |full - half|, the two windows' disagreement."""
+def _estimate_zero_atom(kernel: KernelProfile, window: float,
+                        step: float) -> tuple[float, float]:
+    """The zero-atom estimate 2 full - half and |full - half|, the two windows'
+    disagreement, of the averages over the window and its half."""
     # Richardson step: the long-run average carries an O(1/T) tail from the
     # non-atomic part; combining two windows cancels that term, which the
     # density tolerances of the slowly-decaying pairs require.
-    full = atom_at_zero(kernel, config.atom_window, config.atom_step)
-    half = atom_at_zero(kernel, 0.5 * config.atom_window, config.atom_step)
-    return 2.0 * full - half, abs(full - half)
+    full = atom_at_zero(kernel, window, step)
+    half = atom_at_zero(kernel, 0.5 * window, step)
+    # 2 (full - half/2) is 2 full - half rounded once (while it and half are
+    # above 2**-1021), and finite whenever the estimate is
+    return _in_range(lambda: (2.0 * (full - 0.5 * half), abs(full - half)),
+                     "the zero-atom estimate")
 
 
 def bochner_inversion(kernel: KernelProfile,
@@ -596,7 +626,7 @@ def bochner_inversion(kernel: KernelProfile,
     k0 = float(kernel(0.0))
     noise_floor = config.clamp_tol * max(abs(k0), 1e-300)
 
-    atom0, atom_window_gap = _estimate_zero_atom(kernel, config)
+    atom0, atom_window_gap = _estimate_zero_atom(kernel, config.atom_window, config.atom_step)
     if atom0 < -noise_floor:
         raise NotPositiveDefiniteError(
             f"zero-frequency mass estimates to {atom0!r} < 0; "
@@ -606,16 +636,21 @@ def bochner_inversion(kernel: KernelProfile,
         atom0 = 0.0
 
     dt = config.t_max / (config.n_samples - 1)
-    g = kernel(np.linspace(0.0, config.t_max, config.n_samples)) - atom0
-    tail_gap = abs(float(g[-1]))
-    g *= dt  # the trapezoid weights
-    g[[0, -1]] *= 0.5
+    samples = kernel(np.linspace(0.0, config.t_max, config.n_samples))
+    g = _in_range(lambda: (samples - atom0) * dt, "a trapezoid term (k - atom0) dt")
+    tail_gap = abs(float(samples[-1] - atom0))
+    g[[0, -1]] *= 0.5  # the trapezoid weights
 
     edges, tau = frequency_grid(config.n_bins, config.freq_max)
-    density = _midpoint_cosine_sums(g, dt * edges[1], config.n_bins) / np.pi
+    exponent = _exponent_above_one(g)
+    scaled = _midpoint_cosine_sums(np.ldexp(g, -exponent), dt * edges[1],
+                                   config.n_bins) / np.pi
+    density = _in_range(lambda: np.ldexp(scaled, exponent), "the recovered density")
 
-    # the floor plus the bound on the cut-off tail (monotone past t_max)
-    margin = density + noise_floor + 2.0 * tail_gap / (np.pi * tau)
+    # the floor plus the bound on the cut-off tail (monotone past t_max), over
+    # 2**e so that none passes the float range: only the sign and the least are read
+    margin = (scaled + np.ldexp(noise_floor, -exponent)
+              + np.ldexp(tail_gap, 1 - exponent) / (np.pi * tau))
     j = int(np.argmin(margin))
     if margin[j] < 0.0:
         worst, where = float(density[j]), float(tau[j])
@@ -625,7 +660,9 @@ def bochner_inversion(kernel: KernelProfile,
             "positive definiteness",
             atom0=atom0, worst_density=worst, frequency=where)
     clamped = np.clip(density, 0.0, None)
-    clamped_mass = float(2.0 * edges[1] * np.sum(clamped - density))
+    clamped_mass = float(_in_range(lambda: np.ldexp(
+        2.0 * edges[1] * np.sum(np.clip(scaled, 0.0, None) - scaled), exponent),
+        "the clamped mass"))
 
     atoms = [(0.0, atom0)] if atom0 > 0.0 else []
     measure = SpectralMeasure(atoms=atoms, edges=edges, values=clamped)

@@ -1,5 +1,6 @@
 """CLI: thin-adapter equality with library calls, exit codes, file formats."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -220,6 +221,27 @@ class TestMatrixCommands:
         assert payload[key] is verdict
         assert (payload["margin"] >= 0.0) is verdict
 
+    @pytest.mark.parametrize("argv, record, payload, first", [
+        (["check-psd", "K"], kb.DefinitenessVerdict, (), "psd"),
+        (["check-nd", "D"], kb.DefinitenessVerdict, (), "nd"),
+        (["embed", "D", "-o", "O"], kb.EmbeddingResult, ("coordinates",), "written"),
+        (["embed", "Q", "-o", "O"], kb.DefinitenessVerdict, (), "message"),  # NotHilbertian
+        (["invert", "--kernel", "cauchy", "-o", "O"], kb.InversionResult,
+         ("measure", "config"), "written")])
+    def test_summaries_are_the_record_fields(self, tmp_path, capsys, argv, record, payload,
+                                             first):
+        # the keys after the first follow the record, less its payload fields
+        files = {"D": tmp_path / "d2.csv", "K": tmp_path / "k.csv", "Q": tmp_path / "q.csv",
+                 "O": tmp_path / "out"}
+        io.write_matrix_csv(files["D"], COLLINEAR)
+        io.write_matrix_csv(files["K"], np.ones((3, 3)))
+        io.write_matrix_csv(files["Q"], QUARTIC)
+        code, summary = run(capsys, *[files.get(word, word) for word in argv])
+        assert code in (0, 3)
+        keys = list(summary)
+        assert keys[keys.index(first) + 1:] == [
+            field.name for field in dataclasses.fields(record) if field.name not in payload]
+
     def test_check_psd_and_check_nd_agree_at_zero_tol(self, tmp_path, capsys):
         # check-psd said false on the centred matrix, for a rounding-noise witness
         # (-8.3e-15) under the threshold -0.0: its test had no rounding floor
@@ -264,6 +286,14 @@ class TestProfileCommands:
                             "--window", "50")
         assert code == 0
         assert payload["atom0"] == pytest.approx(1.0, rel=1e-12)
+        assert list(payload) == ["atom0", "window", "atom_window_gap"]
+
+    def test_atom0_is_the_estimate_of_invert(self, tmp_path, capsys):
+        # atom0 averaged over one window and read 0.0157 for cauchy, whose zero atom is 0
+        code, payload = run(capsys, "atom0", "--kernel", "cauchy")
+        assert code == 0 and 0.0 <= payload["atom0"] <= 2e-4
+        code, inverted = run(capsys, "invert", "--kernel", "cauchy", "-o", tmp_path / "m.json")
+        assert code == 0 and payload["atom_window_gap"] == inverted["atom_window_gap"]
 
     @pytest.mark.parametrize("flags", [("--window", "inf"), ("--window", "nan"),
                                        ("--step", "0")])
@@ -823,10 +853,13 @@ _HUGE = {"density": {"edges": [0, 1e300], "values": [1e300]}}  # mass 2e600
 _LARGE = {"density": {"edges": [0, 1e100], "values": [1e100]}}  # mass 2e200
 _CONSTANT = {"name": "constant", "params": {"value": 1e308}}
 _DENSE = {"density": {"edges": [0, 1], "values": [5e307]}}  # mass 1e308; 16 v overflows
+#: k = -9e307 up to t = 40 and 9e307 past t = 110: atom0 reads 8.55e307, so k - atom0
+#: is finite and its cosine transform, ~40 (k - atom0) / pi at low frequencies, is not
+_STEP = "0,-9e307\n40,-9e307\n50,0\n100,0\n110,9e307\n200,9e307\n"
 #: computed values past the float range: command, JSON, CSV.  The first five are a
-#: measure's mass or metric; of the rest, atom0 and rff exited 0 with inf, and every
-#: other printed a RuntimeWarning before its error (g / (16 c d) was called a density
-#: value that is not finite)
+#: measure's mass or metric, the sixth an inverted density; of the rest, rff exited 0
+#: with inf, and every other printed a RuntimeWarning before its error (g / (16 c d)
+#: was called a density value that is not finite)
 OVERFLOWS = [
     ("synth J --grid -1 1 5 -o O", _HUGE, ""),
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _HUGE, "0,0\n"),
@@ -834,8 +867,7 @@ OVERFLOWS = [
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", {"factors": [_LARGE] * 4},
      "0,0,0,0,1,1,1,1\n"),
     ("screw J --grid -1 1 5 -o O", {"density": {**_HUGE["density"], "law": "s2"}}, ""),
-    ("atom0 --profile J", _CONSTANT, ""),
-    ("invert --profile J -o O", _CONSTANT, ""),
+    ("invert --samples C -o O", {}, _STEP),
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O",
      {"atoms": [{"loc": 0, "mass": 1e308}]}, "0.5,0.25\n"),
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _DENSE, "0.5,0.25\n"),
@@ -844,6 +876,25 @@ OVERFLOWS = [
     ("gamma J --k0 1e200 -o O", {"density": {"edges": [1e-200, 2e-200], "values": [1]}}, ""),
     ("gamma J --k0 1 -o O", {"atoms": [{"loc": 1e308, "mass": 1}]}, ""),
     ("gamma J --k0 1 -o O", {"density": {"edges": [1, 1e308], "values": [1e-300]}}, ""),
+]
+
+#: bins of value 1e308 and width 1e-10: mass 4e298
+_TALL = {"density": {"edges": [0, 1e-10, 2e-10], "values": [1e308, 1e308]}}
+#: a constant-law gamma bin whose spectral value g / (16 c d) is 3.125e98
+_TINY_EDGES = {"density": {"edges": [1e-200, 2e-200], "values": [1e-300]}}
+#: finite answers with a step past the float range on the way: command, JSON, CSV,
+#: and the summary's key and value.  Each exited 2 with "... overflows the float
+#: range": the sum of the trapezoids of the kernel (a constant, or 0 then 1e307), the
+#: mass 2 v of a bin and the sum of its values, and c d of the bin
+FINITE_EXTREMES = [
+    ("atom0 --profile J", {"name": "constant", "params": {"value": 1e306}}, "", "atom0",
+     1e306),
+    ("atom0 --profile J", _CONSTANT, "", "atom0", 1e308),
+    ("invert --profile J -o O", _CONSTANT, "", "atom0", 1e308),
+    ("invert --samples C -o O", {}, "0,0\n100,0\n101,1e307\n200,1e307\n", "clamped_mass",
+     2.0124444233366346e307),
+    ("synth J -o O", _TALL, "", "total_mass", 4e298),
+    ("gamma J --k0 1 -o O", _TINY_EDGES, "", "atom0", 1.0),
 ]
 
 
@@ -1023,6 +1074,22 @@ class TestMalformedInputs:
         assert err.endswith(" overflows the float range\n") and "Warning" not in err
         assert not files["O"].exists() and not files["E"].exists()
 
+    @pytest.mark.parametrize("command, document, table, key, value", FINITE_EXTREMES)
+    def test_finite_answers_near_the_float_maximum_exit_0(self, tmp_path, capsys, command,
+                                                          document, table, key, value):
+        files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv", "O": tmp_path / "out"}
+        files["J"].write_text(json.dumps(document))
+        files["C"].write_text(table)
+        code = exit_code([files.get(w, w) for w in command.split()])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert summary[key] == pytest.approx(value, rel=1e-12)
+        assert all(np.isfinite(v) for k, v in summary.items() if k != "written")
+        if files["O"].exists():
+            text = files["O"].read_text().lower()
+            assert "inf" not in text and "nan" not in text
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(FILE_COMMANDS), document=FUZZ_JSON, table=FUZZ_CSV)
@@ -1036,6 +1103,7 @@ class TestMalformedInputs:
     @example(command="check-nd C", document={}, table=FLOAT_MAX_PAIR)
     @example(command="embed C -o O", document={}, table=FLOAT_MAX_PAIR)
     @with_examples(OVERFLOWS)
+    @with_examples([case[:3] for case in FINITE_EXTREMES])
     @with_examples(LAG_OVERFLOWS + LAG_SPANS)
     @example(command="nd-to-psd C -o O", document={}, table=OVERFLOWING_CENTRE)
     @with_examples([("embed C -o O", {}, table) for table in SCALED_EMBED])
@@ -1106,6 +1174,8 @@ class TestOverflowRule:
     @example(document={"density": {"edges": [0.0, 1.0], "values": [8e307]}}, k0=1e308)
     @example(document={"density": {"edges": [1.0, 2.0], "values": [1.0], "law": "s2"}},
              k0=1e308)  # margin inf under the bound inf
+    @example(document=_TALL, k0=1.0)
+    @example(document=_TINY_EDGES, k0=1.0)
     def test_extreme_measures_exit_0_with_finite_numbers_or_2_or_3(self, tmp_path, capsys,
                                                                    document, k0):
         spectral = {"atoms": document.get("atoms", []),

@@ -102,6 +102,11 @@ class TestMassAccounting:
         assert mu.component_masses().tolist() == [0.25, 1.0, 0.2, 0.2]
         assert mu.total_mass() == float(np.sum(mu.component_masses()))
 
+    def test_a_bin_of_value_near_the_float_maximum_has_a_finite_mass(self):
+        # (2 v) w overflowed, and the measure was rejected: the mass is 4e298
+        mu = kb.SpectralMeasure(edges=[0.0, 1e-10, 2e-10], values=[1e308, 1e308])
+        assert mu.total_mass() == pytest.approx(4e298, rel=1e-15)
+
     def test_density_lookup(self):
         mu = kb.SpectralMeasure(edges=[0.0, 1.0, 2.0], values=[0.7, 0.1])
         assert mu.density_at(0.0) == 0.7

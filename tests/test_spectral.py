@@ -97,6 +97,15 @@ class TestBochnerSynthesis:
         mu = kb.SpectralMeasure(atoms=[(0.0, 1.0)])
         assert_allclose(kb.bochner_synthesis(mu, GRID), 1.0)
 
+    def test_values_near_the_float_maximum_sum_as_their_scaled_copy(self):
+        # two bins of 1e308 (mass 4e298): their sum passed the float range, and the
+        # kernel read inf with a RuntimeWarning
+        values = np.ldexp([1e308, 1e308], -1024)
+        small = kb.SpectralMeasure(edges=[0.0, 1e-10, 2e-10], values=values)
+        tall = kb.SpectralMeasure(edges=[0.0, 1e-10, 2e-10], values=np.ldexp(values, 1024))
+        assert_array_equal(kb.bochner_synthesis(tall, GRID),
+                           np.ldexp(kb.bochner_synthesis(small, GRID), 1024))
+
     def test_half_atom_gives_cosine(self):
         mu = kb.SpectralMeasure(atoms=[(1.0, 0.5)])
         assert_allclose(kb.bochner_synthesis(mu, GRID), np.cos(GRID), rtol=1e-14)
@@ -698,6 +707,25 @@ class TestSpectralFromGamma:
             assert_allclose(back.total_mass(), mu.total_mass(),
                             rtol=1e-10)
 
+    def test_constant_law_bin_of_tiny_edges(self):
+        # 16 c d underflowed to 0, and the value 3.125e98 read inf
+        gamma = kb.GammaMeasure(edges=[1e-200, 2e-200], values=[1e-300])
+        values = kb.spectral_from_gamma(gamma, k0=1.0).bin_values
+        assert values.tolist() == [pytest.approx(3.125e98, rel=1e-15)]
+
+    def test_constant_law_values_keep_their_bits(self):
+        # taking the exponents out changes no value whose steps are normal floats
+        rng = np.random.default_rng(5)
+        edges = np.sort(10.0 ** rng.uniform(-150.0, 150.0, 401))
+        g = 10.0 ** rng.uniform(-300.0, -160.0, 400)
+        back = kb.spectral_from_gamma(kb.GammaMeasure(edges=edges, values=g), k0=1.0)
+        with np.errstate(under="ignore"):
+            den = 16.0 * edges[:-1] * edges[1:]
+            plain = g / den
+        normal = (den >= np.finfo(float).tiny) & (plain >= np.finfo(float).tiny)
+        assert normal.sum() > 100
+        assert_array_equal(back.bin_values[normal], plain[normal])
+
     def test_round_trip_is_bit_exact(self, measure_factory):
         # the s^2-law map scales by powers of two, so bins come back unchanged
         rng = np.random.default_rng(17)
@@ -713,6 +741,24 @@ class TestSpectralFromGamma:
 
 
 class TestAtomAtZero:
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_a_finite_sum_keeps_its_bits(self, name):
+        t = np.linspace(0.0, 200.0, 20001)
+        assert kb.atom_at_zero(kb.zoo(name), 200.0) == np.trapezoid(kb.zoo(name)(t), t) / 200.0
+
+    @pytest.mark.parametrize("value", [1e306, 1e308])
+    def test_a_sum_past_the_float_range_is_taken_on_scaled_values(self, value):
+        # the 20,001 trapezoids of a constant of 1e306 summed past the float range
+        assert kb.atom_at_zero(kb.zoo("constant", value=value), 200.0) == \
+            pytest.approx(value, rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["constant", "gaussian", "laplacian", "cauchy"])
+    def test_the_two_window_estimate(self, name):
+        kernel = kb.zoo(name)
+        full, half = kb.atom_at_zero(kernel, 200.0), kb.atom_at_zero(kernel, 100.0)
+        assert spectral._estimate_zero_atom(kernel, 200.0, 0.01) == (2.0 * full - half,
+                                                                     abs(full - half))
+
     def test_constant_kernel(self):
         for window in (1.0, 10.0, 500.0):
             assert_allclose(kb.atom_at_zero(kb.zoo("constant"), window), 1.0,
@@ -791,6 +837,19 @@ class TestChirpZCosineSums:
 
 
 class TestBochnerInversion:
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_a_kernel_near_the_float_maximum_inverts_as_its_scaled_copy(self, name):
+        # at 2**1020 (~1e307) the zero-atom sum, the transform and the tail bound
+        # passed the float range: every value is the scaled copy's, bit for bit
+        kernel = kb.zoo(name)
+        big = kb.KernelProfile(fn=lambda t: np.ldexp(kernel(t), 1020), name="big")
+        result, scaled = kb.bochner_inversion(kernel), kb.bochner_inversion(big)
+        assert_array_equal(scaled.measure.bin_values,
+                           np.ldexp(result.measure.bin_values, 1020))
+        for name in ("atom0", "residual", "clamped_mass", "min_density", "mass_gap",
+                     "atom_window_gap", "tail_gap"):
+            assert getattr(scaled, name) == math.ldexp(getattr(result, name), 1020), name
+
     def test_laplacian_recovers_cauchy_density(self):
         result = kb.bochner_inversion(kb.zoo("laplacian"))
         measure = result.measure
