@@ -72,16 +72,16 @@ class NotHilbertianError(MathematicalRejection):
     ``witness_eigenvalue`` is that (positive) quadratic-form value.
     ``threshold`` and ``margin`` are those of the negative definiteness
     verdict (``margin`` = threshold - eigenvalue, negative here); None when
-    not measured.
+    not measured.  Further keyword readings follow them in the diagnostic.
     """
 
     code = "NotHilbertian"
 
     def __init__(self, message: str, witness_eigenvalue: float, witness_vector=None,
-                 threshold: float | None = None, margin: float | None = None):
+                 threshold: float | None = None, margin: float | None = None, **readings):
         super().__init__(message, witness_eigenvalue=float(witness_eigenvalue),
                          witness_vector=witness_vector, threshold=threshold,
-                         margin=margin)
+                         margin=margin, **readings)
 
 
 class UnboundedMetricError(MathematicalRejection):

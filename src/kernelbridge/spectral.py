@@ -161,14 +161,15 @@ def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray
 
 
 def _exponent_above_one(values: np.ndarray) -> int:
-    """The least e >= 0 with max |values| / 2**e < 1.
+    """The least e >= 0 with max |values| / 2**e < 2: 0 unless a value is 2 or more.
 
-    Scaled by 2**-e, the values are below 1, so n of them times factors of
-    at most 1 sum to less than n; the scaling and its inverse are exact.
-    So a sum of values near the float maximum, taken on the scaled values
-    and scaled back, passes the range only if its result does.
+    Scaled by 2**-e, the values are below 2, so n of them times factors of
+    at most 1 sum to less than 2 n.  The scaling and its inverse are exact
+    unless a scaled value is subnormal.  So a sum of values near the float
+    maximum, taken on the scaled values and scaled back, passes the range
+    only if its result does.
     """
-    return max(0, int(np.frexp(np.max(np.abs(values)))[1]))
+    return max(0, int(np.frexp(np.max(np.abs(values)))[1]) - 1)
 
 
 def _head(x: np.ndarray) -> np.ndarray:
@@ -497,7 +498,7 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
 
     Converges to the mass at frequency zero as the window grows; the
     non-atomic part contributes O(1/T).  The sum runs on the values scaled
-    by _exponent_above_one, so the average of a constant kernel is finite.
+    by _exponent_above_one, so a constant kernel of 1e306 averages to 1e306.
     """
     window = _number(window, "window", 0, above=True)
     step = _number(step, "step", 0, above=True)
@@ -587,8 +588,10 @@ def _estimate_zero_atom(kernel: KernelProfile, window: float,
     # Richardson step: the long-run average carries an O(1/T) tail from the
     # non-atomic part; combining two windows cancels that term, which the
     # density tolerances of the slowly-decaying pairs require.
-    full = atom_at_zero(kernel, window, step)
+    # the half window first: the full window's evaluation is the last, as it was
+    # when atom0 read one window
     half = atom_at_zero(kernel, 0.5 * window, step)
+    full = atom_at_zero(kernel, window, step)
     # 2 (full - half/2) is 2 full - half rounded once (while it and half are
     # above 2**-1021), and finite whenever the estimate is
     return _in_range(lambda: (2.0 * (full - 0.5 * half), abs(full - half)),
@@ -642,15 +645,12 @@ def bochner_inversion(kernel: KernelProfile,
     g[[0, -1]] *= 0.5  # the trapezoid weights
 
     edges, tau = frequency_grid(config.n_bins, config.freq_max)
-    exponent = _exponent_above_one(g)
-    scaled = _midpoint_cosine_sums(np.ldexp(g, -exponent), dt * edges[1],
-                                   config.n_bins) / np.pi
-    density = _in_range(lambda: np.ldexp(scaled, exponent), "the recovered density")
+    density = _in_range(lambda: _midpoint_cosine_sums(g, dt * edges[1], config.n_bins) / np.pi,
+                        "the recovered density")
 
-    # the floor plus the bound on the cut-off tail (monotone past t_max), over
-    # 2**e so that none passes the float range: only the sign and the least are read
-    margin = (scaled + np.ldexp(noise_floor, -exponent)
-              + np.ldexp(tail_gap, 1 - exponent) / (np.pi * tau))
+    # the floor plus the bound on the cut-off tail (monotone past t_max)
+    margin = _in_range(lambda: density + noise_floor + 2.0 * tail_gap / (np.pi * tau),
+                       "the density plus its allowance")
     j = int(np.argmin(margin))
     if margin[j] < 0.0:
         worst, where = float(density[j]), float(tau[j])
@@ -660,9 +660,8 @@ def bochner_inversion(kernel: KernelProfile,
             "positive definiteness",
             atom0=atom0, worst_density=worst, frequency=where)
     clamped = np.clip(density, 0.0, None)
-    clamped_mass = float(_in_range(lambda: np.ldexp(
-        2.0 * edges[1] * np.sum(np.clip(scaled, 0.0, None) - scaled), exponent),
-        "the clamped mass"))
+    clamped_mass = float(_in_range(lambda: 2.0 * edges[1] * np.sum(clamped - density),
+                                   "the clamped mass"))
 
     atoms = [(0.0, atom0)] if atom0 > 0.0 else []
     measure = SpectralMeasure(atoms=atoms, edges=edges, values=clamped)

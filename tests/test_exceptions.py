@@ -22,6 +22,16 @@ def test_not_hilbertian_diagnostic():
     assert list(bare.diagnostic()) == ["error", "message", "witness_eigenvalue"]
 
 
+def test_not_hilbertian_passes_further_readings_on():
+    # euclidean_embedding raises with the verdict's fields: one added to
+    # DefinitenessVerdict must reach the diagnostic, not raise TypeError
+    err = kb.NotHilbertianError("not Hilbertian", witness_eigenvalue=1.0, margin=-1.0,
+                                spread=3.0)
+    assert err.spread == 3.0
+    assert list(err.diagnostic()) == ["error", "message", "witness_eigenvalue", "margin",
+                                      "spread"]
+
+
 def test_unbounded_metric_diagnostic():
     err = kb.UnboundedMetricError(integral=float("inf"), bound=4)
     assert (err.integral, err.bound) == (float("inf"), 4.0)
