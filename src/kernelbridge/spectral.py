@@ -588,8 +588,7 @@ def _estimate_zero_atom(kernel: KernelProfile, window: float,
     # Richardson step: the long-run average carries an O(1/T) tail from the
     # non-atomic part; combining two windows cancels that term, which the
     # density tolerances of the slowly-decaying pairs require.
-    # the half window first: the full window's evaluation is the last, as it was
-    # when atom0 read one window
+    # the half window first, so that a trace's last kernel evaluation is the full window's
     half = atom_at_zero(kernel, 0.5 * window, step)
     full = atom_at_zero(kernel, window, step)
     # 2 (full - half/2) is 2 full - half rounded once (while it and half are
