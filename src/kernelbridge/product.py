@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import SpectralMeasure, _in_range, _numbers
-from .profiles import KernelProfile
 from .spectral import bochner_synthesis
 
 __all__ = ["SeparableKernel", "ProductSpectralMeasure",
@@ -21,10 +20,10 @@ __all__ = ["SeparableKernel", "ProductSpectralMeasure",
 
 
 @dataclass(frozen=True)
-class SeparableKernel:
-    """Product kernel with one profile per coordinate."""
+class _Factors:
+    """A non-empty tuple of one-dimensional factors, one per coordinate."""
 
-    factors: tuple[KernelProfile, ...]
+    factors: tuple
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -37,22 +36,16 @@ class SeparableKernel:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class ProductSpectralMeasure:
-    """Factored product of one-dimensional spectral measures."""
+class SeparableKernel(_Factors):
+    """Product kernel with one KernelProfile per coordinate."""
 
-    factors: tuple[SpectralMeasure, ...]
+
+class ProductSpectralMeasure(_Factors):
+    """Factored product of one-dimensional SpectralMeasure factors."""
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        if len(factors) < 1:
-            raise ValueError("need at least one factor")
-        object.__setattr__(self, "factors", factors)
+        super().__post_init__()
         _in_range(self.total_mass, "product measure total mass")
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
 
     def total_mass(self) -> float:
         out = 1.0

@@ -498,7 +498,9 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
 
     Converges to the mass at frequency zero as the window grows; the
     non-atomic part contributes O(1/T).  The sum runs on the values scaled
-    by _exponent_above_one, so a constant kernel of 1e306 averages to 1e306.
+    by _exponent_above_one, and its mean is clamped to their range, which
+    rounding could leave: a constant kernel, even of the float maximum,
+    averages to itself.
     """
     window = _number(window, "window", 0, above=True)
     step = _number(step, "step", 0, above=True)
@@ -507,8 +509,9 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
     t = np.linspace(0.0, window, n)
     values = kernel(t)
     exponent = _exponent_above_one(values)
-    return float(_in_range(lambda: np.ldexp(
-        np.trapezoid(np.ldexp(values, -exponent), t) / window, exponent),
+    scaled = np.ldexp(values, -exponent)
+    return float(_in_range(lambda: np.ldexp(np.clip(
+        np.trapezoid(scaled, t) / window, scaled.min(), scaled.max()), exponent),
         "the zero-atom average"))
 
 

@@ -685,6 +685,15 @@ class TestFeatureCommands:
         assert len(exact) == 200
         assert exact == values_path.read_text().splitlines()
 
+    def test_pairs_of_the_wrong_width_exit_2(self, tmp_path, capsys):
+        measure_path, pairs_path = tmp_path / "mu.json", tmp_path / "pairs.csv"
+        io.write_json(measure_path, kb.cosine_measure().to_dict())
+        io.write_matrix_csv(pairs_path, [[0.0, 1.0, 2.0]])
+        code, err = exit_and_stderr(capsys, ["rff", measure_path, "-m", "16", "--seed", "1",
+                                             "--pairs", pairs_path, "-o", tmp_path / "s.json"])
+        assert (code, err) == (2, "error: --pairs rows must have 2 columns (x then y)\n")
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pairs_are_validation_errors(self, tmp_path, capsys, bad):
         measure_path = tmp_path / "prod.json"
@@ -856,6 +865,9 @@ _DENSE = {"density": {"edges": [0, 1], "values": [5e307]}}  # mass 1e308; 16 v o
 #: k = -9e307 up to t = 40 and 9e307 past t = 110: atom0 reads 8.55e307, so k - atom0
 #: is finite and its cosine transform, ~40 (k - atom0) / pi at low frequencies, is not
 _STEP = "0,-9e307\n40,-9e307\n50,0\n100,0\n110,9e307\n200,9e307\n"
+#: samples 2.5e308 apart: np.interp's slope between them passes the float range, the
+#: slope between their halves does not; invert's trapezoid term k - atom0 does
+_STEEP = "0,-1.5e308\n5,1e308\n200,1e308\n"
 #: computed values past the float range: command, JSON, CSV.  The first five are a
 #: measure's mass or metric, the sixth an inverted density; of the rest, rff exited 0
 #: with inf, and every other printed a RuntimeWarning before its error (g / (16 c d)
@@ -868,6 +880,7 @@ OVERFLOWS = [
      "0,0,0,0,1,1,1,1\n"),
     ("screw J --grid -1 1 5 -o O", {"density": {**_HUGE["density"], "law": "s2"}}, ""),
     ("invert --samples C -o O", {}, _STEP),
+    ("invert --samples C -o O", {}, _STEEP),
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O",
      {"atoms": [{"loc": 0, "mass": 1e308}]}, "0.5,0.25\n"),
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _DENSE, "0.5,0.25\n"),
@@ -882,14 +895,18 @@ OVERFLOWS = [
 _TALL = {"density": {"edges": [0, 1e-10, 2e-10], "values": [1e308, 1e308]}}
 #: a constant-law gamma bin whose spectral value g / (16 c d) is 3.125e98
 _TINY_EDGES = {"density": {"edges": [1e-200, 2e-200], "values": [1e-300]}}
+_FLOAT_MAX = {"name": "constant", "params": {"value": np.finfo(float).max}}
 #: finite answers with a step past the float range on the way: command, JSON, CSV,
 #: and the summary's key and value.  Each exited 2 with "... overflows the float
-#: range": the sum of the trapezoids of a constant kernel, the mass 2 v of a bin and
-#: the sum of its values, and c d of the bin
+#: range": the sum of the trapezoids of a constant kernel (at the float maximum, its
+#: mean rounded past the values), the mass 2 v of a bin and the sum of its values,
+#: and c d of the bin; the sampled kernel exited 2 with a non-finite value at t=0.01
 FINITE_EXTREMES = [
     ("atom0 --profile J", {"name": "constant", "params": {"value": 1e306}}, "", "atom0",
      1e306),
     ("atom0 --profile J", _CONSTANT, "", "atom0", 1e308),
+    ("atom0 --profile J", _FLOAT_MAX, "", "atom0", np.finfo(float).max),
+    ("atom0 --samples C", {}, _STEEP, "atom0", 1e308),
     ("invert --profile J -o O", _CONSTANT, "", "atom0", 1e308),
     ("synth J -o O", _TALL, "", "total_mass", 4e298),
     ("gamma J --k0 1 -o O", _TINY_EDGES, "", "atom0", 1.0),

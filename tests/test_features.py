@@ -59,6 +59,12 @@ class TestSampleFrequencies:
             mu = measure_factory(rng)
             assert kb.sample_frequencies(mu, m=8, seed=0).total_mass == mu.total_mass()
 
+    @pytest.mark.parametrize("frequencies, phases", [([1.0, 2.0], [0.5]), ([], [])])
+    def test_frequencies_and_phases_share_a_positive_length(self, frequencies, phases):
+        with pytest.raises(ValueError,
+                           match="^frequencies and phases must share a positive length$"):
+            features.FrequencySample(frequencies, phases, total_mass=1.0, seed=0)
+
     def test_phases_in_range(self):
         sample = kb.sample_frequencies(GAUSS, m=4096, seed=3)
         assert np.all(sample.phases >= 0.0)
@@ -214,6 +220,11 @@ class TestBatchedApproximateKernel:
                 kb.approximate_kernel(sample, x, y)
             with pytest.raises(ValueError, match="a point times a frequency overflows"):
                 kb.feature_matrix(sample, np.max(x) if sample is line else x)
+
+    def test_feature_matrix_takes_one_point(self):
+        sample = kb.sample_frequencies(GAUSS, m=16, seed=0)
+        with pytest.raises(ValueError, match="^feature_matrix takes one point, got 2$"):
+            kb.feature_matrix(sample, [0.0, 1.0])
 
     def test_non_finite_points_rejected(self):
         sample = kb.sample_frequencies(GAUSS, m=16, seed=0)

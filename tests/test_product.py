@@ -28,9 +28,16 @@ class TestSeparableEval:
         with pytest.raises(ValueError):
             kb.separable_eval(kernel, [0.0, 1.0], [0.0, 1.0])
 
-    def test_empty_factors_rejected(self):
-        with pytest.raises(ValueError):
-            kb.SeparableKernel(factors=())
+    @pytest.mark.parametrize("record", [kb.SeparableKernel, kb.ProductSpectralMeasure])
+    def test_empty_factors_rejected(self, record):
+        with pytest.raises(ValueError, match="^need at least one factor$"):
+            record(factors=())
+
+    def test_factors_are_a_tuple(self):
+        kernel = kb.SeparableKernel(factors=[kb.zoo("gaussian")] * 2)
+        measure = kb.ProductSpectralMeasure(factors=[kb.cosine_measure()] * 3)
+        assert (type(kernel.factors), kernel.dim) == (tuple, 2)
+        assert (type(measure.factors), measure.dim) == (tuple, 3)
 
 
 class TestProductSpectralMeasure:

@@ -130,6 +130,11 @@ class TestKernelFromMetric:
         # (x-1)(y-1) is the inner product centered at 1
         assert_allclose(K(2.0, 3.0), 2.0, atol=1e-14)
 
+    def test_terms_near_the_float_maximum_are_halved_before_the_sum(self):
+        # (1e308 + 1e308 - 1e308) / 2 read inf with a RuntimeWarning
+        d2 = kb.MetricProfile(fn=lambda t: np.where(t == 0, 0.0, 1e308))
+        assert kb.kernel_from_metric(d2)(1.0, 2.0) == 5e307
+
     def test_round_trip_discrepancy_identity(self):
         # kernel_from_metric(metric_from_kernel(k))(x, y)
         #     == k(x - y) - k(x) - k(y) + k(0)
@@ -140,6 +145,36 @@ class TestKernelFromMetric:
             K = kb.kernel_from_metric(kb.metric_from_kernel(k))
             expected = k(x - y) - k(x) - k(y) + k.k0
             assert_allclose(K(x, y), expected, atol=1e-12)
+
+
+class TestBivariateKernel:
+    def test_a_non_finite_value_names_its_first_argument(self):
+        # a NaN from the user's function was returned as it came
+        K = kb.BivariateKernel(fn=lambda x, y: np.where(x > 1, np.nan, x * y), name="xy")
+        with pytest.raises(kb.EvaluationError,
+                           match=r"^kernel 'xy' evaluated to a non-finite value at t=2\.0$") \
+                as info:
+            K([0.5, 2.0, 3.0], 1.0)
+        assert info.value.argument == 2.0
+
+    def test_arguments_must_be_real_numbers(self):
+        K = kb.BivariateKernel(fn=lambda x, y: x * y, name="xy")
+        with pytest.raises(ValueError, match="^the arguments of kernel 'xy' must be real numbers$"):
+            K(1.0, "a")
+
+
+class TestProfileRecords:
+    def test_kernel_and_metric_profiles_differ_by_kind(self):
+        def fn(t):
+            return np.exp(-np.abs(t))
+
+        kernel, metric = kb.KernelProfile(fn, "e"), kb.MetricProfile(fn, "e")
+        assert kernel != metric and kernel == kb.KernelProfile(fn, "e")
+        assert repr(metric).startswith("MetricProfile(fn=")
+        assert kernel.descriptor() == metric.descriptor() == {"name": "e", "params": {}}
+        for profile, noun in ((kernel, "kernel"), (metric, "metric")):
+            with pytest.raises(kb.EvaluationError, match=f"^{noun} profile 'e' evaluated"):
+                profile(np.nan)
 
 
 class TestTranslationInvariance:
@@ -175,6 +210,19 @@ class TestTranslationInvariance:
         with pytest.raises(ValueError):
             kb.check_translation_invariance(K, [])
 
+    def test_a_violation_past_the_float_range_is_rejected(self):
+        # 1e308 - (-1e308) read worst_violation=inf with a RuntimeWarning
+        K = kb.BivariateKernel(fn=lambda x, y: np.where(x > 0, 1e308, -1e308))
+        with pytest.raises(ValueError, match="^the translation-invariance violation "
+                                             "overflows the float range$"):
+            kb.check_translation_invariance(K, [(-1.0, 0.0, 2.0)])
+        assert kb.check_translation_invariance(K, [(1.0, 0.0, 2.0)]).worst_violation == 0.0
+
+    def test_a_shift_past_the_float_range_is_rejected(self):
+        K = kb.BivariateKernel(fn=lambda x, y: np.cos(x - y))
+        with pytest.raises(ValueError, match="^a shifted probe overflows the float range$"):
+            kb.check_translation_invariance(K, [(1e308, 0.0, 1e308)])
+
 
 class TestFiniteSampleBridge:
     @pytest.mark.parametrize("name", ZOO_PSD)
@@ -208,6 +256,19 @@ class TestSampledProfiles:
         profile = kb.profile_from_samples([0.0, 1.0], [1.0, 0.5])
         with pytest.raises(kb.EvaluationError):
             profile(1.5)
+
+    @pytest.mark.parametrize("t, values", [([0.0, 1.0], [1.0]), ([0.0], [1.0]),
+                                           ([[0.0, 1.0]], [[1.0, 0.5]])])
+    def test_mismatched_or_single_samples_rejected(self, t, values):
+        with pytest.raises(ValueError,
+                           match="^need matching 1-d arrays with at least two samples$"):
+            kb.profile_from_samples(t, values)
+
+    def test_samples_further_apart_than_the_float_maximum(self):
+        # np.interp's slope (1e308 + 1.5e308) / 5 passed the float range
+        profile = kb.profile_from_samples([0.0, 5.0, 200.0], [-1.5e308, 1e308, 1e308])
+        assert_allclose(profile([0.01, 2.5, 5.0, 100.0]), [-1.495e308, -2.5e307, 1e308, 1e308],
+                        rtol=1e-15)
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):

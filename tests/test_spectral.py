@@ -747,7 +747,7 @@ class TestAtomAtZero:
         t = np.linspace(0.0, 200.0, 20001)
         assert kb.atom_at_zero(kb.zoo(name), 200.0) == np.trapezoid(kb.zoo(name)(t), t) / 200.0
 
-    @pytest.mark.parametrize("value", [1e306, 1e308])
+    @pytest.mark.parametrize("value", [1e306, 1e308, np.finfo(float).max])
     def test_a_sum_past_the_float_range_is_taken_on_scaled_values(self, value):
         # the 20,001 trapezoids of a constant of 1e306 summed past the float range
         assert kb.atom_at_zero(kb.zoo("constant", value=value), 200.0) == \

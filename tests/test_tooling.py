@@ -114,7 +114,7 @@ def test_one_reader_decides_what_a_valid_scalar_is():
 #: and conversions of what the library itself computes (profile and kernel
 #: values, the tables it writes)
 FLOAT_CONVERSIONS = {("measures.py", "_reals"), ("profiles.py", "_evaluate"),
-                     ("profiles.py", "BivariateKernel.__call__"), ("io.py", "_write_table")}
+                     ("io.py", "_write_table")}
 
 
 def converts_to_float(call) -> bool:
