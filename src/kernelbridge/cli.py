@@ -167,8 +167,9 @@ def cmd_to_metric(args) -> int:
     kernel = _load_kernel(args)
     metric = metric_from_kernel(kernel)
     grid = _grid(args)
-    io.write_profile_csv(args.output, grid, metric(grid))
-    _emit({"written": args.output})
+    d2 = metric(grid)
+    io.write_profile_csv(args.output, grid, d2)
+    _emit({"written": args.output, "min_d2": float(np.min(d2))})
     return 0
 
 
@@ -179,24 +180,28 @@ def cmd_invert(args) -> int:
                              atom_window=args.window, atom_step=args.step)
     result = bochner_inversion(kernel, config)
     io.write_json(args.output, result.measure.to_dict())
-    _emit({"written": args.output, **_readings(result, "measure", "config")})
+    _emit({"written": args.output, **_readings(result, "measure")})
     return 0
 
 
 def cmd_synth(args) -> int:
     measure = SpectralMeasure.from_dict(io.read_json(args.measure))
     grid = _grid(args)
-    io.write_profile_csv(args.output, grid, bochner_synthesis(measure, grid))
-    _emit({"written": args.output, "total_mass": measure.total_mass()})
+    values = bochner_synthesis(measure, grid)
+    io.write_profile_csv(args.output, grid, values)
+    # Bochner: |k(t)| <= k(0) = mu(R), so this is at most rounding
+    total_mass = measure.total_mass()
+    _emit({"written": args.output, "total_mass": total_mass,
+           "max_excess": float(np.max(np.abs(values))) - total_mass})
     return 0
 
 
 def cmd_screw(args) -> int:
     gamma = GammaMeasure.from_dict(io.read_json(args.gamma))
     grid = _grid(args)
-    io.write_profile_csv(args.output, grid, screw_synthesis(gamma, grid),
-                         header="t,d2")
-    _emit({"written": args.output})
+    d2 = screw_synthesis(gamma, grid)
+    io.write_profile_csv(args.output, grid, d2, header="t,d2")
+    _emit({"written": args.output, "min_d2": float(np.min(d2))})
     return 0
 
 
@@ -216,7 +221,10 @@ def cmd_gamma(args) -> int:
         measure = spectral_from_gamma(gamma, k0=args.k0)
         io.write_json(args.output, measure.to_dict())
         margin = bound_report(int_bound_integral(gamma), args.k0)["margin"]
-        _emit({"written": args.output, "atom0": measure.zero_atom, "margin": margin})
+        # spectral_from_gamma reads these bins' s^2 law at the geometric mean
+        approximated = 0 if gamma.law == "s2" else int(np.count_nonzero(gamma.bin_values > 0))
+        _emit({"written": args.output, "atom0": measure.zero_atom, "margin": margin,
+               "approximated_bins": approximated})
     return 0
 
 

@@ -7,46 +7,25 @@ Two families matter to callers (and to the CLI exit codes):
 * mathematical rejections -- the input is well formed but the requested
   object does not exist (a sample that is not negative definite, a metric
   with no bounded kernel, a kernel that is not positive definite).  These
-  subclass :class:`MathematicalRejection` and carry a machine-readable
-  diagnostic.
+  subclass :class:`MathematicalRejection`; the CLI prints their
+  machine-readable diagnostic.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 
 class KernelBridgeError(Exception):
-    """Base class for library-specific errors."""
-
-
-class EvaluationError(KernelBridgeError):
-    """A profile produced a non-finite value; names the offending argument."""
-
-    def __init__(self, message: str, argument: float | None = None):
-        super().__init__(message)
-        self.argument = argument
-
-
-class EigenSolverError(KernelBridgeError):
-    """The symmetric eigensolver failed to converge.
-
-    Carries basic condition diagnostics of the offending matrix so the
-    failure can be triaged without re-running.
-    """
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
-
-class MathematicalRejection(KernelBridgeError):
-    """Base for rejections that certify a mathematical impossibility.
+    """Base class for library-specific errors.
 
     Each keyword reading becomes an attribute; :meth:`diagnostic` reports
-    the readings that are not None, in the order given.
+    the readings that are not None, in the order given.  A subclass
+    declares the default of a reading it may lack as a class attribute.
     """
 
     #: short stable identifier used in CLI diagnostics
-    code = "MathematicalRejection"
+    code = "KernelBridgeError"
 
     def __init__(self, message: str, **readings):
         super().__init__(message)
@@ -64,6 +43,25 @@ class MathematicalRejection(KernelBridgeError):
                 **{name: value for name, value in readings.items() if value is not None}}
 
 
+class EvaluationError(KernelBridgeError):
+    """A profile produced a non-finite value; ``argument`` names the offending argument."""
+
+    argument = None
+
+
+class EigenSolverError(KernelBridgeError):
+    """The symmetric eigensolver failed to converge; ``diagnostics`` holds the
+    offending matrix's condition readings, to triage without re-running."""
+
+    diagnostics = MappingProxyType({})
+
+
+class MathematicalRejection(KernelBridgeError):
+    """Base for rejections that certify a mathematical impossibility."""
+
+    code = "MathematicalRejection"
+
+
 class NotHilbertianError(MathematicalRejection):
     """A squared-distance sample admits no Euclidean/Hilbert embedding.
 
@@ -72,16 +70,15 @@ class NotHilbertianError(MathematicalRejection):
     ``witness_eigenvalue`` is that (positive) quadratic-form value.
     ``threshold`` and ``margin`` are those of the negative definiteness
     verdict (``margin`` = threshold - eigenvalue, negative here); None when
-    not measured.  Further keyword readings follow them in the diagnostic.
+    not measured.  The diagnostic lists ``witness_eigenvalue`` first, then
+    the other readings in the order given.
     """
 
     code = "NotHilbertian"
+    witness_vector = threshold = margin = None
 
-    def __init__(self, message: str, witness_eigenvalue: float, witness_vector=None,
-                 threshold: float | None = None, margin: float | None = None, **readings):
-        super().__init__(message, witness_eigenvalue=float(witness_eigenvalue),
-                         witness_vector=witness_vector, threshold=threshold,
-                         margin=margin, **readings)
+    def __init__(self, message: str, witness_eigenvalue: float, **readings):
+        super().__init__(message, witness_eigenvalue=float(witness_eigenvalue), **readings)
 
 
 class UnboundedMetricError(MathematicalRejection):

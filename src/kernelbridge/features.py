@@ -46,7 +46,7 @@ _HALF_COS = tuple((-1) ** n / (4 ** n * math.factorial(2 * n)) for n in range(10
 _MAX_TURNS = 2 ** 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencySample:
     """Signed frequency draws plus phases; reproducible from the seed.
 

@@ -56,7 +56,7 @@ def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
     return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Kernel values K(x_i, x_j) over a finite point sample."""
 
@@ -76,7 +76,7 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefinitenessVerdict:
     """Outcome of a definiteness test plus the certifying eigenpair.
 
@@ -99,7 +99,7 @@ class DefinitenessVerdict:
         return self.verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingResult:
     """Euclidean coordinates recovered from a squared-distance sample; ``rank``
     and ``residual`` are the readings of the ``embed`` summary line."""

@@ -231,6 +231,19 @@ def grid_probes(span: float = 4.0, n: int = 7) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), s.ravel()])
 
 
+def _doubled_interp(u, t: np.ndarray, half: np.ndarray):
+    """2 np.interp(u, t, half); where np.interp's slope passes the float range,
+    2 ((1 - w) a + w b) of the two neighbouring halves a and b instead."""
+    out = 2.0 * np.interp(u, t, half)
+    steep = ~np.isfinite(out)
+    if np.any(steep):  # arrays, so that a scalar's point can be replaced too
+        out, v = np.array(out), np.asarray(u)[steep]
+        i = np.minimum(np.searchsorted(t, v, side="right"), t.size - 1)
+        w = (v - t[i - 1]) / (t[i] - t[i - 1])
+        out[steep] = 2.0 * ((1.0 - w) * half[i - 1] + w * half[i])
+    return out
+
+
 def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     """Even profile interpolated linearly from samples of k on t >= 0.
 
@@ -238,7 +251,9 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     :class:`EvaluationError` rather than extrapolating.  It interpolates the
     halved samples and doubles the result: two samples further apart than the
     float maximum have a finite difference of halves, and the bits are
-    np.interp's unless a halved sample is subnormal.
+    np.interp's unless a halved sample is subnormal.  Where the halves change
+    by more than the float maximum per unit t, np.interp's slope still passes
+    the range, and such a point is taken between its two neighbouring halves.
     """
     t, values = _numbers(t, "samples"), _numbers(values, "samples")
     if t.ndim != 1 or t.shape != values.shape or t.size < 2:
@@ -256,6 +271,6 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
             raise EvaluationError(
                 f"sampled profile {name!r} queried at |t|={bad!r} beyond range {t_max!r}",
                 argument=bad)
-        return 2.0 * np.interp(u, t, half)
+        return _doubled_interp(u, t, half)
 
     return KernelProfile(fn=fn, name=name, params={})

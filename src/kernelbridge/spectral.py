@@ -554,9 +554,9 @@ class InversionConfig:
 class InversionResult:
     """Recovered measure plus honesty metadata.
 
-    The fields after ``measure``, less ``config``, are the readings of the
-    ``invert`` summary line, in this order.  ``atom0`` is the two-window
-    zero-atom estimate (0 within the noise floor ``clamp_tol |k(0)|``).
+    The fields after ``measure`` are the readings of the ``invert`` summary
+    line, in this order.  ``atom0`` is the two-window zero-atom estimate (0
+    within the noise floor ``clamp_tol |k(0)|``).
     ``residual`` is the sup difference between the re-synthesized kernel
     and the input on the residual grid; ``clamped_mass`` is the total
     (two-sided) mass removed by clamping small negative density values,
@@ -577,7 +577,6 @@ class InversionResult:
     residual: float
     clamped_mass: float
     min_density: float
-    config: InversionConfig
     mass_gap: float
     nyquist_margin: float
     atom_window_gap: float
@@ -673,7 +672,7 @@ def bochner_inversion(kernel: KernelProfile,
     residual = float(np.max(np.abs(bochner_synthesis(measure, grid) - kernel(grid))))
     return InversionResult(measure=measure, atom0=atom0, residual=residual,
                            clamped_mass=clamped_mass, min_density=float(np.min(density)),
-                           config=config, mass_gap=k0 - measure.total_mass(),
+                           mass_gap=k0 - measure.total_mass(),
                            nyquist_margin=np.pi / dt - edges[-1],
                            atom_window_gap=atom_window_gap,
                            tail_gap=tail_gap)

@@ -124,6 +124,17 @@ class TestMatrixCommands:
         assert code == 0
         assert payload["nd"] is False
 
+    def test_an_eigensolver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(entries):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        m = tmp_path / "ones.csv"
+        io.write_matrix_csv(m, np.ones((3, 3)))
+        code = exit_code(["check-psd", m])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: eigensolver failed to converge: Eigenvalues did not converge\n")
+
     def test_nd_to_psd_rejects_an_overflowing_result(self, tmp_path, capsys):
         # used to write -inf and exit 0, with a RuntimeWarning
         m, out = tmp_path / "n.csv", tmp_path / "centered.csv"
@@ -226,8 +237,8 @@ class TestMatrixCommands:
         (["check-nd", "D"], kb.DefinitenessVerdict, (), "nd"),
         (["embed", "D", "-o", "O"], kb.EmbeddingResult, ("coordinates",), "written"),
         (["embed", "Q", "-o", "O"], kb.DefinitenessVerdict, (), "message"),  # NotHilbertian
-        (["invert", "--kernel", "cauchy", "-o", "O"], kb.InversionResult,
-         ("measure", "config"), "written")])
+        (["invert", "--kernel", "cauchy", "-o", "O"], kb.InversionResult, ("measure",),
+         "written")])
     def test_summaries_are_the_record_fields(self, tmp_path, capsys, argv, record, payload,
                                              first):
         # the keys after the first follow the record, less its payload fields
@@ -275,11 +286,12 @@ class TestMatrixCommands:
 class TestProfileCommands:
     def test_to_metric(self, tmp_path, capsys):
         out = tmp_path / "d2.csv"
-        code, _ = run(capsys, "to-metric", "--kernel", "cosine",
-                      "--grid", "0", str(np.pi), "2", "-o", out)
+        code, payload = run(capsys, "to-metric", "--kernel", "cosine",
+                            "--grid", "0", str(np.pi), "2", "-o", out)
         assert code == 0
         t, v = io.read_profile_csv(out)
         assert_allclose(v[-1], 4.0, rtol=1e-12)
+        assert list(payload) == ["written", "min_d2"] and payload["min_d2"] == v.min() == 0.0
 
     def test_atom0(self, capsys):
         code, payload = run(capsys, "atom0", "--kernel", "constant",
@@ -485,9 +497,39 @@ class TestSpectralCommands:
         assert payload["identity_gap"] == gap <= 1e-13 * mu.total_mass()
         k0 = 1.5 * mu.total_mass()
         code, payload = run(capsys, "gamma", gamma_path, "--k0", k0, "-o", tmp_path / "m.json")
-        assert code == 0 and list(payload) == ["written", "atom0", "margin"]
+        assert code == 0 and list(payload) == ["written", "atom0", "margin",
+                                               "approximated_bins"]
         report = kb.bound_report(kb.int_bound_integral(gamma), k0)
         assert payload["margin"] == report["margin"] > 0.0
+        assert payload["approximated_bins"] == 0  # gamma writes the s^2 law
+
+    @pytest.mark.parametrize("law, approximated", [("constant", 2), ("s2", 0)])
+    def test_gamma_inverse_counts_the_approximated_bins(self, tmp_path, capsys, law,
+                                                        approximated):
+        # a constant-law bin of value > 0 becomes its s^2 law read at the geometric mean
+        gamma_path, out = tmp_path / "gamma.json", tmp_path / "mu.json"
+        gamma_path.write_text(json.dumps({"density": {
+            "edges": [0.5, 1.0, 2.0, 4.0], "values": [0.3, 0.0, 0.1], "law": law}}))
+        code, payload = run(capsys, "gamma", gamma_path, "--k0", 10, "-o", out)
+        assert code == 0 and payload["approximated_bins"] == approximated
+        written = kb.SpectralMeasure.from_dict(io.read_json(out)).bin_values
+        assert np.count_nonzero(written > 0.0) == 2
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_synth_and_screw_report_what_the_paper_guarantees(self, tmp_path, capsys, name):
+        # Bochner: |k(t)| <= k(0) = mu(R); a squared metric is >= 0 and 0 at t = 0
+        mu, gamma = tmp_path / "mu.json", tmp_path / "gamma.json"
+        k_path, d2_path = tmp_path / "k.csv", tmp_path / "d2.csv"
+        assert run(capsys, "invert", "--kernel", name, "-o", mu)[0] == 0
+        code, payload = run(capsys, "synth", mu, "-o", k_path)
+        assert code == 0 and list(payload) == ["written", "total_mass", "max_excess"]
+        k = io.read_profile_csv(k_path)[1]
+        assert payload["max_excess"] == np.max(np.abs(k)) - payload["total_mass"]
+        assert abs(payload["max_excess"]) <= 1e-15 * payload["total_mass"]
+        assert run(capsys, "gamma", mu, "-o", gamma)[0] == 0
+        code, payload = run(capsys, "screw", gamma, "-o", d2_path)
+        assert code == 0 and list(payload) == ["written", "min_d2"]
+        assert payload["min_d2"] == np.min(io.read_profile_csv(d2_path)[1]) == 0.0
 
     def test_identity_gap_past_the_float_range_is_zero(self, tmp_path, capsys):
         # mass 8e307: both sides of the identity read inf, and inf - inf gave nan
@@ -868,6 +910,8 @@ _STEP = "0,-9e307\n40,-9e307\n50,0\n100,0\n110,9e307\n200,9e307\n"
 #: samples 2.5e308 apart: np.interp's slope between them passes the float range, the
 #: slope between their halves does not; invert's trapezoid term k - atom0 does
 _STEEP = "0,-1.5e308\n5,1e308\n200,1e308\n"
+#: halves 9e307 apart over 0.5: the slope between them passes the float range too
+_STEEPER = "0,-9e307\n0.5,9e307\n1.2,0\n200,0\n"
 #: computed values past the float range: command, JSON, CSV.  The first five are a
 #: measure's mass or metric, the sixth an inverted density; of the rest, rff exited 0
 #: with inf, and every other printed a RuntimeWarning before its error (g / (16 c d)
@@ -900,13 +944,14 @@ _FLOAT_MAX = {"name": "constant", "params": {"value": np.finfo(float).max}}
 #: and the summary's key and value.  Each exited 2 with "... overflows the float
 #: range": the sum of the trapezoids of a constant kernel (at the float maximum, its
 #: mean rounded past the values), the mass 2 v of a bin and the sum of its values,
-#: and c d of the bin; the sampled kernel exited 2 with a non-finite value at t=0.01
+#: and c d of the bin; the sampled kernels exited 2 with a non-finite value at t=0.01
 FINITE_EXTREMES = [
     ("atom0 --profile J", {"name": "constant", "params": {"value": 1e306}}, "", "atom0",
      1e306),
     ("atom0 --profile J", _CONSTANT, "", "atom0", 1e308),
     ("atom0 --profile J", _FLOAT_MAX, "", "atom0", np.finfo(float).max),
     ("atom0 --samples C", {}, _STEEP, "atom0", 1e308),
+    ("atom0 --samples C", {}, _STEEPER, "atom0", 0.0),
     ("invert --profile J -o O", _CONSTANT, "", "atom0", 1e308),
     ("synth J -o O", _TALL, "", "total_mass", 4e298),
     ("gamma J --k0 1 -o O", _TINY_EDGES, "", "atom0", 1.0),

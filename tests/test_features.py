@@ -41,6 +41,13 @@ class TestSampleFrequencies:
         assert_array_equal(a.frequencies, b.frequencies)
         assert_array_equal(a.phases, b.phases)
 
+    def test_samples_compare_by_identity(self):
+        # two bit-identical draws raised ValueError on ==, and hash raised TypeError
+        a = kb.sample_frequencies(GAUSS, m=16, seed=42)
+        b = kb.sample_frequencies(GAUSS, m=16, seed=42)
+        assert a == a and (a == b) is False and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_different_seeds_differ(self):
         a = kb.sample_frequencies(GAUSS, m=512, seed=1)
         b = kb.sample_frequencies(GAUSS, m=512, seed=2)

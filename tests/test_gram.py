@@ -52,6 +52,35 @@ class TestBuildGram:
         assert err.value.argument == 1.5
 
 
+@pytest.mark.parametrize("make", [
+    lambda: kb.build_gram(kb.zoo("gaussian"), [0.0, 1.0, 2.5]),
+    lambda: kb.is_positive_definite(COS_MINUS_03),
+    lambda: kb.is_negative_definite(QUARTIC_D2),
+    lambda: kb.euclidean_embedding(COLLINEAR_D2)])
+def test_records_compare_by_identity(make):
+    # two records of one input raised ValueError on ==, and hash raised TypeError
+    a, b = make(), make()
+    assert a == a and (a == b) is False and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+class TestEigenSolverFailure:
+    def test_the_error_carries_the_matrix_readings(self, monkeypatch):
+        def fail(entries):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        asymmetric = COS_MINUS_03.copy()
+        asymmetric[0, 2] += 2.0 ** -40  # exact, and within the symmetry tolerance
+        with pytest.raises(kb.EigenSolverError,
+                           match="^eigensolver failed to converge: Eigenvalues did not "
+                                 "converge$") as err:
+            kb.is_positive_definite(asymmetric)
+        assert err.value.diagnostics == {"n": 3, "max_abs_entry": 1.3,
+                                         "max_asymmetry": 2.0 ** -40}
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
 class TestPositiveDefinite:
     def test_rank_one_shift(self):
         verdict = kb.is_positive_definite(np.array([[1.0, -1.0], [-1.0, 1.0]]))

@@ -270,6 +270,17 @@ class TestSampledProfiles:
         assert_allclose(profile([0.01, 2.5, 5.0, 100.0]), [-1.495e308, -2.5e307, 1e308, 1e308],
                         rtol=1e-15)
 
+    def test_halves_changing_faster_than_the_float_maximum(self):
+        # the halves change by 9e307 / 0.5 per unit t: np.interp's slope passed the
+        # float range, and points there are (1 - w) a + w b of the two neighbours
+        t, values = [0.0, 0.5, 1.2, 200.0], [-9e307, 9e307, 0.0, 0.0]
+        profile = kb.profile_from_samples(t, values)
+        assert_allclose(profile([0.01, 0.25, -0.25, 0.5]), [-8.64e307, 0.0, 0.0, 9e307],
+                        rtol=1e-15, atol=0.0)
+        assert profile(0.01) == profile([0.01])[0]
+        finite = [0.6, 1.0, 100.0]  # np.interp's bits where its slope is finite
+        assert (profile(finite) == 2.0 * np.interp(finite, t, 0.5 * np.array(values))).all()
+
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             kb.profile_from_samples([-1.0, 0.0, 1.0], [0.5, 1.0, 0.5])

@@ -951,7 +951,7 @@ class TestBochnerInversion:
         tail = 1.0 - (2.0 / np.pi) * np.arctan(8.0)
         assert abs(result.mass_gap - tail) <= 1e-4
         assert_allclose(result.mass_gap, 1.0 - result.measure.total_mass(), rtol=1e-15)
-        config = result.config
+        config = kb.InversionConfig()
         assert result.nyquist_margin == np.pi / (config.t_max / (config.n_samples - 1)) \
             - config.freq_max
         assert 0.0 < result.atom_window_gap < 0.05

@@ -2,7 +2,10 @@
 dependencies and the benchmark's tracer."""
 
 import ast
+import dataclasses
+import importlib
 import importlib.util
+import pkgutil
 import re
 import subprocess
 import sys
@@ -250,3 +253,33 @@ def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
             "gram.euclidean_embedding", "io.read_matrix_csv", "io.write_matrix_csv"} <= names
     assert {"features.sample_frequencies", "features.sample_product_frequencies",
             "features.approximate_kernel", "product.product_synthesis"} <= names
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # a generated __eq__ compares the arrays elementwise and raised ValueError on
+    # two equal records, and the generated __hash__ raised TypeError
+    holding_arrays = set()
+    for info in pkgutil.iter_modules(kb.__path__):
+        module = importlib.import_module(f"kernelbridge.{info.name}")
+        for record in vars(module).values():
+            if (dataclasses.is_dataclass(record) and record.__module__ == module.__name__
+                    and any(f.type == "np.ndarray" for f in dataclasses.fields(record))):
+                holding_arrays.add(record.__name__)
+                assert record.__dataclass_params__.eq is False, record.__name__
+    assert {"FrequencySample", "GramMatrix", "DefinitenessVerdict",
+            "EmbeddingResult"} <= holding_arrays
+
+
+def test_every_error_takes_its_readings_by_one_rule():
+    # only the base reads keyword readings, and only NotHilbertianError (a float
+    # cast) and UnboundedMetricError (its message) wrap it
+    errors = [value for value in vars(kb.exceptions).values()
+              if isinstance(value, type) and issubclass(value, kb.KernelBridgeError)]
+    assert sorted(error.__name__ for error in errors if "__init__" in vars(error)) == [
+        "KernelBridgeError", "NotHilbertianError", "UnboundedMetricError"]
+    assert [error.__name__ for error in errors if "diagnostic" in vars(error)] == [
+        "KernelBridgeError"]
+    assert kb.EvaluationError("e").argument is None
+    assert kb.EigenSolverError("e").diagnostics == {}
+    assert kb.EvaluationError("e", argument=2.0).diagnostic() == {
+        "error": "KernelBridgeError", "message": "e", "argument": 2.0}
