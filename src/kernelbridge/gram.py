@@ -43,6 +43,13 @@ DEFAULT_TOL = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 
+def _max_asymmetry(entries: np.ndarray) -> float:
+    """max |A - A^T|, formed on the halves of the entries: exact unless an entry is
+    subnormal, and inf, never a warning, past the float range."""
+    half = 0.5 * entries
+    return 2.0 * float(np.max(np.abs(half - half.T)))
+
+
 def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
     entries = _numbers(entries, what)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -50,7 +57,7 @@ def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
     if entries.size == 0:
         raise ValueError(f"{what} is empty (0 x 0)")
     scale = float(np.max(np.abs(entries)))
-    asym = float(np.max(np.abs(entries - entries.T)))
+    asym = _max_asymmetry(entries)
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{what} is not symmetric: max |A - A^T| = {asym!r}")
     return entries
@@ -123,7 +130,7 @@ def _eigh(entries: np.ndarray):
         diagnostics = {
             "n": int(entries.shape[0]),
             "max_abs_entry": scale,
-            "max_asymmetry": float(np.max(np.abs(entries - entries.T))),
+            "max_asymmetry": _max_asymmetry(entries),
         }
         raise EigenSolverError(f"eigensolver failed to converge: {exc}",
                                diagnostics=diagnostics) from exc
@@ -135,7 +142,8 @@ def build_gram(profile: KernelProfile, points) -> GramMatrix:
     if points.size == 0:
         raise ValueError("points must be non-empty")
     check_elements(points.size ** 2, "the Gram matrix of the points")
-    diff = points[:, None] - points[None, :]
+    diff = _in_range(lambda: points[:, None] - points[None, :],
+                     "a lag x_i - x_j of the points")
     return GramMatrix(points=points, entries=profile(diff))
 
 
@@ -149,12 +157,14 @@ def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     entries = _entries(gram)
     n = entries.shape[0]
     eigvals, eigvecs = _eigh(entries)
+    # only the least eigenvalue is read: a greater one past the float range
+    # (all entries 1e308) leaves the verdict finite
+    witness = float(_in_range(lambda: eigvals[0], "an eigenvalue of the matrix"))
     scale = float(np.max(np.abs(np.diag(entries))))
     if scale == 0.0:  # degenerate all-zero diagonal, fall back to entry scale
         scale = float(np.max(np.abs(entries)))
     threshold = -max(tol * n * scale, float(np.finfo(float).eps) * n * n * scale)
-    return DefinitenessVerdict(float(eigvals[0]), eigvecs[:, 0], threshold,
-                               float(eigvals[0]) - threshold)
+    return DefinitenessVerdict(witness, eigvecs[:, 0], threshold, witness - threshold)
 
 
 def _projected_eigh(entries: np.ndarray, tol: float):

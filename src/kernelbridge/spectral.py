@@ -57,7 +57,7 @@ from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
 from .measures import (FREQ_MAX, MAX_ELEMENTS, N_BINS, GammaMeasure, SpectralMeasure,
                        _bin_width, _count, _in_range, _number, _numbers, check_elements,
                        frequency_grid)
-from .profiles import KernelProfile
+from .profiles import KernelProfile, probe_grid
 
 __all__ = [
     "bochner_synthesis",
@@ -76,6 +76,11 @@ __all__ = [
 
 #: relative slack of the boundedness test: integral <= 4 k0 (1 + BOUND_RTOL)
 BOUND_RTOL = 1e-12
+#: relative threshold (times |k(0)|) separating the inversion's quadrature noise
+#: from a genuine negativity certificate
+CLAMP_RTOL = 1e-4
+#: bochner_inversion reads its residual on lags |t| <= min(_RESIDUAL_SPAN, t_max)
+_RESIDUAL_SPAN = 5.0
 #: chunk size (in rows x columns) for the dense trig evaluations: small
 #: enough that a chunk's temporaries stay in cache
 _CHUNK = 2 ** 14
@@ -529,25 +534,16 @@ class InversionConfig:
     freq_max: float = FREQ_MAX
     atom_window: float = 200.0
     atom_step: float = _ATOM_STEP
-    #: relative threshold (times |k(0)|) separating quadrature noise from
-    #: a genuine negativity certificate
-    clamp_tol: float = 1e-4
-    residual_span: float = 5.0
-    residual_points: int = 201
 
     def __post_init__(self):
         _bin_width(self.n_bins, self.freq_max)  # validates both
         _count(self.n_samples, "n_samples", 2)
-        _count(self.residual_points, "residual_points", 1)
         for name in ("t_max", "atom_window", "atom_step"):
             _number(getattr(self, name), name, 0, above=True)
-        for name in ("clamp_tol", "residual_span"):
-            _number(getattr(self, name), name, 0)
         # per sample the lags, the kernel's values and a temporary of evaluating
         # them; the transform's complex buffer and filter and its chirp tables
         check_elements(3 * self.n_samples + 16 * _block_fft_size(self.n_bins),
                        "the inversion (n_samples, n_bins)")
-        check_elements(self.residual_points, "residual_points")
 
 
 @dataclass(frozen=True)
@@ -556,9 +552,10 @@ class InversionResult:
 
     The fields after ``measure`` are the readings of the ``invert`` summary
     line, in this order.  ``atom0`` is the two-window zero-atom estimate (0
-    within the noise floor ``clamp_tol |k(0)|``).
+    within the noise floor ``CLAMP_RTOL |k(0)|``).
     ``residual`` is the sup difference between the re-synthesized kernel
-    and the input on the residual grid; ``clamped_mass`` is the total
+    and the input on ``probe_grid(min(_RESIDUAL_SPAN, t_max))``, lags the
+    inversion sampled; ``clamped_mass`` is the total
     (two-sided) mass removed by clamping small negative density values,
     and ``min_density`` the least density before clamping.
     Three health readings name what the measure leaves out:
@@ -619,7 +616,7 @@ def bochner_inversion(kernel: KernelProfile,
     (true of the decaying zoo kernels, not of oscillating ones), the
     second mean value theorem bounds that tail at frequency tau by
     ``2 * tail_gap / (pi * tau)``.  A bin whose density is below
-    ``-(clamp_tol * |k(0)| + 2 * tail_gap / (pi * tau))`` raises
+    ``-(CLAMP_RTOL * |k(0)| + 2 * tail_gap / (pi * tau))`` raises
     :class:`NotPositiveDefiniteError`; smaller negative values are clamped
     to zero and the removed mass is reported.
 
@@ -628,7 +625,7 @@ def bochner_inversion(kernel: KernelProfile,
     negativity certificate.
     """
     k0 = float(kernel(0.0))
-    noise_floor = config.clamp_tol * max(abs(k0), 1e-300)
+    noise_floor = CLAMP_RTOL * max(abs(k0), 1e-300)
 
     atom0, atom_window_gap = _estimate_zero_atom(kernel, config.atom_window, config.atom_step)
     if atom0 < -noise_floor:
@@ -646,8 +643,12 @@ def bochner_inversion(kernel: KernelProfile,
     g[[0, -1]] *= 0.5  # the trapezoid weights
 
     edges, tau = frequency_grid(config.n_bins, config.freq_max)
-    density = _in_range(lambda: _midpoint_cosine_sums(g, dt * edges[1], config.n_bins) / np.pi,
-                        "the recovered density")
+    # on g scaled by _exponent_above_one, the sums pass the float range only
+    # if the density does
+    exponent = _exponent_above_one(g)
+    density = _in_range(lambda: np.ldexp(_midpoint_cosine_sums(
+        np.ldexp(g, -exponent), dt * edges[1], config.n_bins) / np.pi, exponent),
+        "the recovered density")
 
     # the floor plus the bound on the cut-off tail (monotone past t_max)
     margin = _in_range(lambda: density + noise_floor + 2.0 * tail_gap / (np.pi * tau),
@@ -667,8 +668,7 @@ def bochner_inversion(kernel: KernelProfile,
     atoms = [(0.0, atom0)] if atom0 > 0.0 else []
     measure = SpectralMeasure(atoms=atoms, edges=edges, values=clamped)
 
-    grid = np.linspace(-config.residual_span, config.residual_span,
-                       config.residual_points)
+    grid = probe_grid(min(_RESIDUAL_SPAN, config.t_max))
     residual = float(np.max(np.abs(bochner_synthesis(measure, grid) - kernel(grid))))
     return InversionResult(measure=measure, atom0=atom0, residual=residual,
                            clamped_mass=clamped_mass, min_density=float(np.min(density)),

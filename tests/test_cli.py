@@ -215,6 +215,11 @@ class TestMatrixCommands:
         code, payload = run(capsys, "embed", m, "-o", tmp_path / "c.csv")
         assert code == 0 and payload["rank"] == 1
         assert_allclose(np.abs(io.read_matrix_csv(tmp_path / "c.csv")), 5e153, rtol=1e-15)
+        # the Gram matrix of a constant kernel of 1e308: its greater eigenvalue,
+        # 2e308, is past the float range, and the verdict reads only the least
+        m.write_text("1e308,1e308\n1e308,1e308\n")
+        code, psd = run(capsys, "check-psd", m)
+        assert code == 0 and psd["psd"] is True and psd["margin"] > 0.0
 
     @pytest.mark.parametrize("command, key, matrix, verdict", [
         ("check-nd", "nd", COLLINEAR, True), ("check-nd", "nd", QUARTIC, False),
@@ -427,6 +432,20 @@ class TestSpectralCommands:
         assert main(["synth", str(mu), "--grid", "-1000", "1000", "5",
                      "-o", str(tmp_path / "plain.csv")]) == 0
         assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_invert_reads_the_residual_where_the_kernel_was_sampled(self, tmp_path, capsys):
+        # the residual was read on [-5, 5], past samples up to t = 3: exit 2
+        t = np.linspace(0.0, 3.0, 301)
+        samples, out = tmp_path / "samples.csv", tmp_path / "m.json"
+        io.write_profile_csv(samples, t, np.exp(-t ** 2 / 2.0))
+        code, payload = run(capsys, "invert", "--samples", samples, "--t-max", "3",
+                            "--n-samples", "1201", "--window", "3", "-o", out)
+        assert code == 0 and np.isfinite(payload["residual"])
+        grid = kb.probe_grid(3.0)
+        measure = kb.SpectralMeasure.from_dict(io.read_json(out))
+        kernel = kb.profile_from_samples(*io.read_profile_csv(samples))
+        assert payload["residual"] == np.max(np.abs(kb.bochner_synthesis(measure, grid)
+                                                    - kernel(grid)))
 
     def test_invert_rejects_shifted_cosine_from_samples(self, tmp_path, capsys):
         t = np.arange(0.0, 200.0 + 1e-9, 0.005)
@@ -971,9 +990,25 @@ LAG_OVERFLOWS = [
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", {"factors": [_WIDE] * 3},
      _PAIR_ROW),
 ]
-#: pairs whose lag x - y is past the float range: command, JSON, CSV
-LAG_SPANS = [("product-synth J --pairs C -o O", {"factors": [_WIDE]}, "1e308,-1e308\n"),
-             ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _WIDE, "-1e308,1e308\n")]
+#: pairs and points whose lag is past the float range: command, JSON, CSV, the lag
+LAG_SPANS = [("product-synth J --pairs C -o O", {"factors": [_WIDE]}, "1e308,-1e308\n",
+              "a --pairs lag x - y"),
+             ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _WIDE, "-1e308,1e308\n",
+              "a --pairs lag x - y"),
+             ("gram --points C --kernel gaussian -o O", {}, "1e308\n-1e308\n0\n",
+              "a lag x_i - x_j of the points")]
+
+#: the squared distances of the points 0, 1, 2, 3, scaled to a largest entry of
+#: 1.7e308: every entry is finite, the least eigenvalue (~-1.9e308) is not
+_D2_PAST_RANGE = "".join(",".join(map(str, row)) + "\n" for row in (
+    np.subtract.outer(np.arange(4.0), np.arange(4.0)) ** 2 * (1.7e308 / 9)).tolist())
+#: matrices with a reading past the float range: command, CSV, message.  check-psd
+#: exited 0 with a witness eigenvalue of -inf; the symmetry check of every matrix
+#: command printed a RuntimeWarning from A - A^T before it rejected
+MATRIX_OVERFLOWS = [("check-psd C", _D2_PAST_RANGE,
+                     "an eigenvalue of the matrix overflows the float range")] + [
+    (command, "0,1e308\n-1e308,0\n", "matrix is not symmetric: max |A - A^T| = inf")
+    for command in ("check-psd C", "check-nd C", "embed C -o O", "nd-to-psd C -o O")]
 
 
 #: a JSON document nested far past the parser's recursion limit
@@ -1102,7 +1137,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, document, table, message",
         [(*case, "a lag times a frequency overflows the float range") for case in LAG_OVERFLOWS]
-        + [(*case, "a --pairs lag x - y overflows the float range") for case in LAG_SPANS]
+        + [(*case[:3], f"{case[3]} overflows the float range") for case in LAG_SPANS]
         # constant-law bins: called a squared-metric overflow
         + [("screw J --grid 1e308 1.5e308 3 -o O", _WIDE, "",
             "a lag times a frequency overflows the float range")])
@@ -1134,6 +1169,25 @@ class TestMalformedInputs:
         assert err.endswith(" overflows the float range\n") and "Warning" not in err
         assert not files["O"].exists() and not files["E"].exists()
 
+    @pytest.mark.parametrize("command, table, message", MATRIX_OVERFLOWS)
+    def test_matrices_past_the_float_range_exit_2(self, tmp_path, capsys, command, table,
+                                                  message):
+        files = {"C": tmp_path / "in.csv", "O": tmp_path / "out.csv"}
+        files["C"].write_text(table)
+        code = exit_code([files.get(w, w) for w in command.split()])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+        assert not files["O"].exists()
+
+    def test_steep_samples_invert_to_a_negativity_certificate(self, tmp_path, capsys):
+        # the transform passed the float range before the density did: the inversion
+        # exited 2 with "the recovered density overflows the float range"
+        samples, out = tmp_path / "in.csv", tmp_path / "m.json"
+        samples.write_text(_STEEPER)
+        code, payload = run(capsys, "invert", "--samples", samples, "-o", out)
+        assert code == 3 and payload["error"] == "NotPositiveDefinite"
+        assert payload["worst_density"] == pytest.approx(-1.1783e307, rel=1e-4)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, document, table, key, value", FINITE_EXTREMES)
     def test_finite_answers_near_the_float_maximum_exit_0(self, tmp_path, capsys, command,
                                                           document, table, key, value):
@@ -1164,7 +1218,8 @@ class TestMalformedInputs:
     @example(command="embed C -o O", document={}, table=FLOAT_MAX_PAIR)
     @with_examples(OVERFLOWS)
     @with_examples([case[:3] for case in FINITE_EXTREMES])
-    @with_examples(LAG_OVERFLOWS + LAG_SPANS)
+    @with_examples(LAG_OVERFLOWS + [case[:3] for case in LAG_SPANS])
+    @with_examples([(command, {}, table) for command, table, _ in MATRIX_OVERFLOWS])
     @example(command="nd-to-psd C -o O", document={}, table=OVERFLOWING_CENTRE)
     @with_examples([("embed C -o O", {}, table) for table in SCALED_EMBED])
     @with_examples([(command, {}, table) for command, table in BAD_TOLS])

@@ -280,11 +280,8 @@ SCALARS = {
     "InversionConfig.freq_max": (_config("freq_max"), 8, (0.0,), False),
     "InversionConfig.atom_window": (_config("atom_window"), 20, (0.0,), False),
     "InversionConfig.atom_step": (_config("atom_step"), 1, (0.0,), False),
-    "InversionConfig.clamp_tol": (_config("clamp_tol"), 0, (-5e-324,), False),
-    "InversionConfig.residual_span": (_config("residual_span"), 0, (-5e-324,), False),
     "InversionConfig.n_samples": (_config("n_samples"), 2, (1,), True),
     "InversionConfig.n_bins": (_config("n_bins"), 1, (0,), True),
-    "InversionConfig.residual_points": (_config("residual_points"), 1, (0,), True),
     "gaussian_measure.n_bins": (lambda v: kb.gaussian_measure(n_bins=v), 1, (0,), True),
     "gaussian_measure.freq_max": (lambda v: kb.gaussian_measure(8, freq_max=v), 8, (0.0,),
                                   False),

@@ -839,15 +839,17 @@ class TestChirpZCosineSums:
 
 class TestBochnerInversion:
     @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
-    def test_a_density_past_the_float_range_is_rejected(self, name):
-        # at 2**1020 (~1e307) the transform overflowed inside its FFT with a
-        # RuntimeWarning, and the measure then said its values were not finite
+    def test_a_density_near_the_float_maximum_scales_exactly(self, name):
+        # at 2**1020 (~1e307) the unscaled transform overflowed inside its FFT, and
+        # the inversion said the recovered density passed the float range
         kernel = kb.zoo(name)
         big = kb.KernelProfile(fn=lambda t: np.ldexp(kernel(t), 1020), name="big")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^the recovered density overflows"):
-                kb.bochner_inversion(big)
+            measure, scaled = (kb.bochner_inversion(k).measure for k in (kernel, big))
+        assert_array_equal(scaled.bin_edges, measure.bin_edges)
+        assert_array_equal(scaled.bin_values, np.ldexp(measure.bin_values, 1020))
+        assert_array_equal(scaled.atom_masses, np.ldexp(measure.atom_masses, 1020))
 
     def test_laplacian_recovers_cauchy_density(self):
         result = kb.bochner_inversion(kb.zoo("laplacian"))
@@ -899,7 +901,7 @@ class TestBochnerInversion:
         config = kb.InversionConfig(t_max=10.0, n_samples=4001)
         result = kb.bochner_inversion(kb.zoo("cauchy"), config)
         assert result.tail_gap == pytest.approx(2.0 / 101.0, rel=1e-12)
-        assert -5e-4 < result.min_density < -2.0 * config.clamp_tol
+        assert -5e-4 < result.min_density < -2.0 * spectral.CLAMP_RTOL
         assert np.min(result.measure.bin_values) == 0.0
 
     def test_gaussian_has_no_tail_allowance(self):
@@ -926,14 +928,13 @@ class TestBochnerInversion:
         with pytest.raises(ValueError):
             kb.InversionConfig(atom_step=0.0)
 
-    @pytest.mark.parametrize("field", ["n_samples", "n_bins", "residual_points"])
+    @pytest.mark.parametrize("field", ["n_samples", "n_bins"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", np.nan])
     def test_config_rejects_non_integer_sizes(self, field, value):
         with pytest.raises(ValueError):
             kb.InversionConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["t_max", "freq_max", "atom_window", "atom_step",
-                                       "clamp_tol", "residual_span"])
+    @pytest.mark.parametrize("field", ["t_max", "freq_max", "atom_window", "atom_step"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None, True, 1j])
     def test_config_rejects_non_finite_reals(self, field, value):
         with pytest.raises(ValueError):
@@ -941,7 +942,7 @@ class TestBochnerInversion:
 
     def test_config_accepts_numpy_scalars(self):
         config = kb.InversionConfig(t_max=np.float64(20.0), n_samples=np.int64(101),
-                                    n_bins=np.int32(16), residual_points=7)
+                                    n_bins=np.int32(16))
         assert config.n_samples == 101
 
     def test_health_readings_name_the_missing_tail(self):
@@ -972,7 +973,7 @@ class TestBochnerInversion:
         kernel = kb.zoo("gaussian")
         assert kb.bochner_inversion(kernel).tail_gap <= 1e-300
         # cutting the samples at t = 2 rings the density below 0; let it clamp
-        config = kb.InversionConfig(t_max=2.0, n_samples=801, clamp_tol=0.1)
+        config = kb.InversionConfig(t_max=2.0, n_samples=801)
         short = kb.bochner_inversion(kernel, config)
         assert short.atom0 == 0.0 and short.clamped_mass > 0.0
         assert short.tail_gap == float(kernel(2.0))
@@ -1029,8 +1030,7 @@ class TestElementBudget:
 
     @pytest.mark.parametrize("sizes", [{"n_samples": 10 ** 12}, {"n_bins": MAX_ELEMENTS},
                                        {"n_samples": (MAX_ELEMENTS - 16 * 4096) // 3 + 1,
-                                        "n_bins": 2},
-                                       {"residual_points": MAX_ELEMENTS + 1}])
+                                        "n_bins": 2}])
     def test_inversion_config(self, sizes):
         self.assert_rejected_without_allocating(lambda: kb.InversionConfig(**sizes))
 

@@ -283,3 +283,15 @@ def test_every_error_takes_its_readings_by_one_rule():
     assert kb.EigenSolverError("e").diagnostics == {}
     assert kb.EvaluationError("e", argument=2.0).diagnostic() == {
         "error": "KernelBridgeError", "message": "e", "argument": 2.0}
+
+
+def test_the_inversion_config_holds_only_what_invert_sets():
+    # a setting that no caller sets is a configuration that nothing uses: the
+    # noise floor and the residual grid were three such fields
+    tree = ast.parse((SRC / "kernelbridge" / "cli.py").read_text())
+    command = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "cmd_invert")
+    call = next(node for node in ast.walk(command) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "InversionConfig")
+    assert [f.name for f in dataclasses.fields(kb.InversionConfig)] == [
+        keyword.arg for keyword in call.keywords]
