@@ -19,6 +19,8 @@ COS_MINUS_03 = np.array([
 COLLINEAR_D2 = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
 # d2(t) = t^4 on the same points: not negative definite
 QUARTIC_D2 = np.array([[0.0, 1.0, 16.0], [1.0, 0.0, 1.0], [16.0, 1.0, 0.0]])
+# squared distances of the points {0, 1, 2, 3}: least eigenvalue -10, largest entry 9
+FOUR_POINT_D2 = np.subtract.outer(np.arange(4.0), np.arange(4.0)) ** 2
 
 
 class TestBuildGram:
@@ -50,6 +52,23 @@ class TestBuildGram:
         with pytest.raises(kb.EvaluationError) as err:
             bad(1.5)
         assert err.value.argument == 1.5
+
+    @pytest.mark.parametrize("points", [[1e308, -1e308, 0.0], [-1.7e308, 1.7e308],
+                                        [np.finfo(float).max, -np.finfo(float).max]])
+    def test_lags_past_the_float_range_rejected(self, points):
+        # the lags were formed with a RuntimeWarning, and the Gram matrix was
+        # the kernel evaluated at infinite lags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^a lag x_i - x_j of the points overflows the float range"):
+                kb.build_gram(kb.zoo("gaussian"), points)
+
+    def test_lags_near_the_float_maximum_are_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = kb.build_gram(kb.zoo("laplacian"), [1e308, 0.0, -7e307])
+        assert np.array_equal(gram.entries, np.eye(3))
 
 
 @pytest.mark.parametrize("make", [
@@ -100,6 +119,28 @@ class TestPositiveDefinite:
 
     def test_all_ones(self):
         assert kb.is_positive_definite(np.ones((3, 3))).verdict
+
+    @pytest.mark.parametrize("largest", [1e306, 1.6e308])
+    def test_witness_near_the_float_maximum(self, largest):
+        verdict = kb.is_positive_definite(FOUR_POINT_D2 * (largest / 9.0))
+        assert not verdict.verdict
+        assert_allclose(verdict.witness_eigenvalue, -10.0 * (largest / 9.0), rtol=1e-14)
+
+    @pytest.mark.parametrize("largest", [1.7e308, 1.79e308])
+    def test_witness_past_the_float_range_rejected(self, largest):
+        # every entry is finite and the least eigenvalue is not: the verdict
+        # read a witness eigenvalue and a margin of -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^an eigenvalue of the matrix overflows the float range"):
+                kb.is_positive_definite(FOUR_POINT_D2 * (largest / 9.0))
+
+    def test_only_the_witness_eigenvalue_is_read(self):
+        # the eigenvalues are 0, 0 and 3e308: the greatest is past the float
+        # range, the least, which the verdict reads, is not
+        verdict = kb.is_positive_definite(np.full((3, 3), 1e308))
+        assert verdict.verdict and 0.0 < verdict.margin < np.inf
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -400,6 +441,25 @@ class TestValidation:
         for check in (kb.is_positive_definite, kb.is_negative_definite):
             with pytest.raises(ValueError, match="not symmetric"):
                 check(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("check", [
+        kb.is_positive_definite, kb.is_negative_definite, kb.nd_to_psd,
+        kb.euclidean_embedding, lambda m: kb.GramMatrix(points=[0.0, 1.0], entries=m)])
+    def test_asymmetry_past_the_float_range_rejected_without_a_warning(self, check):
+        # A - A^T was formed with a RuntimeWarning before the check rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not symmetric: max \|A - A\^T\| = inf$"):
+                check(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e308])
+    def test_the_asymmetry_reading_is_exact(self, scale):
+        # formed on the halved entries and doubled: every finite reading keeps its bits
+        matrix = np.array([[0.0, 1.5 * scale], [scale, 0.0]])
+        asym = float(np.max(np.abs(matrix - matrix.T)))
+        with pytest.raises(ValueError) as err:
+            kb.is_positive_definite(matrix)
+        assert str(err.value).endswith(f"max |A - A^T| = {asym!r}")
 
     def test_points_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -851,6 +851,38 @@ class TestBochnerInversion:
         assert_array_equal(scaled.bin_values, np.ldexp(measure.bin_values, 1020))
         assert_array_equal(scaled.atom_masses, np.ldexp(measure.atom_masses, 1020))
 
+    @pytest.mark.parametrize("exponent", [-600, 1, 9, 600])
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_every_reading_scales_exactly_by_a_power_of_two(self, name, exponent):
+        # the noise floor is relative to |k(0)|, and the transform is scaled only
+        # when max |g| >= 2 (from 2**9 at the defaults): no bit moves either way
+        kernel = kb.zoo(name)
+        scaled = kb.KernelProfile(fn=lambda t: np.ldexp(kernel(t), exponent), name="scaled")
+        base, result = (kb.bochner_inversion(k) for k in (kernel, scaled))
+        assert_array_equal(result.measure.bin_values,
+                           np.ldexp(base.measure.bin_values, exponent))
+        assert_array_equal(result.measure.atom_masses,
+                           np.ldexp(base.measure.atom_masses, exponent))
+        for reading in ("atom0", "residual", "clamped_mass", "min_density", "mass_gap",
+                        "atom_window_gap", "tail_gap"):
+            assert getattr(result, reading) == np.ldexp(getattr(base, reading), exponent)
+        assert result.nyquist_margin == base.nyquist_margin
+
+    @pytest.mark.parametrize("t_max", [1.0, 3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_the_residual_is_read_on_the_sampled_lags(self, name, t_max):
+        # the residual grid was [-5, 5] whatever t_max: samples up to t < 5
+        # inverted, then failed as queried beyond their range
+        t = np.linspace(0.0, t_max, 1201)
+        samples = kb.profile_from_samples(t, kb.zoo(name)(t))
+        config = kb.InversionConfig(t_max=t_max, n_samples=1201, atom_window=t_max)
+        result = kb.bochner_inversion(samples, config)
+        grid = kb.probe_grid(min(t_max, 5.0))
+        if t_max >= 5.0:  # the 201 lags on [-5, 5] of the defaults
+            assert_array_equal(grid, np.linspace(-5.0, 5.0, 201))
+        assert result.residual == np.max(np.abs(kb.bochner_synthesis(result.measure, grid)
+                                                - samples(grid)))
+
     def test_laplacian_recovers_cauchy_density(self):
         result = kb.bochner_inversion(kb.zoo("laplacian"))
         measure = result.measure
