@@ -19,13 +19,12 @@ when the negative definiteness test fails, under the same ``tol``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import EigenSolverError, NotHilbertianError
-from .measures import _count, _in_range, _number, _numbers, check_elements
+from .measures import _count, _in_range, _number, _numbers, _scaled, check_elements
 from .profiles import KernelProfile
 
 __all__ = [
@@ -44,10 +43,10 @@ SYMMETRY_RTOL = 1e-12
 
 
 def _max_asymmetry(entries: np.ndarray) -> float:
-    """max |A - A^T|, formed on the halves of the entries: exact unless an entry is
-    subnormal, and inf, never a warning, past the float range."""
-    half = 0.5 * entries
-    return 2.0 * float(np.max(np.abs(half - half.T)))
+    """max |A - A^T|, formed on the entries scaled by ``measures._scaled``: exact
+    unless a scaled entry is subnormal, and inf, never a warning, past the float range."""
+    back, scaled = _scaled(entries)
+    return float(back(np.max(np.abs(scaled - scaled.T))))
 
 
 def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
@@ -122,15 +121,16 @@ def _entries(matrix) -> np.ndarray:
     return _check_symmetric(matrix, "matrix")
 
 
-def _eigh(entries: np.ndarray):
+def _eigh(entries: np.ndarray, back):
+    """np.linalg.eigh of scaled entries; an EigenSolverError carries their readings
+    taken back to the matrix's units by ``back`` (see ``measures._scaled``)."""
     try:
         return np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
-        scale = float(np.max(np.abs(entries)))
         diagnostics = {
             "n": int(entries.shape[0]),
-            "max_abs_entry": scale,
-            "max_asymmetry": _max_asymmetry(entries),
+            "max_abs_entry": float(back(np.max(np.abs(entries)))),
+            "max_asymmetry": float(back(_max_asymmetry(entries))),
         }
         raise EigenSolverError(f"eigensolver failed to converge: {exc}",
                                diagnostics=diagnostics) from exc
@@ -151,15 +151,17 @@ def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     """Spectral PSD test: min eigenvalue >= -max(tol, eps n) * n * max|diag|.
 
     eps n^2 max|diag| is the solver's rounding floor, that of
-    :func:`is_negative_definite` without its deflation term.
+    :func:`is_negative_definite` without its deflation term.  Solved on the
+    entries scaled by ``measures._scaled``, as is that test.
     """
     tol = _number(tol, "tol", 0)
     entries = _entries(gram)
     n = entries.shape[0]
-    eigvals, eigvecs = _eigh(entries)
+    back, scaled = _scaled(entries)
+    eigvals, eigvecs = _eigh(scaled, back)
     # only the least eigenvalue is read: a greater one past the float range
     # (all entries 1e308) leaves the verdict finite
-    witness = float(_in_range(lambda: eigvals[0], "an eigenvalue of the matrix"))
+    witness = float(back(eigvals[0], "an eigenvalue of the matrix"))
     scale = float(np.max(np.abs(np.diag(entries))))
     if scale == 0.0:  # degenerate all-zero diagonal, fall back to entry scale
         scale = float(np.max(np.abs(entries)))
@@ -168,32 +170,31 @@ def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
 
 
 def _projected_eigh(entries: np.ndarray, tol: float):
-    """``(verdict, eigvals, eigvecs, floor)`` of P N P with the all-ones
-    direction deflated to eigenpair 0; ``floor`` is the rounding floor.
+    """``(verdict, eigvals, eigvecs, floor, back, scaled)`` of P N P with the
+    all-ones direction deflated to eigenpair 0; ``floor`` is the rounding floor.
 
-    Solved on N / 2**e with max|N / 2**e| in [1/2, 1), so nothing overflows
-    and scaling N by 2**k scales eigenvalues 1.., floor and threshold exactly.
+    Solved on N scaled by ``measures._scaled``, so nothing overflows and
+    scaling N by 2**k scales the verdict exactly.  ``eigvals``, ``floor`` and
+    ``scaled`` are those of the scaled N, and ``back`` takes them to N's
+    units: the verdict reads only its witness, the greatest eigenvalue.
     """
     n = entries.shape[0]
-    exponent = int(np.frexp(np.max(np.abs(entries)))[1])
-    entries = np.ldexp(entries, -exponent)
+    scale = float(np.max(np.abs(entries)))
+    back, entries = _scaled(entries)
     ones = np.full(n, 1.0 / np.sqrt(n))
     projected = entries - np.outer(ones, ones @ entries)
     projected = projected - np.outer(projected @ ones, ones)
     projected = 0.5 * (projected + projected.T)
-    scale = float(np.max(np.abs(entries)))
-    # ||P N P|| <= n * scale, so beta sinks the all-ones direction strictly
+    # ||P N P|| <= n max|N|, so beta sinks the all-ones direction strictly
     # below every other eigenvalue (1 for the zero matrix)
-    beta = (n + 1) * scale or 1.0
-    eigvals, eigvecs = _eigh(projected - beta * np.outer(ones, ones))
+    beta = (n + 1) * float(np.max(np.abs(entries))) or 1.0
+    eigvals, eigvecs = _eigh(projected - beta * np.outer(ones, ones), back)
     # the deflation term has norm beta, so allow its backward-error noise
-    floor = math.ldexp(float(np.finfo(float).eps) * n * beta, exponent)
-    eigvals[1:] = _in_range(lambda: np.ldexp(eigvals[1:], exponent),
-                            "an eigenvalue of the projected matrix")
-    threshold = tol * n * math.ldexp(scale, exponent) + floor  # inf for a huge tol
-    verdict = DefinitenessVerdict(float(eigvals[-1]), eigvecs[:, -1], threshold,
-                                  threshold - float(eigvals[-1]))
-    return verdict, eigvals, eigvecs, floor
+    floor = float(np.finfo(float).eps) * n * beta
+    witness = float(back(eigvals[-1], "an eigenvalue of the projected matrix"))
+    threshold = tol * n * scale + float(back(floor))  # inf for a huge tol
+    verdict = DefinitenessVerdict(witness, eigvecs[:, -1], threshold, threshold - witness)
+    return verdict, eigvals, eigvecs, floor, back, entries
 
 
 def is_negative_definite(matrix, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
@@ -216,20 +217,21 @@ def nd_to_psd(matrix, base_index: int = 0) -> np.ndarray:
 
     K(i, j) = (N(i, b) + N(j, b) - N(i, j) - N(b, b)) / 2.  Row and column
     b of the result are identically zero, and N is negative definite iff
-    the result is positive definite.  The entries are halved first, so a
-    non-negative N gives a finite result; a base_index outside 0 .. n - 1 and
-    a result past the float range are ValueErrors.
+    the result is positive definite.  It is formed on the entries scaled by
+    ``measures._scaled``, so a non-negative N gives a finite result; a
+    base_index outside 0 .. n - 1 and a result past the float range are
+    ValueErrors.
     """
     entries = _entries(matrix)
     n = entries.shape[0]
     base_index = _count(base_index, "base_index")
     if not 0 <= base_index < n:
         raise ValueError(f"base_index {base_index} is out of range for n={n}")
-    half = 0.5 * entries
-    col = half[:, base_index]
+    back, scaled = _scaled(entries)
+    col = scaled[:, base_index]
     # row and column b, zeroed below, are 0 up to rounding: never past the range
-    out = _in_range(lambda: col[:, None] + col[None, :] - half - half[base_index, base_index],
-                    "the centred matrix")
+    out = back(0.5 * (col[:, None] + col[None, :] - scaled - scaled[base_index, base_index]),
+               "the centred matrix")
     out[base_index, :] = 0.0
     out[:, base_index] = 0.0
     return out
@@ -253,18 +255,19 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     if float(np.min(entries)) < -tol * scale:
         raise ValueError("squared-distance matrix must be entrywise non-negative")
 
-    nd, eigvals, eigvecs, floor = _projected_eigh(entries, tol)
+    nd, eigvals, eigvecs, floor, back, scaled = _projected_eigh(entries, tol)
     if not nd.verdict:
         raise NotHilbertianError(
             "sample is not a Hilbertian squared-distance matrix "
             f"(projected matrix has eigenvalue {nd.witness_eigenvalue!r})", **vars(nd))
 
-    # past the deflated eigenpair 0 the eigenvalues ascend: -1/2 of them descend
+    # past the deflated eigenpair 0 the eigenvalues ascend: -1/2 of them descend;
+    # the coordinates and residual are formed in the scaled units, then taken back
     keep = eigvals[1:] < -floor
     coordinates = eigvecs[:, 1:][:, keep] * np.sqrt(-0.5 * eigvals[1:][keep])
 
     sq_norms = np.sum(coordinates ** 2, axis=1)
     reconstructed = sq_norms[:, None] + sq_norms[None, :] - 2.0 * coordinates @ coordinates.T
-    residual = float(np.max(np.abs(reconstructed - entries)))
-    return EmbeddingResult(coordinates=coordinates, rank=int(np.sum(keep)),
-                           residual=residual)
+    residual = float(back(np.max(np.abs(reconstructed - scaled)), "the embedding residual"))
+    return EmbeddingResult(coordinates=back(coordinates, "a coordinate", degree=0.5),
+                           rank=int(np.sum(keep)), residual=residual)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import EvaluationError
-from .measures import _count, _in_range, _number, _numbers, _reals, check_elements
+from .measures import _count, _in_range, _number, _numbers, _reals, _scaled, check_elements
 
 __all__ = [
     "KernelProfile",
@@ -164,12 +164,13 @@ def zoo(name: str, /, **params: float) -> KernelProfile:
 def metric_from_kernel(kernel: KernelProfile) -> MetricProfile:
     """Squared metric induced by a translation-invariant kernel.
 
-    d2(t) = 2 k(0) - 2 k(t); d2(0) = 0 holds exactly by construction.
+    d2(t) = 2 (k(0) - k(t)); d2(0) = 0 holds exactly by construction, and the
+    doubling is exact, so d2 is finite wherever its value is.
     """
     k0 = kernel.k0
 
     def d2(t):
-        return 2.0 * k0 - 2.0 * kernel(t)
+        return 2.0 * (k0 - kernel(t))
 
     return MetricProfile(fn=d2, name=f"metric[{kernel.name}]", params=dict(kernel.params))
 
@@ -177,9 +178,10 @@ def metric_from_kernel(kernel: KernelProfile) -> MetricProfile:
 def kernel_from_metric(metric: MetricProfile, base: float = 0.0) -> BivariateKernel:
     """Kernel induced by a squared metric via the fixed base point.
 
-    K(x, y) = (d2(x - base) + d2(y - base) - d2(x - y)) / 2, each term halved
-    before the sum (as in gram.nd_to_psd), so K is finite wherever its value
-    is.  The result is symmetric but in general not translation invariant.
+    K(x, y) = (d2(x - base) + d2(y - base) - d2(x - y)) / 2, formed on the terms
+    scaled by ``measures._scaled`` (as in gram.nd_to_psd), so K is finite
+    wherever its value is.  The result is symmetric but in general not
+    translation invariant.
     """
     base = _number(base, "base")
     d2_0 = float(metric(0.0))
@@ -187,7 +189,8 @@ def kernel_from_metric(metric: MetricProfile, base: float = 0.0) -> BivariateKer
         raise ValueError(f"metric profile must vanish at 0, got d2(0) = {d2_0!r}")
 
     def K(x, y):
-        return 0.5 * metric(x - base) + 0.5 * metric(y - base) - 0.5 * metric(x - y)
+        back, a, b, c = _scaled(metric(x - base), metric(y - base), metric(x - y))
+        return back(0.5 * (a + b - c))
 
     return BivariateKernel(fn=K, name=f"kernel[{metric.name}]")
 
@@ -231,16 +234,16 @@ def grid_probes(span: float = 4.0, n: int = 7) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), s.ravel()])
 
 
-def _doubled_interp(u, t: np.ndarray, half: np.ndarray):
-    """2 np.interp(u, t, half); where np.interp's slope passes the float range,
-    2 ((1 - w) a + w b) of the two neighbouring halves a and b instead."""
-    out = 2.0 * np.interp(u, t, half)
-    steep = ~np.isfinite(out)
-    if np.any(steep):  # arrays, so that a scalar's point can be replaced too
-        out, v = np.array(out), np.asarray(u)[steep]
-        i = np.minimum(np.searchsorted(t, v, side="right"), t.size - 1)
-        w = (v - t[i - 1]) / (t[i] - t[i - 1])
-        out[steep] = 2.0 * ((1.0 - w) * half[i - 1] + w * half[i])
+def _interp(u, t: np.ndarray, values: np.ndarray, steep: np.ndarray):
+    """np.interp(u, t, values), but (1 - w) a + w b of the two neighbouring values
+    a and b inside the intervals ``steep``, whose slope is not a normal float."""
+    out = np.interp(u, t, values)
+    if steep.any():
+        out, u = np.array(out), np.asarray(u)  # arrays, so that a scalar can be replaced
+        i = np.clip(np.searchsorted(t, u, side="right"), 1, t.size - 1)
+        inside = steep[i - 1] & (t[i - 1] < u) & (u < t[i])
+        i, w = i[inside], (u[inside] - t[i - 1][inside]) / (t[i] - t[i - 1])[inside]
+        out[inside] = (1.0 - w) * values[i - 1] + w * values[i]
     return out
 
 
@@ -249,11 +252,12 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
 
     Evaluation uses |t|; asking for |t| beyond the sampled range raises an
     :class:`EvaluationError` rather than extrapolating.  It interpolates the
-    halved samples and doubles the result: two samples further apart than the
-    float maximum have a finite difference of halves, and the bits are
-    np.interp's unless a halved sample is subnormal.  Where the halves change
-    by more than the float maximum per unit t, np.interp's slope still passes
-    the range, and such a point is taken between its two neighbouring halves.
+    samples scaled by ``measures._scaled`` and scales the result back: two
+    samples further apart than the float maximum have a finite scaled
+    difference, and the bits are np.interp's unless a scaled sample is
+    subnormal.  Where np.interp's slope is not a normal float (samples closer
+    than ~1e-308 in t, or far apart in t and far below the largest sample), a
+    point is taken between its two neighbours instead.
     """
     t, values = _numbers(t, "samples"), _numbers(values, "samples")
     if t.ndim != 1 or t.shape != values.shape or t.size < 2:
@@ -262,7 +266,11 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     t, values = t[order], values[order]
     if t[0] < 0:
         raise ValueError("samples must be on t >= 0 (the profile is even)")
-    t_max, half = float(t[-1]), 0.5 * values
+    t_max = float(t[-1])
+    back, values = _scaled(values)
+    change, floats = np.diff(values), np.finfo(float)
+    slope = _in_range(lambda: np.abs(change / np.diff(t)), None)
+    steep = (change != 0.0) & ~((floats.tiny <= slope) & (slope <= floats.max))
 
     def fn(u):
         u = np.abs(u)
@@ -271,6 +279,6 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
             raise EvaluationError(
                 f"sampled profile {name!r} queried at |t|={bad!r} beyond range {t_max!r}",
                 argument=bad)
-        return _doubled_interp(u, t, half)
+        return back(_interp(u, t, values, steep))
 
     return KernelProfile(fn=fn, name=name, params={})

@@ -55,8 +55,8 @@ import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, UnboundedMetricError
 from .measures import (FREQ_MAX, MAX_ELEMENTS, N_BINS, GammaMeasure, SpectralMeasure,
-                       _bin_width, _count, _in_range, _number, _numbers, check_elements,
-                       frequency_grid)
+                       _bin_width, _count, _in_range, _number, _numbers, _scaled,
+                       check_elements, frequency_grid)
 from .profiles import KernelProfile, probe_grid
 
 __all__ = [
@@ -79,8 +79,6 @@ BOUND_RTOL = 1e-12
 #: relative threshold (times |k(0)|) separating the inversion's quadrature noise
 #: from a genuine negativity certificate
 CLAMP_RTOL = 1e-4
-#: bochner_inversion reads its residual on lags |t| <= min(_RESIDUAL_SPAN, t_max)
-_RESIDUAL_SPAN = 5.0
 #: chunk size (in rows x columns) for the dense trig evaluations: small
 #: enough that a chunk's temporaries stay in cache
 _CHUNK = 2 ** 14
@@ -165,18 +163,6 @@ def _midpoint_cosine_sums(g: np.ndarray, theta: float, n_out: int) -> np.ndarray
     return (sums * chirp[:n_out]).real
 
 
-def _exponent_above_one(values: np.ndarray) -> int:
-    """The least e >= 0 with max |values| / 2**e < 2: 0 unless a value is 2 or more.
-
-    Scaled by 2**-e, the values are below 2, so n of them times factors of
-    at most 1 sum to less than 2 n.  The scaling and its inverse are exact
-    unless a scaled value is subnormal.  So a sum of values near the float
-    maximum, taken on the scaled values and scaled back, passes the range
-    only if its result does.
-    """
-    return max(0, int(np.frexp(np.max(np.abs(values)))[1]) - 1)
-
-
 def _head(x: np.ndarray) -> np.ndarray:
     """x truncated to 26 significant bits: a product of two heads is exact."""
     mant, exp = np.frexp(x)
@@ -233,23 +219,20 @@ def _density_part(tt: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.n
 
     That is 4 v cos(t c) sin(t h) / t with centre c and half-width h, stable
     near 0.  Bins of one width, as every grid of ``frequency_grid`` has,
-    take the split cosine sum; other bins the dense table.  The sums run on
-    the values scaled by _exponent_above_one.
+    take the split cosine sum; other bins the dense table.
     """
     a, b = edges[:-1], edges[1:]
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     nz = _resolved(tt, half)
     out = np.full(tt.shape, float(2.0 * np.sum(values * (b - a))))
     ts = tt[nz]
-    exponent = _exponent_above_one(values)
-    values = np.ldexp(values, -exponent)
     if (half == half[0]).all():
         sums = 4.0 * _cos_sin(ts, half[:1])[1][:, 0] / ts * _split_cosine_sums(
             ts, center, 2.0 * half[0], values)
     else:
         sums = _row_sums(ts, values.size, lambda ts: 2.0 * (
             2.0 * _cos_sin(ts, center)[0] * _cos_sin(ts, half)[1] / ts[:, None]) @ values)
-    out[nz] = np.ldexp(sums, exponent)
+    out[nz] = sums
     return out
 
 
@@ -257,17 +240,23 @@ def bochner_synthesis(mu: SpectralMeasure, t):
     """Evaluate the kernel synthesized from a spectral measure.
 
     k(t) = m0 + sum 2 m cos(t tau) + sum over bins of the exact cosine
-    integral 2 v (sin(t b) - sin(t a)) / t.  Accepts scalar or array t.
+    integral 2 v (sin(t b) - sin(t a)) / t.  Accepts scalar or array t.  The
+    sums run on the masses and values scaled by ``measures._scaled``, its
+    exponent taken from the component masses too: they bound every sum, and
+    a value far below its bin's mass (a bin ~1e308 wide) is not scaled up past
+    the float range.
     """
     t = _numbers(t, "t")
     tt = t.ravel()
-    out = np.full(tt.shape, mu.zero_atom)
-
     locs, masses, edges, values = mu.positive_part()
+    back, zero_atom, masses, values, _ = _scaled(mu.zero_atom, masses, values,
+                                                 mu.component_masses())
+    out = np.full(tt.shape, zero_atom)
     if locs.size:
         out += _row_sums(tt, locs.size, lambda ts: 2.0 * _cos_sin(ts, locs)[0] @ masses)
     if values.size:
         out += _density_part(tt, edges, values)
+    out = back(out, "the synthesized kernel")
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -366,22 +355,29 @@ def screw_synthesis(gamma: GammaMeasure, t):
     that difference cancels; the antiderivative Phi (_screw_antiderivative)
     for constant-law bins.  Even in t; d2(0) = 0.  A value past the float
     range (the weight overflows it) is a ValueError, and so is a lag whose
-    product with a frequency passes it (see _cos_sin).
+    product with a frequency passes it (see _cos_sin).  The sums run on the
+    masses and values scaled by ``measures._scaled``, its exponent taken from
+    the bin masses v (d - c) too, as in :func:`bochner_synthesis`.
     """
     t = _numbers(t, "t")
-    out = _in_range(lambda: _squared_metric(gamma, np.abs(t.ravel())), "squared metric")
+    back, masses, values, _ = _scaled(gamma.atom_masses, gamma.bin_values, _in_range(
+        lambda: gamma.bin_values * gamma.bin_widths, None))
+    out = _in_range(lambda: back(_squared_metric(gamma, masses, values, np.abs(t.ravel()))),
+                    "squared metric")
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _squared_metric(gamma: GammaMeasure, tt: np.ndarray) -> np.ndarray:
-    """d2 at the lags tt >= 0: the sums of :func:`screw_synthesis`."""
+def _squared_metric(gamma: GammaMeasure, masses: np.ndarray, values: np.ndarray,
+                    tt: np.ndarray) -> np.ndarray:
+    """d2 at the lags tt >= 0 of gamma with these atom masses and bin values: the
+    sums of :func:`screw_synthesis`."""
     out = np.zeros(tt.shape)
-    locs, masses = gamma.atom_locations, gamma.atom_masses
+    locs = gamma.atom_locations
     if locs.size:
         # m (sin(ts)/s)^2, not (m/s^2) sin^2(ts): s^2 underflows below ~1e-154
         out += _row_sums(tt, locs.size,
                          lambda ts: (_cos_sin(ts, locs)[1] / locs) ** 2 @ masses)
-    edges, values = gamma.bin_edges, gamma.bin_values
+    edges = gamma.bin_edges
     if values.size and gamma.law == "s2":
         # the spectral bin [2c, 2d] with value g/16 (see module docstring):
         # 2 k(0) - 2 k(t) of it is int_c^d g s^2 sin^2(ts)/s^2 ds
@@ -503,7 +499,7 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
 
     Converges to the mass at frequency zero as the window grows; the
     non-atomic part contributes O(1/T).  The sum runs on the values scaled
-    by _exponent_above_one, and its mean is clamped to their range, which
+    by ``measures._scaled``, and its mean is clamped to their range, which
     rounding could leave: a constant kernel, even of the float maximum,
     averages to itself.
     """
@@ -512,12 +508,10 @@ def atom_at_zero(kernel: KernelProfile, window: float, step: float = _ATOM_STEP)
     check_elements(window / step + 1.0, "the zero-atom window / step")
     n = max(2, int(round(window / step)) + 1)
     t = np.linspace(0.0, window, n)
-    values = kernel(t)
-    exponent = _exponent_above_one(values)
-    scaled = np.ldexp(values, -exponent)
-    return float(_in_range(lambda: np.ldexp(np.clip(
-        np.trapezoid(scaled, t) / window, scaled.min(), scaled.max()), exponent),
-        "the zero-atom average"))
+    back, values = _scaled(kernel(t))
+    return float(_in_range(lambda: back(np.clip(np.trapezoid(values, t) / window,
+                                                values.min(), values.max())),
+                           "the zero-atom average"))
 
 
 @dataclass(frozen=True)
@@ -544,6 +538,10 @@ class InversionConfig:
         # them; the transform's complex buffer and filter and its chirp tables
         check_elements(3 * self.n_samples + 16 * _block_fft_size(self.n_bins),
                        "the inversion (n_samples, n_bins)")
+        step = self.t_max / (self.n_samples - 1)
+        if step < np.finfo(float).tiny:  # pi / step, the Nyquist frequency, is finite
+            raise ValueError(f"the sampling step t_max / (n_samples - 1) must be a normal "
+                             f"float, got {step!r}")
 
 
 @dataclass(frozen=True)
@@ -554,8 +552,8 @@ class InversionResult:
     line, in this order.  ``atom0`` is the two-window zero-atom estimate (0
     within the noise floor ``CLAMP_RTOL |k(0)|``).
     ``residual`` is the sup difference between the re-synthesized kernel
-    and the input on ``probe_grid(min(_RESIDUAL_SPAN, t_max))``, lags the
-    inversion sampled; ``clamped_mass`` is the total
+    and the input on ``probe_grid(t_max / 8)``, lags the inversion sampled
+    (the 201 lags on [-5, 5] at the default t_max); ``clamped_mass`` is the total
     (two-sided) mass removed by clamping small negative density values,
     and ``min_density`` the least density before clamping.
     Three health readings name what the measure leaves out:
@@ -643,12 +641,9 @@ def bochner_inversion(kernel: KernelProfile,
     g[[0, -1]] *= 0.5  # the trapezoid weights
 
     edges, tau = frequency_grid(config.n_bins, config.freq_max)
-    # on g scaled by _exponent_above_one, the sums pass the float range only
-    # if the density does
-    exponent = _exponent_above_one(g)
-    density = _in_range(lambda: np.ldexp(_midpoint_cosine_sums(
-        np.ldexp(g, -exponent), dt * edges[1], config.n_bins) / np.pi, exponent),
-        "the recovered density")
+    back, g = _scaled(g)
+    density = _in_range(lambda: back(_midpoint_cosine_sums(g, dt * edges[1], config.n_bins)
+                                     / np.pi), "the recovered density")
 
     # the floor plus the bound on the cut-off tail (monotone past t_max)
     margin = _in_range(lambda: density + noise_floor + 2.0 * tail_gap / (np.pi * tau),
@@ -668,7 +663,7 @@ def bochner_inversion(kernel: KernelProfile,
     atoms = [(0.0, atom0)] if atom0 > 0.0 else []
     measure = SpectralMeasure(atoms=atoms, edges=edges, values=clamped)
 
-    grid = probe_grid(min(_RESIDUAL_SPAN, config.t_max))
+    grid = probe_grid(config.t_max / 8)
     residual = float(np.max(np.abs(bochner_synthesis(measure, grid) - kernel(grid))))
     return InversionResult(measure=measure, atom0=atom0, residual=residual,
                            clamped_mass=clamped_mass, min_density=float(np.min(density)),

@@ -1,5 +1,6 @@
 """CLI: thin-adapter equality with library calls, exit codes, file formats."""
 
+import argparse
 import dataclasses
 import gc
 import json
@@ -18,7 +19,7 @@ from scipy.integrate import quad
 
 import kernelbridge as kb
 from conftest import gamma_measures, near_boundary_squared_distances
-from kernelbridge import io
+from kernelbridge import cli, io
 from kernelbridge.cli import main
 
 QUARTIC = np.array([[0.0, 1.0, 16.0], [1.0, 0.0, 1.0], [16.0, 1.0, 0.0]])
@@ -221,6 +222,18 @@ class TestMatrixCommands:
         code, psd = run(capsys, "check-psd", m)
         assert code == 0 and psd["psd"] is True and psd["margin"] > 0.0
 
+    def test_a_squared_distance_matrix_near_the_float_maximum(self, tmp_path, capsys):
+        # every eigenvalue of the projected matrix was read: check-nd and embed
+        # exited 2 though the witness (~0) and the coordinates (~1e154) are finite
+        m, out = tmp_path / "d2.csv", tmp_path / "c.csv"
+        m.write_text(_D2_PAST_RANGE)
+        code, nd = run(capsys, "check-nd", m)
+        assert code == 0 and nd["nd"] is True and np.isfinite(nd["witness_eigenvalue"])
+        code, payload = run(capsys, "embed", m, "-o", out)
+        assert code == 0 and payload["rank"] == 1 and np.isfinite(payload["residual"])
+        points = np.sort(io.read_matrix_csv(out).ravel())
+        assert_allclose(np.diff(points), np.sqrt(1.7e308 / 9), rtol=1e-14)
+
     @pytest.mark.parametrize("command, key, matrix, verdict", [
         ("check-nd", "nd", COLLINEAR, True), ("check-nd", "nd", QUARTIC, False),
         ("check-psd", "psd", np.ones((3, 3)), True), ("check-psd", "psd", QUARTIC, False)])
@@ -381,36 +394,6 @@ class TestSpectralCommands:
         assert list(payload)[-1] == "tail_gap"
         assert payload["tail_gap"] == pytest.approx(np.exp(-40.0), rel=1e-12)
 
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(flags=st.dictionaries(
-        st.sampled_from(["--t-max", "--n-samples", "--bins", "--freq-max",
-                         "--window", "--step"]),
-        st.sampled_from(["nan", "inf", "-inf", "1e400", "2.5", "true", "0", "-1",
-                         "2", "3"]),
-        min_size=1))
-    @example(flags={"--t-max": "nan"})  # accepted before InversionConfig checked it
-    @example(flags={"--freq-max": "inf"})
-    @example(flags={"--window": "1e400"})
-    @example(flags={"--bins": "2.5"})
-    @example(flags={"--n-samples": "1e3"})
-    def test_invert_fuzzed_flags(self, tmp_path, capsys, flags):
-        # sizes stay at most 3 (or the defaults), so nothing large is allocated
-        out = tmp_path / "m.json"
-        out.unlink(missing_ok=True)
-        argv = ["invert", "--kernel", "gaussian", "-o", out]
-        for flag, value in flags.items():
-            argv += [flag, value]
-        code = exit_code(argv)
-        capsys.readouterr()
-        assert code in (0, 2, 3)
-        assert out.exists() == (code == 0)
-        integer_flags = {"--n-samples", "--bins"}
-        if any(value in ("nan", "inf", "-inf", "1e400")
-               or (flag in integer_flags and not value.lstrip("-").isdigit())
-               for flag, value in flags.items()):
-            assert code == 2
-
     @pytest.mark.parametrize("grid", [("0", "inf", "5"), ("nan", "1", "5"),
                                       ("0", "1", "inf"), ("0", "1", "2.5"),
                                       ("-inf", "1", "5"), ("-1e308", "1e308", "5")])
@@ -441,7 +424,7 @@ class TestSpectralCommands:
         code, payload = run(capsys, "invert", "--samples", samples, "--t-max", "3",
                             "--n-samples", "1201", "--window", "3", "-o", out)
         assert code == 0 and np.isfinite(payload["residual"])
-        grid = kb.probe_grid(3.0)
+        grid = kb.probe_grid(3.0 / 8)  # lags proportional to t_max
         measure = kb.SpectralMeasure.from_dict(io.read_json(out))
         kernel = kb.profile_from_samples(*io.read_profile_csv(samples))
         assert payload["residual"] == np.max(np.abs(kb.bochner_synthesis(measure, grid)
@@ -919,6 +902,97 @@ FILE_COMMANDS = [
     "product-synth J --pairs C -o O",
 ]
 
+#: every subcommand with inputs on which it exits 0; M is a measure (read as a gamma
+#: measure too), G a gamma measure, F a factored measure, C a matrix, P points,
+#: R1 and R2 pairs of dimension 1 and 2, and O and E the files written
+FLAG_COMMANDS = {
+    "zoo": "zoo sample --kernel gaussian -o O", "gram": "gram --points P --kernel gaussian -o O",
+    "check-psd": "check-psd C", "check-nd": "check-nd C", "nd-to-psd": "nd-to-psd C -o O",
+    "embed": "embed C -o O", "to-metric": "to-metric --kernel gaussian -o O",
+    "invert": "invert --kernel gaussian -o O", "synth": "synth M -o O", "screw": "screw G -o O",
+    "gamma": "gamma M -o O", "bound-check": "bound-check G --k0 1",
+    "atom0": "atom0 --kernel gaussian",
+    "rff": "rff M -m 4 --seed 1 --pairs R1 --errors-out E -o O",
+    "product-synth": "product-synth F --pairs R2 -o O"}
+#: every value a numeric flag is fuzzed with: non-numbers, non-finite numbers, the
+#: edges of the float range, and small sizes (so nothing large is allocated)
+FLAG_VALUES = ["nan", "inf", "-inf", "1e400", "2.5", "true", "0", "-1", "2", "3", "5e-324",
+               "2.2250738585072014e-308", "-0.0", "1.7976931348623157e308"]
+
+
+def numeric_flags(command: str) -> dict:
+    """The numeric options of a subcommand of the parser: option -> (type, nargs)."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {action.option_strings[-1]: (action.type, action.nargs or 1)
+            for action in subparsers.choices[command]._actions
+            if action.option_strings and action.type in (int, float)}
+
+
+@st.composite
+def flag_cases(draw):
+    """A subcommand, and values from FLAG_VALUES for some of its numeric options."""
+    command = draw(st.sampled_from(sorted(FLAG_COMMANDS)))
+    options = numeric_flags(command)
+    chosen = draw(st.lists(st.sampled_from(sorted(options) or [None]), unique=True,
+                           min_size=1).map(lambda names: [n for n in names if n]))
+    return command, {option: draw(st.lists(st.sampled_from(FLAG_VALUES),
+                                           min_size=options[option][1],
+                                           max_size=options[option][1]))
+                     for option in chosen}
+
+
+class TestFuzzedFlags:
+    def test_every_subcommand_is_fuzzed(self):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert sorted(subparsers.choices) == sorted(FLAG_COMMANDS)
+
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=flag_cases())
+    @example(case=("invert", {"--t-max": ["nan"]}))  # accepted before InversionConfig checked it
+    @example(case=("invert", {"--freq-max": ["inf"]}))
+    @example(case=("invert", {"--window": ["1e400"]}))
+    @example(case=("invert", {"--bins": ["2.5"]}))
+    @example(case=("invert", {"--n-samples": ["1e3"]}))
+    # a step t_max / (n_samples - 1) of 0: a ZeroDivisionError traceback
+    @example(case=("invert", {"--t-max": ["5e-324"], "--n-samples": ["3"], "--bins": ["2"]}))
+    # the step times the bin width passes the float range: a RuntimeWarning
+    @example(case=("invert", {"--t-max": ["1.7976931348623157e308"], "--n-samples": ["2"],
+                              "--bins": ["2"]}))
+    def test_fuzzed_flags_keep_the_exit_code_contract(self, tmp_path, capsys, case):
+        command, flags = case
+        files = {"O": tmp_path / "out", "E": tmp_path / "errors.csv",
+                 "C": tmp_path / "d2.csv", "P": tmp_path / "points.csv",
+                 "M": tmp_path / "mu.json", "G": tmp_path / "gamma.json",
+                 "F": tmp_path / "factors.json", "R1": tmp_path / "pairs1.csv",
+                 "R2": tmp_path / "pairs2.csv"}
+        files["O"].unlink(missing_ok=True)
+        files["E"].unlink(missing_ok=True)
+        measure = kb.gaussian_measure(n_bins=8)
+        io.write_json(files["M"], measure.to_dict())
+        io.write_json(files["G"], kb.gamma_from_spectral(measure)[0].to_dict())
+        io.write_json(files["F"], {"factors": [measure.to_dict()] * 2})
+        files["C"].write_text(COLLINEAR_CSV)
+        files["P"].write_text("0\n1\n2.5\n")
+        files["R1"].write_text("0.5,0.25\n")
+        files["R2"].write_text("0,0.5,1,0.25\n")
+        argv = [str(files.get(word, word)) for word in FLAG_COMMANDS[command].split()]
+        for option, values in flags.items():
+            argv += [option, *values]
+        code, err = exit_and_stderr(capsys, argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err and "Warning" not in err
+        assert files["O"].exists() == (code == 0) or "-o" not in argv
+        assert files["E"].exists() == (code == 0) or command != "rff"
+        types = numeric_flags(command)
+        if any(value in ("nan", "inf", "-inf", "1e400", "true")
+               or (types[option][0] is int and not value.lstrip("-").isdigit())
+               for option, values in flags.items() for value in values):
+            assert code == 2
+
+
 _HUGE = {"density": {"edges": [0, 1e300], "values": [1e300]}}  # mass 2e600
 _LARGE = {"density": {"edges": [0, 1e100], "values": [1e100]}}  # mass 2e200
 _CONSTANT = {"name": "constant", "params": {"value": 1e308}}
@@ -963,7 +1037,8 @@ _FLOAT_MAX = {"name": "constant", "params": {"value": np.finfo(float).max}}
 #: and the summary's key and value.  Each exited 2 with "... overflows the float
 #: range": the sum of the trapezoids of a constant kernel (at the float maximum, its
 #: mean rounded past the values), the mass 2 v of a bin and the sum of its values,
-#: and c d of the bin; the sampled kernels exited 2 with a non-finite value at t=0.01
+#: and c d of the bin; the sampled kernels exited 2 with a non-finite value at t=0.01,
+#: and the metric 2 k(0) - 2 k(t) of the constant kernel at t=-10.0
 FINITE_EXTREMES = [
     ("atom0 --profile J", {"name": "constant", "params": {"value": 1e306}}, "", "atom0",
      1e306),
@@ -972,6 +1047,7 @@ FINITE_EXTREMES = [
     ("atom0 --samples C", {}, _STEEP, "atom0", 1e308),
     ("atom0 --samples C", {}, _STEEPER, "atom0", 0.0),
     ("invert --profile J -o O", _CONSTANT, "", "atom0", 1e308),
+    ("to-metric --profile J -o O", _CONSTANT, "", "min_d2", 0.0),
     ("synth J -o O", _TALL, "", "total_mass", 4e298),
     ("gamma J --k0 1 -o O", _TINY_EDGES, "", "atom0", 1.0),
 ]

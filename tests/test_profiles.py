@@ -281,6 +281,19 @@ class TestSampledProfiles:
         finite = [0.6, 1.0, 100.0]  # np.interp's bits where its slope is finite
         assert (profile(finite) == 2.0 * np.interp(finite, t, 0.5 * np.array(values))).all()
 
+    @pytest.mark.parametrize("t, values, u, value", [
+        # samples 1e-310 apart: the slope passes the float range
+        ([0.0, 1e-310, 1.0], [0.0, 1.0, 1.0], 0.75e-310, 0.75),
+        # a slope below the normal floats: np.interp read 1e-200
+        ([0.0, 1e200], [1e-200, 0.0], 5e199, 5e-201),
+        # samples far below the largest, far apart: scaled below 1, their slope is too
+        ([0.0, 4.6e-49, 2.2e124, 2e292], [-1e-201, 1.3e231, 5.1e194, 3.4e102], 5e291,
+         3.825e194)])
+    def test_points_where_the_slope_is_not_a_normal_float(self, t, values, u, value):
+        profile = kb.profile_from_samples(t, values)
+        assert profile(u) == pytest.approx(value, rel=1e-9)
+        assert profile([u, t[1]]).tolist() == [profile(u), values[1]]
+
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             kb.profile_from_samples([-1.0, 0.0, 1.0], [0.5, 1.0, 0.5])

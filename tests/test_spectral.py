@@ -1,5 +1,6 @@
 """Spectral pipeline: synthesis both ways, conversions, bounds, inversion."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -334,10 +335,14 @@ class TestOneDensitySum:
            t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20).map(np.array))
     def test_identity_is_bit_exact_without_atoms(self, mu, t):
         # bit for bit past the small lags; below, 2 k(0) - 2 k(t) cancels to eps k(0),
-        # and screw takes a series without cancellation: it meets the oracle instead
+        # and screw takes a series without cancellation: it meets the oracle instead.
+        # Both sides sum on scaled values: a subnormal value rounds once as screw's,
+        # and as each of k(0) and k(t) on the other side
         screw, bochner = bochner_identity(mu, t)
         small = np.abs(t) * top_with_a_value(mu.bin_edges, mu.bin_values) <= spectral._SMALL_LAG
-        assert_array_equal(screw[~small], bochner[~small])
+        normal = np.abs(bochner) >= np.finfo(float).tiny
+        assert_array_equal(screw[~small & normal], bochner[~small & normal])
+        assert_allclose(screw[~small], bochner[~small], rtol=0, atol=2.0 ** -1073)
         # relative where the value is a normal float
         assert_allclose(screw[small], small_lag_oracle(kb.gamma_from_spectral(mu)[0], t[small]),
                         rtol=1e-14, atol=np.finfo(float).tiny)
@@ -868,7 +873,24 @@ class TestBochnerInversion:
             assert getattr(result, reading) == np.ldexp(getattr(base, reading), exponent)
         assert result.nyquist_margin == base.nyquist_margin
 
-    @pytest.mark.parametrize("t_max", [1.0, 3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("j", [-20, -3, 1, 20])
+    @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
+    def test_a_dilated_kernel_inverts_to_the_dilated_measure(self, name, j):
+        # k(t / 2**j) has the measure with every frequency divided by 2**j; the
+        # residual, read on [-5, 5] whatever t_max, read 1.3e-15 for the
+        # gaussian at 2**20 against 4.7e-7 at 1
+        a, unit = 2.0 ** j, kb.InversionConfig()
+        config = dataclasses.replace(unit, t_max=unit.t_max * a, freq_max=unit.freq_max / a,
+                                     atom_window=unit.atom_window * a,
+                                     atom_step=unit.atom_step * a)
+        base = kb.bochner_inversion(kb.zoo(name))
+        result = kb.bochner_inversion(kb.zoo(name, scale=a), config)
+        assert_array_equal(result.measure.bin_edges, base.measure.bin_edges / a)
+        assert_array_equal(result.measure.bin_values, base.measure.bin_values * a)
+        assert_array_equal(result.measure.atom_masses, base.measure.atom_masses)
+        assert result.residual == base.residual
+
+    @pytest.mark.parametrize("t_max", [1.0, 3.0, 8.0, 40.0])
     @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
     def test_the_residual_is_read_on_the_sampled_lags(self, name, t_max):
         # the residual grid was [-5, 5] whatever t_max: samples up to t < 5
@@ -877,8 +899,8 @@ class TestBochnerInversion:
         samples = kb.profile_from_samples(t, kb.zoo(name)(t))
         config = kb.InversionConfig(t_max=t_max, n_samples=1201, atom_window=t_max)
         result = kb.bochner_inversion(samples, config)
-        grid = kb.probe_grid(min(t_max, 5.0))
-        if t_max >= 5.0:  # the 201 lags on [-5, 5] of the defaults
+        grid = kb.probe_grid(t_max / 8)
+        if t_max == kb.InversionConfig().t_max:  # the 201 lags on [-5, 5] of the defaults
             assert_array_equal(grid, np.linspace(-5.0, 5.0, 201))
         assert result.residual == np.max(np.abs(kb.bochner_synthesis(result.measure, grid)
                                                 - samples(grid)))
@@ -971,6 +993,16 @@ class TestBochnerInversion:
     def test_config_rejects_non_finite_reals(self, field, value):
         with pytest.raises(ValueError):
             kb.InversionConfig(**{field: value})
+
+    @pytest.mark.parametrize("t_max, n_samples", [(5e-324, 65), (4.9e-324, 3),
+                                                  (2.2250738585072014e-308, 3)])
+    def test_config_rejects_a_step_below_the_normal_floats(self, t_max, n_samples):
+        # a step of 0 ended invert in a ZeroDivisionError at the Nyquist margin pi / dt
+        with pytest.raises(ValueError, match="^the sampling step t_max / "
+                                             r"\(n_samples - 1\) must be a normal float"):
+            kb.InversionConfig(t_max=t_max, n_samples=n_samples)
+        config = kb.InversionConfig(t_max=2.2250738585072014e-308, n_samples=2, n_bins=2)
+        assert np.isfinite(kb.bochner_inversion(kb.zoo("gaussian"), config).nyquist_margin)
 
     def test_config_accepts_numpy_scalars(self):
         config = kb.InversionConfig(t_max=np.float64(20.0), n_samples=np.int64(101),

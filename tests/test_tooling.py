@@ -207,6 +207,43 @@ def test_one_rule_decides_what_a_value_past_the_float_range_is():
              for scope in overflow_checks(ast.parse(path.read_text(), filename=str(path)))}
     assert found == OVERFLOW_CHECKS
 
+
+#: where a value may be scaled by a power of two (frexp or ldexp): the one scaling
+#: rule, and the sites that quantize rather than scale (the 26-bit head of an exact
+#: product, the bin width) or split a quotient into mantissas and exponents (the
+#: constant-law bins of spectral_from_gamma)
+POWER_OF_TWO_SCALINGS = {("measures.py", "_scaled"), ("spectral.py", "_head"),
+                         ("measures.py", "_bin_width"), ("spectral.py", "spectral_from_gamma")}
+
+
+def power_of_two_scalings(tree) -> list[str]:
+    """The scopes (a module-level function or ``Class.method``, closures included)
+    that call frexp or ldexp in a module."""
+    found = []
+
+    def visit(node, scope, in_class):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (in_class or not scope):
+            scope, in_class = (f"{scope}.{node.name}" if scope else node.name,
+                               isinstance(node, ast.ClassDef))
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) in ("frexp", "ldexp"):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_class)
+
+    visit(tree, "", False)
+    return found
+
+
+def test_one_rule_scales_values_by_a_power_of_two():
+    # five sites kept the float range each its own way (an exponent above one,
+    # halved samples, halved terms, two eigensolves, one pre-scaled): each mend
+    # found the next site unmended
+    found = {(path.name, scope) for path in SRC.rglob("*.py")
+             for scope in power_of_two_scalings(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == POWER_OF_TWO_SCALINGS
+
+
 def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
     # a traced benchmark run exits 1 when the tracer meets a library name that
     # is gone, or when cli stops calling a patched name through its own
