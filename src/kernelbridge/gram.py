@@ -121,9 +121,7 @@ def _entries(matrix) -> np.ndarray:
     return _check_symmetric(matrix, "matrix")
 
 
-def _eigh(entries: np.ndarray, back):
-    """np.linalg.eigh of scaled entries; an EigenSolverError carries their readings
-    taken back to the matrix's units by ``back`` (see ``measures._scaled``)."""
+def _eigh(entries: np.ndarray, back):  # of scaled entries, read back on failure
     try:
         return np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
@@ -151,8 +149,7 @@ def is_positive_definite(gram, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     """Spectral PSD test: min eigenvalue >= -max(tol, eps n) * n * max|diag|.
 
     eps n^2 max|diag| is the solver's rounding floor, that of
-    :func:`is_negative_definite` without its deflation term.  Solved on the
-    entries scaled by ``measures._scaled``, as is that test.
+    :func:`is_negative_definite` without its deflation term, scaled as that is.
     """
     tol = _number(tol, "tol", 0)
     entries = _entries(gram)
@@ -173,26 +170,25 @@ def _projected_eigh(entries: np.ndarray, tol: float):
     """``(verdict, eigvals, eigvecs, floor, back, scaled)`` of P N P with the
     all-ones direction deflated to eigenpair 0; ``floor`` is the rounding floor.
 
-    Solved on N scaled by ``measures._scaled``, so nothing overflows and
-    scaling N by 2**k scales the verdict exactly.  ``eigvals``, ``floor`` and
-    ``scaled`` are those of the scaled N, and ``back`` takes them to N's
-    units: the verdict reads only its witness, the greatest eigenvalue.
+    Solved on N scaled by ``measures._scaled`` (all but the verdict stay scaled;
+    ``back`` scales them back), so nothing overflows, scaling N by 2**k scales
+    the verdict exactly, and the verdict reads only its witness eigenvalue.
     """
     n = entries.shape[0]
-    scale = float(np.max(np.abs(entries)))
     back, entries = _scaled(entries)
     ones = np.full(n, 1.0 / np.sqrt(n))
     projected = entries - np.outer(ones, ones @ entries)
     projected = projected - np.outer(projected @ ones, ones)
     projected = 0.5 * (projected + projected.T)
-    # ||P N P|| <= n max|N|, so beta sinks the all-ones direction strictly
+    scale = float(np.max(np.abs(entries)))
+    # ||P N P|| <= n * scale, so beta sinks the all-ones direction strictly
     # below every other eigenvalue (1 for the zero matrix)
-    beta = (n + 1) * float(np.max(np.abs(entries))) or 1.0
+    beta = (n + 1) * scale or 1.0
     eigvals, eigvecs = _eigh(projected - beta * np.outer(ones, ones), back)
     # the deflation term has norm beta, so allow its backward-error noise
     floor = float(np.finfo(float).eps) * n * beta
     witness = float(back(eigvals[-1], "an eigenvalue of the projected matrix"))
-    threshold = tol * n * scale + float(back(floor))  # inf for a huge tol
+    threshold = float(back(tol * n * scale + floor))  # inf for a huge tol
     verdict = DefinitenessVerdict(witness, eigvecs[:, -1], threshold, threshold - witness)
     return verdict, eigvals, eigvecs, floor, back, entries
 
@@ -217,10 +213,9 @@ def nd_to_psd(matrix, base_index: int = 0) -> np.ndarray:
 
     K(i, j) = (N(i, b) + N(j, b) - N(i, j) - N(b, b)) / 2.  Row and column
     b of the result are identically zero, and N is negative definite iff
-    the result is positive definite.  It is formed on the entries scaled by
-    ``measures._scaled``, so a non-negative N gives a finite result; a
-    base_index outside 0 .. n - 1 and a result past the float range are
-    ValueErrors.
+    the result is positive definite.  Formed on the entries scaled by
+    ``measures._scaled``, a non-negative N gives a finite result; a base_index
+    outside 0 .. n - 1 and a result past the float range are ValueErrors.
     """
     entries = _entries(matrix)
     n = entries.shape[0]
@@ -261,8 +256,7 @@ def euclidean_embedding(d2_matrix, tol: float = DEFAULT_TOL) -> EmbeddingResult:
             "sample is not a Hilbertian squared-distance matrix "
             f"(projected matrix has eigenvalue {nd.witness_eigenvalue!r})", **vars(nd))
 
-    # past the deflated eigenpair 0 the eigenvalues ascend: -1/2 of them descend;
-    # the coordinates and residual are formed in the scaled units, then taken back
+    # past the deflated eigenpair 0 the eigenvalues ascend: -1/2 of them descend
     keep = eigvals[1:] < -floor
     coordinates = eigvecs[:, 1:][:, keep] * np.sqrt(-0.5 * eigvals[1:][keep])
 

@@ -162,10 +162,8 @@ def _numbers(values, what: str) -> np.ndarray:
 
 
 def _in_range(compute, what: str | None):
-    """``compute()``, run with numpy's overflow, invalid and divide warnings off;
-    ValueError ``<what> overflows the float range`` if a value it returns is not finite.
-    With ``what`` None the value is returned as it is, inf included, to a caller
-    that checks or reports it itself."""
+    """``compute()``, run with numpy's overflow, invalid and divide warnings off; ValueError
+    ``<what> overflows the float range`` if a value it returns is not finite (but for None)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = compute()
     if what is not None and not np.isfinite(value).all():
@@ -174,20 +172,11 @@ def _in_range(compute, what: str | None):
 
 
 def _scaled(*values):
-    """``(back, *scaled)``: the values times one power of two 2**-e, and ``back``,
-    which takes a result computed from them back to their units.
-
-    e is the frexp exponent of the largest magnitude among the values, rounded up
-    to even (0 if every value is 0): every scaled value is below 1, and the
-    largest at least 1/4.  ``back(value, what=None, degree=1)`` is value times
-    2**(degree e), for a result of degree 1 or 1/2 in the values, through
-    _in_range under ``what``.  Every transform of the library is homogeneous in
-    its values, and a float sum or product scaled by a power of two rounds as
-    the unscaled one: so a transform run on the scaled values and scaled back
-    keeps its bits, and passes the float range only where its result does.  The
-    limit: a member below 2**(e - 1022), at most the largest times 2**-1020,
-    becomes subnormal when scaled and loses bits.
-    """
+    """``(back, *scaled)``: the values times 2**-e, e the frexp exponent of the largest
+    magnitude rounded up to even, and ``back(value, what=None, degree=1)``, a result of
+    degree 1 or 1/2 in them times 2**(degree e) through _in_range.  Floats scaled by a
+    power of two round alike, so a homogeneous transform run on the scaled values keeps
+    its bits, unless a value below the largest times 2**-1020 becomes subnormal."""
     top = max((float(np.max(np.abs(v), initial=0.0)) for v in values), default=0.0)
     exponent = int(np.frexp(top)[1])
     exponent += exponent % 2

@@ -178,10 +178,9 @@ def metric_from_kernel(kernel: KernelProfile) -> MetricProfile:
 def kernel_from_metric(metric: MetricProfile, base: float = 0.0) -> BivariateKernel:
     """Kernel induced by a squared metric via the fixed base point.
 
-    K(x, y) = (d2(x - base) + d2(y - base) - d2(x - y)) / 2, formed on the terms
-    scaled by ``measures._scaled`` (as in gram.nd_to_psd), so K is finite
-    wherever its value is.  The result is symmetric but in general not
-    translation invariant.
+    K(x, y) = (d2(x - base) + d2(y - base) - d2(x - y)) / 2, on the terms scaled
+    as in gram.nd_to_psd, so K is finite wherever its value is.  The result is
+    symmetric but in general not translation invariant.
     """
     base = _number(base, "base")
     d2_0 = float(metric(0.0))
@@ -234,16 +233,15 @@ def grid_probes(span: float = 4.0, n: int = 7) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), s.ravel()])
 
 
-def _interp(u, t: np.ndarray, values: np.ndarray, steep: np.ndarray):
-    """np.interp(u, t, values), but (1 - w) a + w b of the two neighbouring values
-    a and b inside the intervals ``steep``, whose slope is not a normal float."""
-    out = np.interp(u, t, values)
-    if steep.any():
-        out, u = np.array(out), np.asarray(u)  # arrays, so that a scalar can be replaced
-        i = np.clip(np.searchsorted(t, u, side="right"), 1, t.size - 1)
-        inside = steep[i - 1] & (t[i - 1] < u) & (u < t[i])
-        i, w = i[inside], (u[inside] - t[i - 1][inside]) / (t[i] - t[i - 1])[inside]
-        out[inside] = (1.0 - w) * values[i - 1] + w * values[i]
+def _interp(u: np.ndarray, t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.interp(u, t, values); where its slope (b - a) / (d - c) between the
+    neighbouring samples is not a normal float, (1 - w) a + w b instead."""
+    out = np.array(np.interp(u, t, values))  # an array, so that a scalar can be replaced
+    i = np.clip(np.searchsorted(t, u, side="right"), 1, t.size - 1)
+    (a, b), (c, d) = values[[i - 1, i]], t[[i - 1, i]]
+    slope, floats = np.abs(b - a) / (d - c), np.finfo(float)
+    steep = (c < u) & (u < d) & (a != b) & ~((floats.tiny <= slope) & (slope <= floats.max))
+    out[steep] = ((1.0 - (u - c) / (d - c)) * a + (u - c) / (d - c) * b)[steep]
     return out
 
 
@@ -252,11 +250,9 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
 
     Evaluation uses |t|; asking for |t| beyond the sampled range raises an
     :class:`EvaluationError` rather than extrapolating.  It interpolates the
-    samples scaled by ``measures._scaled`` and scales the result back: two
-    samples further apart than the float maximum have a finite scaled
-    difference, and the bits are np.interp's unless a scaled sample is
-    subnormal.  Where np.interp's slope is not a normal float (samples closer
-    than ~1e-308 in t, or far apart in t and far below the largest sample), a
+    samples scaled by ``measures._scaled``: its bits are np.interp's unless a
+    scaled sample is subnormal.  Where np.interp's slope is not a normal float
+    (samples ~1e-308 apart in t, or far apart and far below the largest), a
     point is taken between its two neighbours instead.
     """
     t, values = _numbers(t, "samples"), _numbers(values, "samples")
@@ -268,9 +264,6 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
         raise ValueError("samples must be on t >= 0 (the profile is even)")
     t_max = float(t[-1])
     back, values = _scaled(values)
-    change, floats = np.diff(values), np.finfo(float)
-    slope = _in_range(lambda: np.abs(change / np.diff(t)), None)
-    steep = (change != 0.0) & ~((floats.tiny <= slope) & (slope <= floats.max))
 
     def fn(u):
         u = np.abs(u)
@@ -279,6 +272,6 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
             raise EvaluationError(
                 f"sampled profile {name!r} queried at |t|={bad!r} beyond range {t_max!r}",
                 argument=bad)
-        return back(_interp(u, t, values, steep))
+        return back(_interp(u, t, values))
 
     return KernelProfile(fn=fn, name=name, params={})

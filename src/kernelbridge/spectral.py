@@ -240,11 +240,8 @@ def bochner_synthesis(mu: SpectralMeasure, t):
     """Evaluate the kernel synthesized from a spectral measure.
 
     k(t) = m0 + sum 2 m cos(t tau) + sum over bins of the exact cosine
-    integral 2 v (sin(t b) - sin(t a)) / t.  Accepts scalar or array t.  The
-    sums run on the masses and values scaled by ``measures._scaled``, its
-    exponent taken from the component masses too: they bound every sum, and
-    a value far below its bin's mass (a bin ~1e308 wide) is not scaled up past
-    the float range.
+    integral 2 v (sin(t b) - sin(t a)) / t.  Accepts scalar or array t, and
+    sums on the values scaled (see _scaled) with the masses, which bound them.
     """
     t = _numbers(t, "t")
     tt = t.ravel()
@@ -355,9 +352,7 @@ def screw_synthesis(gamma: GammaMeasure, t):
     that difference cancels; the antiderivative Phi (_screw_antiderivative)
     for constant-law bins.  Even in t; d2(0) = 0.  A value past the float
     range (the weight overflows it) is a ValueError, and so is a lag whose
-    product with a frequency passes it (see _cos_sin).  The sums run on the
-    masses and values scaled by ``measures._scaled``, its exponent taken from
-    the bin masses v (d - c) too, as in :func:`bochner_synthesis`.
+    product with a frequency passes it (see _cos_sin).  Scaled as is synthesis.
     """
     t = _numbers(t, "t")
     back, masses, values, _ = _scaled(gamma.atom_masses, gamma.bin_values, _in_range(
@@ -369,8 +364,8 @@ def screw_synthesis(gamma: GammaMeasure, t):
 
 def _squared_metric(gamma: GammaMeasure, masses: np.ndarray, values: np.ndarray,
                     tt: np.ndarray) -> np.ndarray:
-    """d2 at the lags tt >= 0 of gamma with these atom masses and bin values: the
-    sums of :func:`screw_synthesis`."""
+    """d2 at the lags tt >= 0, of gamma with these masses and values: the sums of
+    :func:`screw_synthesis`."""
     out = np.zeros(tt.shape)
     locs = gamma.atom_locations
     if locs.size:
@@ -587,11 +582,9 @@ def _estimate_zero_atom(kernel: KernelProfile, window: float,
     # density tolerances of the slowly-decaying pairs require.
     # the half window first, so that a trace's last kernel evaluation is the full window's
     half = atom_at_zero(kernel, 0.5 * window, step)
-    full = atom_at_zero(kernel, window, step)
-    # 2 (full - half/2) is 2 full - half rounded once (while it and half are
-    # above 2**-1021), and finite whenever the estimate is
-    return _in_range(lambda: (2.0 * (full - 0.5 * half), abs(full - half)),
-                     "the zero-atom estimate")
+    back, full, half = _scaled(atom_at_zero(kernel, window, step), half)
+    estimate, gap = back(np.array([2.0 * full - half, abs(full - half)]), "the zero-atom estimate")
+    return float(estimate), float(gap)
 
 
 def bochner_inversion(kernel: KernelProfile,

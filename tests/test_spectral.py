@@ -340,7 +340,9 @@ class TestOneDensitySum:
         # and as each of k(0) and k(t) on the other side
         screw, bochner = bochner_identity(mu, t)
         small = np.abs(t) * top_with_a_value(mu.bin_edges, mu.bin_values) <= spectral._SMALL_LAG
-        normal = np.abs(bochner) >= np.finfo(float).tiny
+        normal = np.min(np.abs([bochner, kb.bochner_synthesis(mu, t),
+                                np.full(t.shape, kb.bochner_synthesis(mu, 0.0))]),
+                        axis=0) >= np.finfo(float).tiny
         assert_array_equal(screw[~small & normal], bochner[~small & normal])
         assert_allclose(screw[~small], bochner[~small], rtol=0, atol=2.0 ** -1073)
         # relative where the value is a normal float
