@@ -162,8 +162,8 @@ def _numbers(values, what: str) -> np.ndarray:
 
 
 def _in_range(compute, what: str | None):
-    """``compute()``, run with numpy's overflow, invalid and divide warnings off; ValueError
-    ``<what> overflows the float range`` if a value it returns is not finite (but for None)."""
+    """``compute()``, run with numpy's overflow, invalid and divide warnings off; unless
+    what is None, ValueError ``<what> overflows the float range`` if a value is not finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = compute()
     if what is not None and not np.isfinite(value).all():

@@ -352,7 +352,7 @@ def screw_synthesis(gamma: GammaMeasure, t):
     that difference cancels; the antiderivative Phi (_screw_antiderivative)
     for constant-law bins.  Even in t; d2(0) = 0.  A value past the float
     range (the weight overflows it) is a ValueError, and so is a lag whose
-    product with a frequency passes it (see _cos_sin).  Scaled as is synthesis.
+    product with a frequency passes it (see _cos_sin).  It sums as synthesis does.
     """
     t = _numbers(t, "t")
     back, masses, values, _ = _scaled(gamma.atom_masses, gamma.bin_values, _in_range(
