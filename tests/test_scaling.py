@@ -6,7 +6,9 @@ the outputs on 2**e x are 2**e times the outputs on x (2**(e/2) for the
 embedding's coordinates), bit for bit wherever both are normal floats, and an
 output past the float range is a ValueError, exit 2 from the CLI.  The
 exponents are drawn so that every scaled input is a normal float: a member
-below 2**-1022 loses bits, which is the limit of the rule.
+below 2**-1022 loses bits, which is the limit of the rule.  The inversion's
+property is ``test_spectral.py``'s
+``test_every_reading_scales_exactly_by_a_power_of_two``.
 """
 
 import json
@@ -124,20 +126,6 @@ class TestMeasures:
 
 
 class TestKernels:
-    # the noise floor CLAMP_RTOL max(|k(0)|, 1e-300) is not homogeneous below k(0) = 1e-300
-    @settings(max_examples=20, deadline=None)
-    @given(e=exponents("kernel", low=-990))
-    def test_inversion(self, e):
-        config = kb.InversionConfig(n_samples=2001, t_max=40.0, n_bins=256)
-        base, result = (kb.bochner_inversion(kernel, config)
-                        for kernel in (kb.zoo("cauchy"), scaled_kernel(e)))
-        assert_scaled(result.measure.bin_values, base.measure.bin_values, e)
-        assert_scaled(result.measure.atom_masses, base.measure.atom_masses, e)
-        for reading in ("atom0", "residual", "clamped_mass", "min_density", "mass_gap",
-                        "atom_window_gap", "tail_gap"):
-            assert_scaled(getattr(result, reading), getattr(base, reading), e)
-        assert result.nyquist_margin == base.nyquist_margin
-
     @settings(max_examples=40, deadline=None)
     @given(e=exponents("kernel"))
     def test_atom0(self, e):

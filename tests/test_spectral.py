@@ -858,7 +858,7 @@ class TestBochnerInversion:
         assert_array_equal(scaled.bin_values, np.ldexp(measure.bin_values, 1020))
         assert_array_equal(scaled.atom_masses, np.ldexp(measure.atom_masses, 1020))
 
-    @pytest.mark.parametrize("exponent", [-600, 1, 9, 600])
+    @pytest.mark.parametrize("exponent", [-990, -600, 1, 9, 600, 1020])
     @pytest.mark.parametrize("name", ["gaussian", "laplacian", "cauchy"])
     def test_every_reading_scales_exactly_by_a_power_of_two(self, name, exponent):
         # the noise floor is relative to |k(0)|, and the transform is scaled only
