@@ -174,9 +174,8 @@ def _in_range(compute, what: str | None):
 def _scaled(*values):
     """``(back, *scaled)``: the values times 2**-e, e the frexp exponent of the largest
     magnitude rounded up to even, and ``back(value, what=None, degree=1)``, a result of
-    degree 1 or 1/2 in them times 2**(degree e) through _in_range.  Floats scaled by a
-    power of two round alike, so a homogeneous transform run on the scaled values keeps
-    its bits, unless a value below the largest times 2**-1020 becomes subnormal."""
+    degree 1 or 1/2 in them times 2**(degree e) through _in_range.  A homogeneous transform
+    keeps its bits on them unless a value below the largest times 2**-1020 turns subnormal."""
     top = max((float(np.max(np.abs(v), initial=0.0)) for v in values), default=0.0)
     exponent = int(np.frexp(top)[1])
     exponent += exponent % 2

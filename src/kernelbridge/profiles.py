@@ -233,15 +233,16 @@ def grid_probes(span: float = 4.0, n: int = 7) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), s.ravel()])
 
 
-def _interp(u: np.ndarray, t: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """np.interp(u, t, values); where its slope (b - a) / (d - c) between the
-    neighbouring samples is not a normal float, (1 - w) a + w b instead."""
+def _interp(u: np.ndarray, t: np.ndarray, values: np.ndarray, steep: np.ndarray) -> np.ndarray:
+    """np.interp(u, t, values); inside the intervals [c, d] marked ``steep``, where its
+    slope (b - a) / (d - c) is not a normal float, (1 - w) a + w b instead."""
     out = np.array(np.interp(u, t, values))  # an array, so that a scalar can be replaced
-    i = np.clip(np.searchsorted(t, u, side="right"), 1, t.size - 1)
-    (a, b), (c, d) = values[[i - 1, i]], t[[i - 1, i]]
-    slope, floats = np.abs(b - a) / (d - c), np.finfo(float)
-    steep = (c < u) & (u < d) & (a != b) & ~((floats.tiny <= slope) & (slope <= floats.max))
-    out[steep] = ((1.0 - (u - c) / (d - c)) * a + (u - c) / (d - c) * b)[steep]
+    if steep.any():
+        i = np.clip(np.searchsorted(t, u, side="right"), 1, t.size - 1)
+        inside = steep[i - 1] & (t[i - 1] < u) & (u < t[i])
+        i, u = i[inside], u[inside]
+        (a, b), (c, d) = values[[i - 1, i]], t[[i - 1, i]]
+        out[inside] = (1.0 - (u - c) / (d - c)) * a + (u - c) / (d - c) * b
     return out
 
 
@@ -264,6 +265,8 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
         raise ValueError("samples must be on t >= 0 (the profile is even)")
     t_max = float(t[-1])
     back, values = _scaled(values)
+    slope, floats = _in_range(lambda: np.abs(np.diff(values)) / np.diff(t), None), np.finfo(float)
+    steep = (np.diff(values) != 0.0) & ~((floats.tiny <= slope) & (slope <= floats.max))
 
     def fn(u):
         u = np.abs(u)
@@ -272,6 +275,6 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
             raise EvaluationError(
                 f"sampled profile {name!r} queried at |t|={bad!r} beyond range {t_max!r}",
                 argument=bad)
-        return back(_interp(u, t, values))
+        return back(_interp(u, t, values, steep))
 
     return KernelProfile(fn=fn, name=name, params={})

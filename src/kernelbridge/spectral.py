@@ -355,17 +355,14 @@ def screw_synthesis(gamma: GammaMeasure, t):
     product with a frequency passes it (see _cos_sin).  It sums as synthesis does.
     """
     t = _numbers(t, "t")
-    back, masses, values, _ = _scaled(gamma.atom_masses, gamma.bin_values, _in_range(
-        lambda: gamma.bin_values * gamma.bin_widths, None))
-    out = _in_range(lambda: back(_squared_metric(gamma, masses, values, np.abs(t.ravel()))),
-                    "squared metric")
+    out = _in_range(lambda: _squared_metric(gamma, np.abs(t.ravel())), "squared metric")
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _squared_metric(gamma: GammaMeasure, masses: np.ndarray, values: np.ndarray,
-                    tt: np.ndarray) -> np.ndarray:
-    """d2 at the lags tt >= 0, of gamma with these masses and values: the sums of
-    :func:`screw_synthesis`."""
+def _squared_metric(gamma: GammaMeasure, tt: np.ndarray) -> np.ndarray:
+    """d2 at the lags tt >= 0: the sums of :func:`screw_synthesis`."""
+    back, masses, values, _ = _scaled(gamma.atom_masses, gamma.bin_values,
+                                      gamma.bin_values * gamma.bin_widths)
     out = np.zeros(tt.shape)
     locs = gamma.atom_locations
     if locs.size:
@@ -377,14 +374,15 @@ def _squared_metric(gamma: GammaMeasure, masses: np.ndarray, values: np.ndarray,
         # the spectral bin [2c, 2d] with value g/16 (see module docstring):
         # 2 k(0) - 2 k(t) of it is int_c^d g s^2 sin^2(ts)/s^2 ds
         bins = (2.0 * edges, values / 16.0)
-        rows = 2.0 * (_density_part(np.zeros(1), *bins) - _density_part(tt, *bins))
+        # k(0) and k(t) scaled back one by one round as bochner_synthesis's do
+        rows = 2.0 * (back(_density_part(np.zeros(1), *bins)) - back(_density_part(tt, *bins)))
         # the series takes the bins up to the last with a value: those past it add nothing
         nonzero = np.flatnonzero(values)
         last = nonzero[-1] + 1 if nonzero.size else values.size
         small = tt * bins[0][last] <= _SMALL_LAG
-        rows[small] = _even_moments(tt[small], bins[0][:last + 1], bins[1][:last])
-        out += rows
-    elif values.size:
+        rows[small] = back(_even_moments(tt[small], bins[0][:last + 1], bins[1][:last]))
+        return back(out) + rows
+    if values.size:
         nz = _resolved(tt, np.diff(edges))
         # one antiderivative per edge: adjacent bins share their inner edges
         def rows(ts):
@@ -393,7 +391,7 @@ def _squared_metric(gamma: GammaMeasure, masses: np.ndarray, values: np.ndarray,
                     + (0.5 * np.pi) * ts[:, None] * np.diff(high, axis=1)) @ values
 
         out[nz] += _row_sums(tt[nz], values.size, rows)
-    return out
+    return back(out)
 
 
 def gamma_from_spectral(mu: SpectralMeasure) -> tuple[GammaMeasure, float]:
