@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import SpectralMeasure, _count, _in_range, _number, _numbers, check_elements
+from .measures import (SpectralMeasure, _count, _in_range, _number, _numbers, _scaled,
+                       check_elements)
 from .product import ProductSpectralMeasure
 from .spectral import _row_sums
 
@@ -213,8 +214,9 @@ def feature_matrix(sample: FrequencySample, x) -> np.ndarray:
     # a cosine is NaN exactly where its projection w . x went past the float range
     features = _in_range(lambda: _cos(_projections(sample, points)[0] + sample.phases),
                          "a point times a frequency")
-    return _in_range(lambda: np.sqrt(2.0 * sample.total_mass / sample.m) * features,
-                     "a feature sqrt(2 total_mass / m) cos(w x + b)")
+    back, mass = _scaled(sample.total_mass)
+    return back(np.sqrt(2.0 * mass / sample.m) * features,
+                "a feature sqrt(2 total_mass / m) cos(w x + b)", degree=0.5)
 
 
 def approximate_kernel(sample: FrequencySample, x, y):
@@ -243,6 +245,6 @@ def approximate_kernel(sample: FrequencySample, x, y):
 
     inner = _in_range(lambda: _row_sums(np.hstack([xs, ys]), sample.m, rows),
                       "a point times a frequency")
-    values = _in_range(lambda: 2.0 * sample.total_mass / sample.m * inner,
-                       "an estimate 2 total_mass / m <phi(x), phi(y)>")
+    back, mass = _scaled(sample.total_mass)
+    values = back(2.0 * mass / sample.m * inner, "an estimate 2 total_mass / m <phi(x), phi(y)>")
     return float(values[0]) if one else values

@@ -42,23 +42,18 @@ DEFAULT_TOL = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 
-def _max_asymmetry(entries: np.ndarray) -> float:
-    """max |A - A^T|, formed on the entries scaled by ``measures._scaled``: exact
-    unless a scaled entry is subnormal, and inf, never a warning, past the float range."""
-    back, scaled = _scaled(entries)
-    return float(back(np.max(np.abs(scaled - scaled.T))))
-
-
 def _check_symmetric(entries: np.ndarray, what: str) -> np.ndarray:
+    """The entries, if max |S - S^T| <= SYMMETRY_RTOL max |S| on the entries S scaled
+    by ``measures._scaled``; the asymmetry is read back, inf past the float range."""
     entries = _numbers(entries, what)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"{what} must be square, got shape {entries.shape}")
     if entries.size == 0:
         raise ValueError(f"{what} is empty (0 x 0)")
-    scale = float(np.max(np.abs(entries)))
-    asym = _max_asymmetry(entries)
-    if asym > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise ValueError(f"{what} is not symmetric: max |A - A^T| = {asym!r}")
+    back, scaled = _scaled(entries)
+    asym = np.max(np.abs(scaled - scaled.T))
+    if asym > SYMMETRY_RTOL * np.max(np.abs(scaled)):
+        raise ValueError(f"{what} is not symmetric: max |A - A^T| = {float(back(asym))!r}")
     return entries
 
 
@@ -128,7 +123,7 @@ def _eigh(entries: np.ndarray, back):  # of scaled entries, read back on failure
         diagnostics = {
             "n": int(entries.shape[0]),
             "max_abs_entry": float(back(np.max(np.abs(entries)))),
-            "max_asymmetry": float(back(_max_asymmetry(entries))),
+            "max_asymmetry": float(back(np.max(np.abs(entries - entries.T)))),
         }
         raise EigenSolverError(f"eigensolver failed to converge: {exc}",
                                diagnostics=diagnostics) from exc

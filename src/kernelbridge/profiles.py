@@ -179,12 +179,12 @@ def kernel_from_metric(metric: MetricProfile, base: float = 0.0) -> BivariateKer
     """Kernel induced by a squared metric via the fixed base point.
 
     K(x, y) = (d2(x - base) + d2(y - base) - d2(x - y)) / 2, on the terms scaled
-    as in gram.nd_to_psd, so K is finite wherever its value is.  The result is
-    symmetric but in general not translation invariant.
+    as in gram.nd_to_psd, so K is finite wherever its value is.  d2(0) must be
+    exactly 0.  The result is symmetric but in general not translation invariant.
     """
     base = _number(base, "base")
     d2_0 = float(metric(0.0))
-    if abs(d2_0) > 1e-12:
+    if d2_0 != 0.0:
         raise ValueError(f"metric profile must vanish at 0, got d2(0) = {d2_0!r}")
 
     def K(x, y):
@@ -250,11 +250,10 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     """Even profile interpolated linearly from samples of k on t >= 0.
 
     Evaluation uses |t|; asking for |t| beyond the sampled range raises an
-    :class:`EvaluationError` rather than extrapolating.  It interpolates the
-    samples scaled by ``measures._scaled``: its bits are np.interp's unless a
-    scaled sample is subnormal.  Where np.interp's slope is not a normal float
-    (samples ~1e-308 apart in t, or far apart and far below the largest), a
-    point is taken between its two neighbours instead.
+    :class:`EvaluationError` rather than extrapolating.  Its bits are np.interp's
+    on the samples; where np.interp's slope is not a normal float (samples
+    ~1e-308 apart in t, or far apart in value), a point is taken between its two
+    neighbours instead.
     """
     t, values = _numbers(t, "samples"), _numbers(values, "samples")
     if t.ndim != 1 or t.shape != values.shape or t.size < 2:
@@ -264,9 +263,8 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
     if t[0] < 0:
         raise ValueError("samples must be on t >= 0 (the profile is even)")
     t_max = float(t[-1])
-    back, values = _scaled(values)
     slope, floats = _in_range(lambda: np.abs(np.diff(values)) / np.diff(t), None), np.finfo(float)
-    steep = (np.diff(values) != 0.0) & ~((floats.tiny <= slope) & (slope <= floats.max))
+    steep = (values[1:] != values[:-1]) & ~((floats.tiny <= slope) & (slope <= floats.max))
 
     def fn(u):
         u = np.abs(u)
@@ -275,6 +273,6 @@ def profile_from_samples(t, values, name: str = "sampled") -> KernelProfile:
             raise EvaluationError(
                 f"sampled profile {name!r} queried at |t|={bad!r} beyond range {t_max!r}",
                 argument=bad)
-        return back(_interp(u, t, values, steep))
+        return _interp(u, t, values, steep)
 
     return KernelProfile(fn=fn, name=name, params={})

@@ -424,10 +424,10 @@ def bound_report(integral: float, k0: float) -> dict:
     """Compare a quadratic-decay integral with the bound 4 k0.
 
     ``ok`` says a bounded kernel with k(0) = k0 exists (a finite integral
-    <= 4 k0 up to ``BOUND_RTOL``); ``tight`` says the integral meets the
-    bound, so that kernel has no mass at frequency 0.  ``integral`` is the
-    value of :func:`int_bound_integral`, so the verdict compares two numbers
-    only.  A bound 4 k0 past the float range reads inf: every finite
+    <= 4 k0 up to ``BOUND_RTOL``); ``tight`` says it is within ``BOUND_RTOL``
+    4 k0 of the bound, so that kernel has no mass at frequency 0.  ``integral``
+    is the value of :func:`int_bound_integral`, so the verdict compares two
+    numbers only.  A bound 4 k0 past the float range reads inf: every finite
     integral is ok under it, and none is tight.  ``margin = 4 k0 (1 +
     BOUND_RTOL) - integral`` is >= 0 exactly when ``ok``, and -inf for an
     infinite integral, also under an infinite bound.
@@ -435,8 +435,7 @@ def bound_report(integral: float, k0: float) -> dict:
     bound = 4.0 * _number(k0, "k0", 0)
     ceiling = bound * (1.0 + BOUND_RTOL)
     ok = bool(math.isfinite(integral) and integral <= ceiling)
-    tight = bool(ok and math.isfinite(bound)
-                 and abs(integral - bound) <= BOUND_RTOL * max(bound, 1.0))
+    tight = bool(ok and math.isfinite(bound) and abs(integral - bound) <= BOUND_RTOL * bound)
     margin = ceiling - integral if math.isfinite(integral) else -math.inf
     return {"integral": integral, "bound": bound, "ok": ok, "tight": tight, "margin": margin}
 

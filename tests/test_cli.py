@@ -1006,9 +1006,9 @@ _STEEP = "0,-1.5e308\n5,1e308\n200,1e308\n"
 #: halves 9e307 apart over 0.5: the slope between them passes the float range too
 _STEEPER = "0,-9e307\n0.5,9e307\n1.2,0\n200,0\n"
 #: computed values past the float range: command, JSON, CSV.  The first five are a
-#: measure's mass or metric, the sixth an inverted density; of the rest, rff exited 0
-#: with inf, and every other printed a RuntimeWarning before its error (g / (16 c d)
-#: was called a density value that is not finite)
+#: measure's mass or metric, the two invert rows a step of the inversion; every gamma
+#: row printed a RuntimeWarning before its error (g / (16 c d) was called a density
+#: value that is not finite)
 OVERFLOWS = [
     ("synth J --grid -1 1 5 -o O", _HUGE, ""),
     ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _HUGE, "0,0\n"),
@@ -1018,9 +1018,6 @@ OVERFLOWS = [
     ("screw J --grid -1 1 5 -o O", {"density": {**_HUGE["density"], "law": "s2"}}, ""),
     ("invert --samples C -o O", {}, _STEP),
     ("invert --samples C -o O", {}, _STEEP),
-    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O",
-     {"atoms": [{"loc": 0, "mass": 1e308}]}, "0.5,0.25\n"),
-    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _DENSE, "0.5,0.25\n"),
     ("gamma J -o O", _DENSE, ""),
     ("gamma J -o O", {"atoms": [{"loc": 1e200, "mass": 1e200}]}, ""),
     ("gamma J --k0 1e200 -o O", {"density": {"edges": [1e-200, 2e-200], "values": [1]}}, ""),
@@ -1038,7 +1035,8 @@ _FLOAT_MAX = {"name": "constant", "params": {"value": np.finfo(float).max}}
 #: range": the sum of the trapezoids of a constant kernel (at the float maximum, its
 #: mean rounded past the values), the mass 2 v of a bin and the sum of its values,
 #: and c d of the bin; the sampled kernels exited 2 with a non-finite value at t=0.01,
-#: and the metric 2 k(0) - 2 k(t) of the constant kernel at t=-10.0
+#: the metric 2 k(0) - 2 k(t) of the constant kernel at t=-10.0, and rff's estimate
+#: at 2 total_mass, past the range before it was divided by m
 FINITE_EXTREMES = [
     ("atom0 --profile J", {"name": "constant", "params": {"value": 1e306}}, "", "atom0",
      1e306),
@@ -1050,6 +1048,11 @@ FINITE_EXTREMES = [
     ("to-metric --profile J -o O", _CONSTANT, "", "min_d2", 0.0),
     ("synth J -o O", _TALL, "", "total_mass", 4e298),
     ("gamma J --k0 1 -o O", _TINY_EDGES, "", "atom0", 1.0),
+    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O",
+     {"atoms": [{"loc": 0, "mass": 1e308}]}, "0.5,0.25\n", "max_abs_error",
+     3.437568856957561e+307),
+    ("rff J -m 4 --seed 1 --pairs C --errors-out E -o O", _DENSE, "0.5,0.25\n",
+     "max_abs_error", 1.5621398156036339e+307),
 ]
 
 
@@ -1267,7 +1270,8 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command, document, table, key, value", FINITE_EXTREMES)
     def test_finite_answers_near_the_float_maximum_exit_0(self, tmp_path, capsys, command,
                                                           document, table, key, value):
-        files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv", "O": tmp_path / "out"}
+        files = {"J": tmp_path / "in.json", "C": tmp_path / "in.csv", "O": tmp_path / "out",
+                 "E": tmp_path / "errors.csv"}
         files["J"].write_text(json.dumps(document))
         files["C"].write_text(table)
         code = exit_code([files.get(w, w) for w in command.split()])
@@ -1275,9 +1279,10 @@ class TestMalformedInputs:
         assert (code, err) == (0, "")
         summary = json.loads(out)
         assert summary[key] == pytest.approx(value, rel=1e-12)
-        assert all(np.isfinite(v) for k, v in summary.items() if k != "written")
-        if files["O"].exists():
-            text = files["O"].read_text().lower()
+        assert all(np.isfinite(v) for k, v in summary.items()
+                   if k not in ("written", "errors_written"))
+        for written in (files["O"], files["E"]):
+            text = written.read_text().lower() if written.exists() else ""
             assert "inf" not in text and "nan" not in text
 
     @settings(max_examples=300, deadline=None,

@@ -4,7 +4,9 @@ Each map of the correspondence is homogeneous in the values it carries, and
 ``measures._scaled`` runs each on its values scaled by one power of two.  So
 the outputs on 2**e x are 2**e times the outputs on x (2**(e/2) for the
 embedding's coordinates), bit for bit wherever both are normal floats, and an
-output past the float range is a ValueError, exit 2 from the CLI.  The
+output past the float range is a ValueError, exit 2 from the CLI.  A verdict
+(boundedness, symmetry, a metric vanishing at 0) compares such values with one
+relative tolerance, so it reads the same at every scale.  The
 exponents are drawn so that every scaled input is a normal float: a member
 below 2**-1022 loses bits, which is the limit of the rule.  The inversion's
 property is ``test_spectral.py``'s
@@ -15,11 +17,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 import kernelbridge as kb
-from kernelbridge import spectral
+from kernelbridge import gram, spectral
 from kernelbridge.cli import main
 
 TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
@@ -38,9 +40,39 @@ D2 = np.subtract.outer(POINTS, POINTS) ** 2
 PLANAR = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.5, 1.0], [-1.0, 0.5]])
 PLANAR_D2 = np.sum((PLANAR[:, None] - PLANAR[None]) ** 2, axis=-1)
 GRAM = np.exp(-D2 / 2.0)
+#: (integral, k0) of bound_report: at, within and past BOUND_RTOL of the bound 4 k0,
+#: and the atom of mass 1e-20 at 1 under k0 = 1e-20, which puts 3/4 of k0 at 0
+BOUNDS = [(1.0, 0.25), (1.0 - 5e-13, 0.25), (1.0 - 2e-12, 0.25), (1.0 + 5e-13, 0.25),
+          (1.0 + 2e-12, 0.25), (1e-20, 1e-20), (1e-20, 2.5e-21)]
+#: matrices 1e-13 and 1e-8 from symmetric, relative to their largest entry, and a
+#: 2 x 2 one 1e-8 from symmetric
+ASYMMETRIC = [GRAM + np.triu(GRAM, 1) * 1e-13, GRAM + np.triu(GRAM, 1) * 1e-8,
+              np.array([[2.0, 1.0], [1.0 + 1e-8, 2.0]])]
+#: squared metrics: two that vanish at 0, and two that do not
+METRICS = [lambda t: t * t, np.abs, lambda t: t * t + 1e-20, lambda t: t * t + 1.0]
+#: samples of a kernel on [0, 10], and the four samples that span 1435 binades
+SAMPLES = {"cauchy": (np.linspace(0.0, 10.0, 21), 1.0 / (1.0 + np.linspace(0.0, 10.0, 21) ** 2)),
+           "spread": (np.array([0.0, 4.574098471698123e-49, 2.21337001066044e+124,
+                                1.9861226187855178e+292]),
+                      np.array([-1.425881381676332e-201, 1.3198466841953535e+231,
+                                5.1414247297167056e+194, 3.388144613072549e+102]))}
+
+
+def sample_range(t, values):
+    """Least and greatest magnitude of the samples and of np.interp's slopes between them:
+    where a slope is not a normal float, a point is interpolated another way."""
+    magnitudes = np.concatenate([np.abs(values), np.abs(np.diff(values)) / np.diff(t)])
+    return magnitudes[magnitudes > 0.0].min(), magnitudes.max()
+
+
+RFF = kb.sample_frequencies(MEASURE, m=64, seed=1)
+RFF_X, RFF_Y = np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 4.0, 7)
 #: least and greatest magnitude of each input's values
 RANGES = {"measure": (5e-15, 0.4), "gamma": (16 * 5e-15, 16 * 0.4), "constant": (1e-3, 0.5),
-          "matrix": (GRAM.min(), D2.max() ** 2), "kernel": (2.0 / (1.0 + 200.0 ** 2), 2.0)}
+          "matrix": (GRAM.min(), D2.max() ** 2), "kernel": (2.0 / (1.0 + 200.0 ** 2), 2.0),
+          "bound": (spectral.BOUND_RTOL * 1e-20, 4.0), "asymmetric": (GRAM.min(), 2.0),
+          "metric": (1e-20, 145.0), **{name: sample_range(*SAMPLES[name]) for name in SAMPLES},
+          "rff": (np.min(np.abs(kb.approximate_kernel(RFF, RFF_X, RFF_Y))), RFF.total_mass)}
 
 
 def exponents(name, low=-1022, high=1023, even=False):
@@ -181,6 +213,91 @@ class TestMatrices:
             assert_array_equal(verdict.witness_vector, base.witness_vector)
 
 
+class TestVerdicts:
+    @settings(max_examples=60, deadline=None)
+    @given(e=exponents("bound"))
+    @example(e=100)
+    @example(e=-100)
+    def test_bound_report(self, e):
+        for integral, k0 in BOUNDS:
+            base = kb.bound_report(integral, k0)
+            report = kb.bound_report(np.ldexp(integral, e), np.ldexp(k0, e))
+            assert (report["ok"], report["tight"]) == (base["ok"], base["tight"]), (integral, k0)
+            assert_scaled(report["margin"], base["margin"], e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=exponents("asymmetric"))
+    @example(e=-1010)
+    def test_symmetry(self, e):
+        for entries in ASYMMETRIC:
+            base, scaled = (self.asymmetry(m) for m in (entries, np.ldexp(entries, e)))
+            assert (scaled is None) == (base is None)
+            if base is not None:
+                assert_scaled(scaled, base, e)
+
+    @staticmethod
+    def asymmetry(entries):
+        """None for a symmetric matrix, else the asymmetry its error reads."""
+        try:
+            gram._check_symmetric(entries, "matrix")
+        except ValueError as exc:
+            return float(str(exc).rpartition("= ")[2])
+        return None
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=exponents("metric"))
+    @example(e=100)
+    def test_kernel_from_metric(self, e):
+        for d2 in METRICS:
+            base, kernel = (self.kernel(fn) for fn in (d2, lambda t: np.ldexp(d2(t), e)))
+            assert (kernel is None) == (base is None)
+            if base is not None:
+                assert_scaled(kernel(GRID, GRID[::-1]), base(GRID, GRID[::-1]), e)
+
+    @staticmethod
+    def kernel(d2):
+        """The kernel of the metric d2, or None where it is rejected."""
+        try:
+            return kb.kernel_from_metric(kb.MetricProfile(fn=d2))
+        except ValueError as exc:
+            assert "must vanish at 0" in str(exc)
+            return None
+
+
+class TestSampledProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(SAMPLES)))
+    def test_profile_from_samples(self, data, name):
+        t, values = SAMPLES[name]
+        e = data.draw(exponents(name))
+        u = np.concatenate([t, -t, np.linspace(0.0, t[-1], 97), np.geomspace(1e-300, t[-1], 97)])
+        base = kb.profile_from_samples(t, values)
+        assert_array_equal(base(t), values)
+        assert_scaled(kb.profile_from_samples(t, np.ldexp(values, e))(u), base(u), e)
+
+
+class TestFeatures:
+    @staticmethod
+    def scaled_sample(e):
+        sample = kb.sample_frequencies(scaled_measure(MEASURE, e), m=64, seed=1)
+        assert_array_equal(sample.frequencies, RFF.frequencies)
+        return sample
+
+    @settings(max_examples=40, deadline=None)
+    @given(e=exponents("rff"))
+    @example(e=1023)  # 2 total_mass passes the float range, the estimates do not
+    def test_approximate_kernel(self, e):
+        assert_scaled(kb.approximate_kernel(self.scaled_sample(e), RFF_X, RFF_Y),
+                      kb.approximate_kernel(RFF, RFF_X, RFF_Y), e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(e=exponents("rff", even=True))
+    def test_feature_matrix(self, e):
+        sample = self.scaled_sample(e)
+        for x in RFF_X:
+            assert_scaled(kb.feature_matrix(sample, x), kb.feature_matrix(RFF, x), e, degree=0.5)
+
+
 def csv(matrix):
     return "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
 
@@ -211,3 +328,33 @@ def test_the_cli_exits_2_exactly_where_the_scaled_result_passes_the_float_range(
         err = capsys.readouterr().err
         assert err == "" if code == 0 else (
             err.startswith("error: ") and err.endswith(" overflows the float range\n"))
+
+
+@pytest.mark.parametrize("k0", [1e-20, 1.0, 1e20])
+def test_bound_check_reads_the_same_verdict_at_every_scale(tmp_path, capsys, k0):
+    # 3/4 of k0 is at frequency 0: an absolute floor read "tight": true at k0 = 1e-20
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"atoms": [{"loc": 1, "mass": k0}]}))
+    assert main(["bound-check", str(gamma), "--k0", repr(k0)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["ok"], report["tight"]) == (True, False)
+
+
+@pytest.mark.parametrize("e", [0, -1010])
+def test_check_psd_rejects_an_asymmetric_matrix_at_every_scale(tmp_path, capsys, e):
+    # at 2**-1010 an absolute floor let eigh symmetrize the matrix, and psd read true
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(csv(np.ldexp([[2.0, 1.0], [1.0 + 1e-8, 2.0]], e)))
+    assert main(["check-psd", str(matrix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: matrix is not symmetric: max |A - A^T| = ")
+
+
+def test_zoo_sample_keeps_a_sample_far_below_the_largest(tmp_path, capsys):
+    # scaled by the largest sample, k(0) = -1.4e-201 beside 1.3e231 read -0.0
+    t, values = SAMPLES["spread"]
+    samples, out = tmp_path / "samples.csv", tmp_path / "k.csv"
+    samples.write_text(csv(np.column_stack((t, values))))
+    assert main(["zoo", "sample", "--samples", str(samples), "--grid", "0", "1", "2",
+                 "-o", str(out)]) == 0
+    assert kb.io.read_profile_csv(out)[1][0] == values[0]

@@ -216,22 +216,22 @@ POWER_OF_TWO_SCALINGS = {("measures.py", "_scaled"), ("spectral.py", "_head"),
                          ("measures.py", "_bin_width"), ("spectral.py", "spectral_from_gamma")}
 
 
-def power_of_two_scalings(tree) -> list[str]:
-    """The scopes (a module-level function or ``Class.method``, closures included)
-    that call frexp or ldexp in a module."""
-    found = []
+def scopes_calling(matches) -> set[tuple[str, str]]:
+    """(module, scope) of every call in src/ that ``matches``; a scope is a module-level
+    function or ``Class.method``, closures included."""
+    found = set()
 
-    def visit(node, scope, in_class):
+    def visit(path, node, scope, in_class):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (in_class or not scope):
             scope, in_class = (f"{scope}.{node.name}" if scope else node.name,
                                isinstance(node, ast.ClassDef))
-        if isinstance(node, ast.Call) and getattr(
-                node.func, "attr", getattr(node.func, "id", None)) in ("frexp", "ldexp"):
-            found.append(scope)
+        if isinstance(node, ast.Call) and matches(node):
+            found.add((path.name, scope))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope, in_class)
+            visit(path, child, scope, in_class)
 
-    visit(tree, "", False)
+    for path in SRC.rglob("*.py"):
+        visit(path, ast.parse(path.read_text(), filename=str(path)), "", False)
     return found
 
 
@@ -239,9 +239,23 @@ def test_one_rule_scales_values_by_a_power_of_two():
     # five sites kept the float range each its own way (an exponent above one,
     # halved samples, halved terms, two eigensolves, one pre-scaled): each mend
     # found the next site unmended
-    found = {(path.name, scope) for path in SRC.rglob("*.py")
-             for scope in power_of_two_scalings(ast.parse(path.read_text(), filename=str(path)))}
-    assert found == POWER_OF_TWO_SCALINGS
+    assert scopes_calling(lambda call: getattr(call.func, "attr", getattr(
+        call.func, "id", None)) in ("frexp", "ldexp")) == POWER_OF_TWO_SCALINGS
+
+
+#: where a tolerance may have an absolute floor: the inversion's noise floor
+#: CLAMP_RTOL max(|k(0)|, 1e-300), whose relative part falls below the rounding
+#: quantum of the subnormal density of a kernel of k(0) ~1e-319
+ABSOLUTE_FLOORS = {("spectral.py", "bochner_inversion")}
+
+
+def test_each_tolerance_is_relative():
+    # two checks hid an absolute floor behind their relative tolerance, the bound
+    # max(4 k0, 1) and the largest entry max(|A|, 1e-300): each gave another verdict
+    # at small scales
+    assert scopes_calling(lambda call: getattr(call.func, "id", None) in ("max", "min") and any(
+        isinstance(arg, ast.Constant) and isinstance(arg.value, float) for arg in call.args)
+    ) == ABSOLUTE_FLOORS
 
 
 def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
