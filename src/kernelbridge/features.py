@@ -30,7 +30,7 @@ import numpy as np
 from .measures import (SpectralMeasure, _count, _in_range, _number, _numbers, _scaled,
                        check_elements)
 from .product import ProductSpectralMeasure
-from .spectral import _row_sums
+from .spectral import _CHUNK, _row_sums
 
 __all__ = ["FrequencySample", "sample_frequencies",
            "sample_product_frequencies", "feature_matrix", "approximate_kernel"]
@@ -43,7 +43,7 @@ _TWO_PI_PARTS = tuple(map(float.fromhex, ("0x1.921fb548p+2", "-0x1.de973dc8p-29"
 #: Taylor coefficients of cos(r / 2) in z = r**2, highest power first; on
 #: |r| <= pi the first one left out is below 2**-56
 _HALF_COS = tuple((-1) ** n / (4 ** n * math.factorial(2 * n)) for n in range(10, -1, -1))
-#: most turns k an argument may hold before _cos hands it to np.cos
+#: most turns k an argument may hold before _cosines hands it to np.cos
 _MAX_TURNS = 2 ** 22
 
 
@@ -169,16 +169,10 @@ def _points(sample: FrequencySample, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return points, one
 
 
-def _projections(sample: FrequencySample, points: np.ndarray) -> np.ndarray:
-    """w_j . x for an (n, d) array of points: an (n, m) array."""
-    freqs = sample.frequencies.reshape(sample.m, -1)
-    if freqs.shape[1] == 1:  # the same products; a K = 1 matmul costs ~8x more
-        return points * freqs[:, 0]
-    return points @ freqs.T
-
-
-def _cos(a: np.ndarray) -> np.ndarray:
-    """cos(a), computed in place in a float64 array and returned.
+def _cosines(sample: FrequencySample, points: np.ndarray, out: np.ndarray,
+             work: np.ndarray) -> np.ndarray:
+    """cos(w_j . x + b_j) for an (n, d) array of points, written into the (n, m)
+    array out and returned; work holds two more (n, m) arrays.
 
     numpy's float64 cos calls libm once per element; these ~30 whole-array
     passes of plain arithmetic take about half as long on x86-64 (AVX2 or
@@ -186,24 +180,30 @@ def _cos(a: np.ndarray) -> np.ndarray:
     cos r = 2 cos(r/2)**2 - 1 with cos(r/2) a Taylor polynomial.
     Arguments past _MAX_TURNS turns go to np.cos.
     """
-    k = a * (0.5 / math.pi)
+    freqs = sample.frequencies.reshape(sample.m, -1)
+    if freqs.shape[1] == 1:  # the same products; a K = 1 matmul costs ~8x more
+        np.multiply(points, freqs[:, 0], out=out)
+    else:
+        np.matmul(points, freqs.T, out=out)
+    out += sample.phases
+    k, part_k = work
+    np.multiply(out, 0.5 / math.pi, out=k)
     np.rint(k, out=k)
-    if a.size and not (-_MAX_TURNS <= k.min() and k.max() <= _MAX_TURNS):
-        return np.cos(a, out=a)
-    part_k = np.empty_like(a)
+    if out.size and not (-_MAX_TURNS <= k.min() and k.max() <= _MAX_TURNS):
+        return np.cos(out, out=out)
     for part in _TWO_PI_PARTS:
         np.multiply(k, part, out=part_k)
-        a -= part_k
-    np.multiply(a, a, out=a)
-    np.multiply(a, _HALF_COS[0], out=k)
+        out -= part_k
+    np.multiply(out, out, out=out)
+    np.multiply(out, _HALF_COS[0], out=k)
     for c in _HALF_COS[1:-1]:
         k += c
-        k *= a
+        k *= out
     k += _HALF_COS[-1]
-    np.multiply(k, k, out=a)
-    a *= 2.0
-    a -= 1.0
-    return a
+    np.multiply(k, k, out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def feature_matrix(sample: FrequencySample, x) -> np.ndarray:
@@ -212,7 +212,8 @@ def feature_matrix(sample: FrequencySample, x) -> np.ndarray:
     if len(points) != 1:
         raise ValueError(f"feature_matrix takes one point, got {len(points)}")
     # a cosine is NaN exactly where its projection w . x went past the float range
-    features = _in_range(lambda: _cos(_projections(sample, points)[0] + sample.phases),
+    block = np.empty((3, 1, sample.m))
+    features = _in_range(lambda: _cosines(sample, points, block[0], block[1:])[0],
                          "a point times a frequency")
     back, mass = _scaled(sample.total_mass)
     return back(np.sqrt(2.0 * mass / sample.m) * features,
@@ -232,15 +233,14 @@ def approximate_kernel(sample: FrequencySample, x, y):
         raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
     xs, one = _points(sample, x)
     ys, _ = _points(sample, y)
-    d, phases = sample.dim, sample.phases
+    d = sample.dim
+    block = np.empty((4, min(len(xs), max(1, _CHUNK // sample.m)), sample.m))
 
     def rows(pairs):
-        cx = _projections(sample, pairs[:, :d])
-        cx += phases
-        cy = _projections(sample, pairs[:, d:])
-        cy += phases
-        cx = _cos(cx)
-        cx *= _cos(cy)
+        cx, cy, *work = block[:, :len(pairs)]
+        _cosines(sample, pairs[:, :d], cx, work)
+        _cosines(sample, pairs[:, d:], cy, work)
+        cx *= cy
         return cx.sum(axis=1)
 
     inner = _in_range(lambda: _row_sums(np.hstack([xs, ys]), sample.m, rows),

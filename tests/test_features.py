@@ -1,5 +1,7 @@
 """Randomized Fourier features: determinism, unbiasedness, fixture errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -136,25 +138,40 @@ def per_pair(sample, x, y):
     return 2.0 * sample.total_mass / sample.m * float(cx @ cy)
 
 
+def cosines(sample, points):
+    """features._cosines at an (n, d) array of points, in fresh arrays."""
+    n = len(points)
+    out = np.empty((n, sample.m))
+    assert features._cosines(sample, points, out, np.empty((2, n, sample.m))) is out
+    return out
+
+
+def cosines_of(a, n=1):
+    """n rows of the cosines of the angles a, through a sample that forms them
+    exactly: frequencies a, phases 0 and the point 1."""
+    a = np.ravel(a)
+    sample = features.FrequencySample(a, np.zeros(a.size), total_mass=1.0, seed=0)
+    return cosines(sample, np.ones((n, 1)))
+
+
 class TestCos:
-    """features._cos, the plain-arithmetic cosine of the feature sweeps."""
+    """features._cosines, the plain-arithmetic cosine of the feature sweeps."""
 
     @pytest.mark.parametrize("span", [1.0, 300.0, 3e4, 2.5e7])
     def test_within_1e15_of_libm(self, span):
         a = np.random.default_rng(7).uniform(-span, span, (40, 500))
-        values = a.copy()
-        assert features._cos(values) is values  # computed in place
-        assert np.max(np.abs(values - np.cos(a))) <= 1e-15
+        values = cosines_of(a)[0]  # computed in place in the caller's array
+        assert np.max(np.abs(values - np.cos(a.ravel()))) <= 1e-15
 
     def test_exact_turns(self):
         a = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -64 * np.pi])
-        assert_allclose(features._cos(a.copy()), [1, 1, -1, -1, 1, 1], rtol=0, atol=1e-15)
-        assert features._cos(np.zeros(0)).size == 0
+        assert_allclose(cosines_of(a)[0], [1, 1, -1, -1, 1, 1], rtol=0, atol=1e-15)
+        assert cosines_of(a, n=0).size == 0
 
     def test_past_the_turn_limit_is_np_cos(self):
         # one argument past _MAX_TURNS sends the whole array to np.cos
         a = np.array([0.3, 2.0 * np.pi * (features._MAX_TURNS + 2)])
-        assert_array_equal(features._cos(a.copy()), np.cos(a))
+        assert_array_equal(cosines_of(a)[0], np.cos(a))
 
 
 class TestBatchedApproximateKernel:
@@ -182,11 +199,31 @@ class TestBatchedApproximateKernel:
         assert_array_equal(kb.approximate_kernel(sample, pairs[:, :1], pairs[:, 1:]), batch)
 
     def test_line_projections_are_the_matmul_products(self):
-        # one product per entry, as the K = 1 matmul computes them
+        # one product per entry, as a matmul computes them: the line sample and its
+        # (m, 1) twin take np.multiply, and a twin with a zero second frequency,
+        # at points with a zero second coordinate, takes np.matmul
         sample = kb.sample_frequencies(self.CAUCHY, m=4096, seed=6)
         points = np.random.default_rng(6).uniform(-3.0, 3.0, (500, 1))
-        assert_array_equal(features._projections(sample, points),
-                           points @ sample.frequencies.reshape(sample.m, 1).T)
+        freqs = sample.frequencies.reshape(sample.m, 1)
+        twins = ((replace(sample, frequencies=freqs), points),
+                 (replace(sample, frequencies=np.hstack([freqs, np.zeros_like(freqs)])),
+                  np.hstack([points, np.zeros_like(points)])))
+        for twin, twin_points in twins:
+            assert_array_equal(cosines(sample, points), cosines(twin, twin_points))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n, m, step", [(7, 4096, 4), (3, 20_000, 1)])
+    def test_chunks_are_evaluated_as_fresh_calls(self, d, n, m, step):
+        # chunks of 4 then 3 rows, and of one row past _CHUNK, all in one block per
+        # call: the last chunk of 3 rows is shorter than the one before it
+        assert step == max(1, features._CHUNK // m)
+        product = kb.ProductSpectralMeasure(factors=(self.CAUCHY,) * d)
+        sample = kb.sample_product_frequencies(product, m=m, seed=n)
+        rng = np.random.default_rng(n)
+        xs, ys = rng.uniform(-3, 3, (n, d)), rng.uniform(-3, 3, (n, d))
+        chunks = [kb.approximate_kernel(sample, xs[lo:lo + step], ys[lo:lo + step])
+                  for lo in range(0, n, step)]
+        assert_array_equal(kb.approximate_kernel(sample, xs, ys), np.concatenate(chunks))
 
     def test_single_points_give_floats(self):
         line = kb.sample_frequencies(GAUSS, m=64, seed=1)

@@ -120,6 +120,10 @@ class TestPositiveDefinite:
     def test_all_ones(self):
         assert kb.is_positive_definite(np.ones((3, 3))).verdict
 
+    def test_a_verdict_is_true_exactly_when_it_holds(self):
+        assert kb.is_positive_definite(np.ones((3, 3)))
+        assert not kb.is_positive_definite(COS_MINUS_03)
+
     @pytest.mark.parametrize("largest", [1e306, 1.6e308])
     def test_witness_near_the_float_maximum(self, largest):
         verdict = kb.is_positive_definite(FOUR_POINT_D2 * (largest / 9.0))

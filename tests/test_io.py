@@ -81,6 +81,12 @@ def test_numpy_non_finite_values_become_strings():
     assert json.loads(text, parse_constant=pytest.fail) == json.loads(text)
 
 
+def test_numpy_scalars_encode_as_numbers_and_other_objects_are_rejected():
+    assert io.dumps_json({"n": np.int64(3), "x": np.float32(0.5)}) == '{"n": 3, "x": 0.5}'
+    with pytest.raises(TypeError, match="^not JSON serializable: <class 'object'>$"):
+        io.dumps_json({"o": object()})
+
+
 def test_deeply_nested_json_is_a_value_error(tmp_path):
     # the parser's RecursionError is not a ValueError, so the CLI printed a traceback
     path = tmp_path / "deep.json"

@@ -142,6 +142,11 @@ class TestSerialization:
         assert kb.GammaMeasure.from_dict(s2.to_dict()) == s2
         assert s2 != gamma
 
+    def test_comparison_with_another_type_and_repr(self):
+        mu = kb.SpectralMeasure(atoms=[(0.0, 0.3)], edges=[0.0, 0.5, 2.0], values=[0.4, 0.1])
+        assert mu != mu.to_dict() and mu.__eq__(mu.to_dict()) is NotImplemented
+        assert repr(mu) == "SpectralMeasure(n_atoms=1, n_bins=2)"
+
     def test_empty_measure(self):
         mu = kb.SpectralMeasure()
         assert mu.total_mass() == 0.0

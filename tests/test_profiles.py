@@ -157,6 +157,14 @@ class TestBivariateKernel:
             K([0.5, 2.0, 3.0], 1.0)
         assert info.value.argument == 2.0
 
+    def test_a_value_its_argument_cannot_broadcast_to_names_no_argument(self):
+        K = kb.BivariateKernel(fn=lambda x, y: np.array([np.nan, 1.0]), name="two")
+        with pytest.raises(kb.EvaluationError,
+                           match=r"^kernel 'two' evaluated to a non-finite value at t=nan$") \
+                as info:
+            K([0.5, 2.0, 3.0], 1.0)
+        assert np.isnan(info.value.argument)
+
     def test_arguments_must_be_real_numbers(self):
         K = kb.BivariateKernel(fn=lambda x, y: x * y, name="xy")
         with pytest.raises(ValueError, match="^the arguments of kernel 'xy' must be real numbers$"):

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
 import subprocess
@@ -304,6 +305,30 @@ def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
             "gram.euclidean_embedding", "io.read_matrix_csv", "io.write_matrix_csv"} <= names
     assert {"features.sample_frequencies", "features.sample_product_frequencies",
             "features.approximate_kernel", "product.product_synthesis"} <= names
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_approximate_kernel_reuses_its_memory():
+    # each (4, 4096) chunk allocated four 128 KiB arrays that the allocator handed
+    # back to the system: ~12,000 page faults per call of 500 pairs, and timings
+    # that moved with allocator history
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        import kernelbridge as kb
+        product = kb.ProductSpectralMeasure(factors=(kb.gaussian_measure(),) * 3)
+        sample = kb.sample_product_frequencies(product, m=4096, seed=1)
+        rng = np.random.default_rng(0)
+        xs, ys = rng.uniform(-3, 3, (500, 3)), rng.uniform(-3, 3, (500, 3))
+        kb.approximate_kernel(sample, xs, ys)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        kb.approximate_kernel(sample, xs, ys)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300, check=True)
+    assert int(run.stdout) < 1000
 
 
 def test_records_holding_arrays_compare_by_identity():
