@@ -163,7 +163,7 @@ def _points(sample: FrequencySample, x: np.ndarray) -> tuple[np.ndarray, bool]:
     if x.ndim > 2:
         raise ValueError(f"points must be a scalar, a vector or an (n, d) array, "
                          f"got shape {x.shape}")
-    points = x.reshape(1, -1) if one else x.reshape(x.shape[0], -1)
+    points = x.reshape(1, -1) if one else x if x.ndim == 2 else x[:, None]
     if points.shape[1] != sample.dim:
         raise ValueError(f"point has dimension {points.shape[1]}, expected {sample.dim}")
     return points, one
@@ -233,13 +233,13 @@ def approximate_kernel(sample: FrequencySample, x, y):
         raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
     xs, one = _points(sample, x)
     ys, _ = _points(sample, y)
-    d = sample.dim
-    block = np.empty((4, min(len(xs), max(1, _CHUNK // sample.m)), sample.m))
+    r, m = min(len(xs), max(1, _CHUNK // sample.m)), sample.m
+    buf = np.empty(6 * r * m + 8)  # (3, 2r, m) floats from the first 64-byte boundary
+    block = buf[-buf.ctypes.data % 64 // 8:][:6 * r * m].reshape(3, 2 * r, m)
 
     def rows(pairs):
-        cx, cy, *work = block[:, :len(pairs)]
-        _cosines(sample, pairs[:, :d], cx, work)
-        _cosines(sample, pairs[:, d:], cy, work)
+        out, *work = block[:, :2 * len(pairs)]
+        cx, cy = np.split(_cosines(sample, np.vstack(np.hsplit(pairs, 2)), out, work), 2)
         cx *= cy
         return cx.sum(axis=1)
 

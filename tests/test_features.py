@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import kernelbridge as kb
 from kernelbridge import features
 from kernelbridge._pcg64 import _uniforms
+from kernelbridge.measures import _scaled
 
 GAUSS = kb.gaussian_measure()
 
@@ -177,17 +178,42 @@ class TestCos:
 class TestBatchedApproximateKernel:
     CAUCHY = kb.bochner_inversion(kb.zoo("cauchy")).measure
 
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_matches_the_per_pair_formula(self, d):
+    @pytest.mark.parametrize("d, m", [(1, 4096), (3, 4096), (3, 20_000)])
+    def test_matches_the_per_pair_formula(self, d, m):
+        # m = 20,000 is one pair per chunk: each half is one row of the sweep
         product = kb.ProductSpectralMeasure(factors=(self.CAUCHY,) * d)
         k0 = product.total_mass()
-        sample = kb.sample_product_frequencies(product, m=4096, seed=8)
+        sample = kb.sample_product_frequencies(product, m=m, seed=8)
         rng = np.random.default_rng(d)
         xs, ys = rng.uniform(-3, 3, (300, d)), rng.uniform(-3, 3, (300, d))
         batch = kb.approximate_kernel(sample, xs, ys)
         assert batch.shape == (300,)
         oracle = np.array([per_pair(sample, x, y) for x, y in zip(xs, ys)])
         assert np.max(np.abs(batch - oracle)) <= 1e-14 * max(k0, 1.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_sweep_keeps_the_two_sweep_bits(self, d):
+        # the benchmark's shapes: both halves of a chunk in one _cosines call give
+        # the bits of one call per half
+        product = kb.ProductSpectralMeasure(factors=(self.CAUCHY,) * d)
+        sample = kb.sample_product_frequencies(product, m=4096, seed=d)
+        rng = np.random.default_rng(d)
+        xs, ys = rng.uniform(-3, 3, (500, d)), rng.uniform(-3, 3, (500, d))
+        step = features._CHUNK // sample.m
+        inner = np.concatenate([
+            (cosines(sample, xs[lo:lo + step]) * cosines(sample, ys[lo:lo + step])).sum(axis=1)
+            for lo in range(0, len(xs), step)])
+        back, mass = _scaled(sample.total_mass)
+        assert_array_equal(kb.approximate_kernel(sample, xs, ys),
+                           back(2.0 * mass / sample.m * inner))
+
+    def test_empty_batches_give_empty_arrays(self):
+        line = kb.sample_frequencies(self.CAUCHY, m=64, seed=1)
+        product = kb.sample_product_frequencies(
+            kb.ProductSpectralMeasure(factors=(self.CAUCHY,) * 3), m=64, seed=1)
+        for sample, shape in ((line, (0,)), (line, (0, 1)), (product, (0, 3))):
+            values = kb.approximate_kernel(sample, np.zeros(shape), np.zeros(shape))
+            assert isinstance(values, np.ndarray) and values.shape == (0,)
 
     def test_line_batches(self):
         sample = kb.sample_frequencies(self.CAUCHY, m=2048, seed=4)
@@ -251,6 +277,9 @@ class TestBatchedApproximateKernel:
                         (line, np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))):
             with pytest.raises(ValueError):
                 kb.approximate_kernel(s, x, y)
+        # an empty batch is read as points of its width
+        with pytest.raises(ValueError, match="^point has dimension 3, expected 2$"):
+            kb.approximate_kernel(sample, np.zeros((0, 3)), np.zeros((0, 3)))
 
     def test_overflowing_projections_rejected(self):
         # w x past the float range gave nan with RuntimeWarnings

@@ -312,11 +312,18 @@ def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
 def test_approximate_kernel_reuses_its_memory():
     # each (4, 4096) chunk allocated four 128 KiB arrays that the allocator handed
     # back to the system: ~12,000 page faults per call of 500 pairs, and timings
-    # that moved with allocator history
+    # that moved with allocator history; a fresh block then started 16 bytes past
+    # a 64-byte boundary, and a first call ran ~15% slower than on an aligned one
     script = textwrap.dedent("""
         import resource
         import numpy as np
         import kernelbridge as kb
+        from kernelbridge import features
+        offsets, cosines = [], features._cosines
+        def recorded(sample, points, out, work):
+            offsets.append(out.ctypes.data % 64)
+            return cosines(sample, points, out, work)
+        features._cosines = recorded
         product = kb.ProductSpectralMeasure(factors=(kb.gaussian_measure(),) * 3)
         sample = kb.sample_product_frequencies(product, m=4096, seed=1)
         rng = np.random.default_rng(0)
@@ -324,11 +331,13 @@ def test_approximate_kernel_reuses_its_memory():
         kb.approximate_kernel(sample, xs, ys)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         kb.approximate_kernel(sample, xs, ys)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, offsets[0])
     """)
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300, check=True)
-    assert int(run.stdout) < 1000
+    faults, first_offset = map(int, run.stdout.split())
+    assert faults < 1000
+    assert first_offset == 0
 
 
 def test_records_holding_arrays_compare_by_identity():
