@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import _CHUNK
+from .spectral import _chunk_rows
 
 _M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
 #: SeedSequence's hash constants
@@ -33,7 +33,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LANES = 256
 #: rows of lanes per chunk of draws
-_ROWS = _CHUNK // _LANES
+_ROWS = _chunk_rows(_LANES)
 
 
 def _hashmix(value: int, const: int, mult: int = _MULT_A) -> tuple[int, int]:

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
+__all__ = ["KernelBridgeError", "EvaluationError", "EigenSolverError", "MathematicalRejection",
+           "NotHilbertianError", "NotPositiveDefiniteError", "UnboundedMetricError"]
+
 
 class KernelBridgeError(Exception):
     """Base class for library-specific errors.

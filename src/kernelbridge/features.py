@@ -30,7 +30,7 @@ import numpy as np
 from .measures import (SpectralMeasure, _count, _in_range, _number, _numbers, _scaled,
                        check_elements)
 from .product import ProductSpectralMeasure
-from .spectral import _CHUNK, _row_sums
+from .spectral import _chunk_rows, _row_sums
 
 __all__ = ["FrequencySample", "sample_frequencies",
            "sample_product_frequencies", "feature_matrix", "approximate_kernel"]
@@ -233,7 +233,7 @@ def approximate_kernel(sample: FrequencySample, x, y):
         raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
     xs, one = _points(sample, x)
     ys, _ = _points(sample, y)
-    r, m = min(len(xs), max(1, _CHUNK // sample.m)), sample.m
+    r, m = min(len(xs), _chunk_rows(sample.m)), sample.m
     buf = np.empty(6 * r * m + 8)  # (3, 2r, m) floats from the first 64-byte boundary
     block = buf[-buf.ctypes.data % 64 // 8:][:6 * r * m].reshape(3, 2 * r, m)
 

@@ -70,8 +70,6 @@ __all__ = [
     "bochner_inversion",
     "InversionConfig",
     "InversionResult",
-    "MAX_ELEMENTS",
-    "check_elements",
 ]
 
 #: relative slack of the boundedness test: integral <= 4 k0 (1 + BOUND_RTOL)
@@ -84,13 +82,18 @@ CLAMP_RTOL = 1e-4
 _CHUNK = 2 ** 14
 
 
+def _chunk_rows(n_cols: int) -> int:
+    """Rows per chunk: as many rows of n_cols cells as _CHUNK cells hold, and at least one."""
+    return max(1, _CHUNK // n_cols)
+
+
 def _row_sums(ts: np.ndarray, n_cols: int, rows) -> np.ndarray:
-    """``rows(ts)``, evaluated on chunks of ts's rows holding <= _CHUNK row x column cells.
+    """``rows(ts)``, evaluated on chunks of ``_chunk_rows(n_cols)`` of ts's rows.
 
     ``rows`` maps a block of rows to one value per row.
     """
     out = np.empty(len(ts))
-    step = max(1, _CHUNK // n_cols)
+    step = _chunk_rows(n_cols)
     for lo in range(0, len(ts), step):
         out[lo:lo + step] = rows(ts[lo:lo + step])
     return out

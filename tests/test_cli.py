@@ -796,7 +796,7 @@ class TestElementBudget:
     def test_oversized_m_exits_2(self, tmp_path, capsys):
         measure_path = tmp_path / "mu.json"
         io.write_json(measure_path, kb.cosine_measure().to_dict())
-        assert main(["rff", str(measure_path), "-m", str(kb.spectral.MAX_ELEMENTS + 1),
+        assert main(["rff", str(measure_path), "-m", str(kb.MAX_ELEMENTS + 1),
                      "--seed", "1", "-o", str(tmp_path / "s.json")]) == 2
         assert not (tmp_path / "s.json").exists()
 

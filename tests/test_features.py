@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import kernelbridge as kb
-from kernelbridge import features
+from kernelbridge import features, spectral
 from kernelbridge._pcg64 import _uniforms
 from kernelbridge.measures import _scaled
 
@@ -199,7 +199,7 @@ class TestBatchedApproximateKernel:
         sample = kb.sample_product_frequencies(product, m=4096, seed=d)
         rng = np.random.default_rng(d)
         xs, ys = rng.uniform(-3, 3, (500, d)), rng.uniform(-3, 3, (500, d))
-        step = features._CHUNK // sample.m
+        step = spectral._chunk_rows(sample.m)
         inner = np.concatenate([
             (cosines(sample, xs[lo:lo + step]) * cosines(sample, ys[lo:lo + step])).sum(axis=1)
             for lo in range(0, len(xs), step)])
@@ -242,7 +242,7 @@ class TestBatchedApproximateKernel:
     def test_chunks_are_evaluated_as_fresh_calls(self, d, n, m, step):
         # chunks of 4 then 3 rows, and of one row past _CHUNK, all in one block per
         # call: the last chunk of 3 rows is shorter than the one before it
-        assert step == max(1, features._CHUNK // m)
+        assert step == spectral._chunk_rows(m)
         product = kb.ProductSpectralMeasure(factors=(self.CAUCHY,) * d)
         sample = kb.sample_product_frequencies(product, m=m, seed=n)
         rng = np.random.default_rng(n)

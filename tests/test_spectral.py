@@ -15,7 +15,8 @@ from scipy.integrate import quad
 import kernelbridge as kb
 from conftest import gamma_measures, random_spectral_measure
 from kernelbridge import spectral
-from kernelbridge.spectral import MAX_ELEMENTS, _midpoint_cosine_sums
+from kernelbridge.measures import MAX_ELEMENTS
+from kernelbridge.spectral import _midpoint_cosine_sums
 
 GRID = kb.probe_grid()
 
@@ -1069,9 +1070,9 @@ class TestElementBudget:
         assert cls.traced_peak(rejected) < 2 ** 20
 
     def test_budget_edge(self):
-        spectral.check_elements(MAX_ELEMENTS, "at the budget")
+        kb.check_elements(MAX_ELEMENTS, "at the budget")
         with pytest.raises(ValueError, match="budget"):
-            spectral.check_elements(MAX_ELEMENTS + 1, "over the budget")
+            kb.check_elements(MAX_ELEMENTS + 1, "over the budget")
 
     @pytest.mark.parametrize("sizes", [{"n_samples": 200001}, {"n_bins": 8192}])
     def test_inversion_estimate_bounds_its_traced_peak(self, sizes):

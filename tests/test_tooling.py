@@ -380,3 +380,67 @@ def test_the_inversion_config_holds_only_what_invert_sets():
                 and getattr(node.func, "id", None) == "InversionConfig")
     assert [f.name for f in dataclasses.fields(kb.InversionConfig)] == [
         keyword.arg for keyword in call.keywords]
+
+
+#: the modules whose public names the package re-exports, in import order
+PUBLIC_MODULES = ("exceptions", "features", "gram", "measures", "product", "profiles",
+                  "spectral")
+#: every name the package exported while its __init__ listed them by hand
+LISTED_BY_HAND = (
+    "KernelBridgeError", "EvaluationError", "EigenSolverError", "MathematicalRejection",
+    "NotHilbertianError", "NotPositiveDefiniteError", "UnboundedMetricError",
+    "GramMatrix", "DefinitenessVerdict", "EmbeddingResult", "build_gram",
+    "is_positive_definite", "is_negative_definite", "nd_to_psd", "euclidean_embedding",
+    "KernelProfile", "MetricProfile", "BivariateKernel", "zoo", "zoo_names",
+    "metric_from_kernel", "kernel_from_metric", "lift_metric", "check_translation_invariance",
+    "probe_grid", "grid_probes", "profile_from_samples",
+    "SpectralMeasure", "GammaMeasure", "gaussian_measure", "laplacian_measure",
+    "cauchy_measure", "cosine_measure", "constant_measure",
+    "bochner_synthesis", "screw_synthesis", "gamma_from_spectral", "spectral_from_gamma",
+    "int_bound_integral", "bound_report", "atom_at_zero", "bochner_inversion",
+    "InversionConfig", "InversionResult",
+    "SeparableKernel", "ProductSpectralMeasure", "separable_eval", "product_synthesis",
+    "FrequencySample", "sample_frequencies", "sample_product_frequencies",
+    "feature_matrix", "approximate_kernel",
+)
+
+
+def defined_names(path: Path) -> set[str]:
+    """Names a module's top level defines: a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_each_public_name_is_listed_once_in_its_own_module():
+    # the package's import lists and its __all__ were two more copies of the
+    # modules' lists, and they had drifted: four public names were missing from
+    # the package, and spectral re-listed two names of measures
+    init = ast.parse((SRC / "kernelbridge" / "__init__.py").read_text())
+    imports = [node for node in init.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [(node.level, node.module, [alias.name for alias in node.names])
+            for node in imports] == [(1, module, ["*"]) for module in PUBLIC_MODULES]
+    modules = [importlib.import_module(f"kernelbridge.{name}") for name in PUBLIC_MODULES]
+    assert kb.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(kb.__all__)) == len(kb.__all__)
+    for module in modules:
+        assert set(module.__all__) <= defined_names(Path(module.__file__)), module.__name__
+        for name in module.__all__:
+            assert getattr(kb, name) is getattr(module, name)
+    assert set(LISTED_BY_HAND) <= set(kb.__all__)
+
+
+def test_importing_the_package_loads_only_its_public_modules():
+    # the re-export adds no import work: io and cli load with the command line,
+    # and _pcg64 when a sample is drawn
+    script = ("import sys, kernelbridge; "
+              "print(*sorted(name for name in sys.modules if name.startswith('kernelbridge')))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300, check=True)
+    assert run.stdout.split() == ["kernelbridge"] + [f"kernelbridge.{name}"
+                                                      for name in PUBLIC_MODULES]
