@@ -262,8 +262,9 @@ def cmd_rff(args) -> int:
                "total_mass": sample.total_mass}
     if args.pairs:  # evaluated first: a rejected pair leaves no sample file
         xs, ys, lags = _read_pairs(args.pairs, sample.dim)
-        exacts = product_synthesis(product, lags)
+        # the estimate's (3, 2r, m) block is freed before the exact column's tables exist
         approxs = approximate_kernel(sample, xs, ys)
+        exacts = product_synthesis(product, lags)
         errors = np.abs(approxs - exacts)
         io.write_matrix_csv(args.errors_out, np.column_stack((exacts, approxs, errors)),
                             header="exact,approx,abs_error")

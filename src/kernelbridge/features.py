@@ -80,11 +80,13 @@ class FrequencySample:
         return 1 if self.frequencies.ndim == 1 else self.frequencies.shape[1]
 
     def to_dict(self) -> dict:
+        """The sample file's fields; ``freqs`` and ``phases`` are the record's own
+        arrays, which ``io.write_json`` writes a piece at a time."""
         return {
             "seed": self.seed,
             "total_mass": self.total_mass,
-            "freqs": self.frequencies.tolist(),
-            "phases": self.phases.tolist(),
+            "freqs": self.frequencies,
+            "phases": self.phases,
         }
 
 

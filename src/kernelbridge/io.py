@@ -5,9 +5,12 @@ as two-column CSV (t, value) with an optional header row; structured
 objects (measures, samples, verdicts) as JSON.  Every CSV table is read by
 _read_table (numpy's C parser) and written by _write_table (one format
 per row).  Floats are written with 17 significant digits so a write/read
-round trip is bit stable.  JSON is written by ``json.dump(indent=2)`` (or
-``json.dumps``) after a strict pass: only data holding a non-finite float
-is walked by _sanitize, which writes such floats as strings.
+round trip is bit stable.  JSON is written as ``json.dump(indent=2)`` (or
+``json.dumps``) writes it, after a strict pass: only data holding a
+non-finite float is walked by _sanitize, which writes such floats as
+strings.  write_json writes the finite float arrays among a dict's values
+from the arrays themselves, a piece at a time (_pieces), with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.17g"
+#: most array values write_json formats into one piece of text
+_VALUES_PER_PIECE = 512
 
 
 def _read_table(path, header: bool = False) -> np.ndarray:
@@ -133,11 +138,62 @@ def dumps_json(data: dict) -> str:
         lambda obj, **kwargs: json.dumps(obj, default=_json_default, **kwargs), data)
 
 
+def _float_array(obj) -> bool:
+    """Whether obj is a non-empty 1-D or 2-D float64 array of finite values:
+    an array _pieces writes itself."""
+    return (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
+            and obj.size > 0 and bool(np.isfinite(obj).all()))
+
+
+def _pieces(obj, allow_nan: bool, level: int = 0):
+    """Yield, in pieces, the text ``json.dump(obj, indent=2)`` writes for obj
+    nested ``level`` deep.
+
+    An array of _float_array is written from its values, at most
+    _VALUES_PER_PIECE to a ``tolist`` and a piece, joined from
+    ``float.__repr__`` (what the encoder writes for a finite float); the
+    encoder would hold it whole as Python floats.  A dict holding such an
+    array among its values is written key by key.  Anything else is the
+    encoder's own text.
+    """
+    pad = "\n" + "  " * (level + 1)
+    end = "\n" + "  " * level
+    if _float_array(obj):
+        if obj.ndim == 1:
+            line = float.__repr__
+        else:
+            item = pad + "  "
+            fmt = "[" + item + ("," + item).join(["%r"] * obj.shape[1]) + pad + "]"
+            line = lambda row: fmt % tuple(row)
+        step = max(1, _VALUES_PER_PIECE * len(obj) // obj.size)
+        for lo in range(0, len(obj), step):
+            yield ("," if lo else "[") + pad + ("," + pad).join(
+                map(line, obj[lo:lo + step].tolist()))
+        yield end + "]"
+    elif isinstance(obj, dict) and any(map(_float_array, obj.values())):
+        for i, (key, value) in enumerate(obj.items()):
+            # the encoder's text for the key: '{"k": 0}' without '{' and ': 0}'
+            key = json.dumps({key: 0}, allow_nan=allow_nan)[1:-4]
+            yield ("," if i else "{") + pad + key + ": "
+            yield from _pieces(value, allow_nan, level + 1)
+        yield end + "}"
+    else:
+        encoder = json.JSONEncoder(indent=2, default=_json_default, allow_nan=allow_nan)
+        for chunk in encoder.iterencode(obj):
+            yield chunk.replace("\n", end) if level else chunk
+
+
 def write_json(path, data: dict) -> None:
-    """``json.dump(data, indent=2)`` plus a newline, strict first (see _strict_first)."""
+    """``json.dump(data, indent=2)`` plus a newline, strict first (see _strict_first).
+
+    The bytes are json.dump's.  Finite float arrays among a dict's values
+    are written from the arrays a piece at a time (see _pieces), never all
+    as Python floats at once.  An array holding a non-finite value takes the
+    sanitized encoding, as a list.
+    """
     def dump(obj, allow_nan):
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2, default=_json_default, allow_nan=allow_nan)
+            fh.writelines(_pieces(obj, allow_nan))
             fh.write("\n")
 
     _strict_first(dump, data)

@@ -293,8 +293,9 @@ def _screw_antiderivative(ts: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray
     phi[~high] = np.broadcast_to(ts[:, None], x.shape)[~high] * (low * series)
     x, ix = x[high], 1j * x[high]
     fraction = (2 * _FRACTION_TERMS - 1) + ix
-    for n in range(_FRACTION_TERMS - 1, 0, -1):  # one temporary per term: ~40% less time
-        fraction = ix - n * n / fraction
+    for n in range(_FRACTION_TERMS - 1, 0, -1):  # in place: no temporary per term
+        np.divide(-n * n, fraction, out=fraction)
+        fraction += ix
         fraction += 2 * n - 1
     xh = x / fraction  # x g - i x f
     phi[high] = ((1.0 + xh.imag) * cos[high] - xh.real * sin[high] - 1.0) \

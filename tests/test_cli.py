@@ -738,6 +738,21 @@ class TestFeatureCommands:
         assert (code, err) == (2, "error: --pairs rows must have 2 columns (x then y)\n")
         assert not (tmp_path / "s.json").exists()
 
+    def test_a_rejected_pair_leaves_no_files(self, tmp_path, capsys):
+        # the estimate and the exact column each reject the pair (5e307, -5e307):
+        # whichever runs first, nothing is written
+        measure_path = tmp_path / "mu.json"
+        io.write_json(measure_path, kb.gaussian_measure().to_dict())
+        io.write_matrix_csv(tmp_path / "pairs.csv", [[5e307, -5e307]])
+        files = tmp_path / "s.json", tmp_path / "errors.csv"
+        code, err = exit_and_stderr(capsys, [
+            "rff", measure_path, "-m", "64", "--seed", "1", "--pairs", tmp_path / "pairs.csv",
+            "--errors-out", files[1], "-o", files[0]])
+        assert code == 2
+        assert err in {f"error: a {what} times a frequency overflows the float range\n"
+                       for what in ("point", "lag")}
+        assert not any(path.exists() for path in files)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pairs_are_validation_errors(self, tmp_path, capsys, bad):
         measure_path = tmp_path / "prod.json"
@@ -1215,7 +1230,9 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "command, document, table, message",
-        [(*case, "a lag times a frequency overflows the float range") for case in LAG_OVERFLOWS]
+        # rff estimates before it synthesizes: its points overflow first
+        [(*case, ("a point" if case[0].startswith("rff") else "a lag")
+          + " times a frequency overflows the float range") for case in LAG_OVERFLOWS]
         + [(*case[:3], f"{case[3]} overflows the float range") for case in LAG_SPANS]
         # constant-law bins: called a squared-metric overflow
         + [("screw J --grid 1e308 1.5e308 3 -o O", _WIDE, "",

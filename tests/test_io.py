@@ -1,6 +1,7 @@
 """JSON output: strict encoding first, sanitized only for non-finite floats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +29,38 @@ ROWS = {"rows": [[1.5, -2.0], [3.0, 1e-300]], "ragged": [[1.0, 2.0], [3.0]],
         "nested": {"a": [], "b": {}, "c": [{"d": [0.25]}]}, 1.5: "float key", 7: None}
 
 
+#: arrays write_json writes from their values, in several pieces where long or wide
+ARRAYS = {"line": np.linspace(-1.0, 1.0, 1500), "rows": np.arange(3000.0).reshape(-1, 3) / 7,
+          "wide": np.arange(1030.0).reshape(2, -1) / 3, "column": np.ones((3, 1)),
+          "empty": np.empty(0), "no_rows": np.empty((0, 3)), "ints": np.arange(3),
+          "float32": np.arange(3, dtype=np.float32) / 3, "scalar": np.array(0.5),
+          "nested": {"a": np.array([1e-300, -1e308]), "b": [1.0, {"c": None}], "d": {}},
+          "list": [np.arange(2.0)], 2.5: np.zeros(2)}
+
+
 @pytest.mark.parametrize("data", [FINITE, NON_FINITE, kb.gaussian_measure(n_bins=32).to_dict(),
                                   kb.sample_frequencies(kb.cosine_measure(), 64, 1).to_dict(),
-                                  kb.sample_product_frequencies(PRODUCT, 64, 1).to_dict(), ROWS])
+                                  kb.sample_product_frequencies(PRODUCT, 64, 1).to_dict(), ROWS,
+                                  ARRAYS, {"one_inf": np.array([[1.0, np.inf]]), **ARRAYS},
+                                  {"x": {"y": np.arange(3.0)}}])
 def test_bytes_equal_the_sanitized_encoding(tmp_path, data):
     assert io.dumps_json(data) == sanitized(data)
     io.write_json(tmp_path / "out.json", data)
     assert (tmp_path / "out.json").read_text() == sanitized(data, indent=2) + "\n"
+
+
+def test_writing_a_sample_holds_a_few_pieces(tmp_path):
+    # to_dict's lists of 16,384 Python floats, held while json.dump wrote them,
+    # peaked at ~829 KB
+    sample = kb.sample_product_frequencies(
+        kb.ProductSpectralMeasure(factors=(kb.gaussian_measure(),) * 3), m=4096, seed=1)
+    tracemalloc.start()
+    try:
+        io.write_json(tmp_path / "sample.json", sample.to_dict())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-1e308, 1e308)
